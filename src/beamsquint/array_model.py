@@ -48,9 +48,7 @@ class ArrayGeometry:
     spacing_ratio: float = 0.5
 
     def __post_init__(self) -> None:
-        n = self.n_antennas
-        if n != int(n) or int(n) < 2:
-            raise ValueError(f"n_antennas must be an integer >= 2, got {n!r}")
+        _check_n(self.n_antennas)
         d = self.spacing_ratio
         if not (math.isfinite(d) and d > 0):
             raise ValueError(f"spacing_ratio must be positive and finite, got {d!r}")
@@ -71,8 +69,9 @@ def _check_n(n_antennas: int) -> int:
     return int(n_antennas)
 
 
-def _check_psi(psi: float) -> None:
-    if not math.isfinite(psi) or abs(psi) > 1.0 + _PSI_TOL:
+def _check_psi(psi) -> None:
+    # also rejects NaN, which fails every comparison
+    if not np.all(np.abs(psi) <= 1.0 + _PSI_TOL):
         raise ValueError(f"psi must be a sine value in [-1, 1], got {psi!r}")
 
 
@@ -108,14 +107,13 @@ def fine_beam_weights(geom: ArrayGeometry, psi0: float) -> np.ndarray:
     return 2.0 * math.pi * geom.spacing_ratio * psi0 * np.arange(geom.n_antennas)
 
 
-def array_gain_sum(
-    weights: np.ndarray, geom: ArrayGeometry, psi: float, xi: float = 1.0
-) -> complex:
+def array_gain_sum(weights: np.ndarray, geom: ArrayGeometry, psi, xi: float = 1.0):
     """Array gain by direct summation over elements.
 
     Returns ``(1/sqrt(N)) * sum_n exp(j*(2*pi*xi*spacing_ratio*(n-1)*psi
     - beta_n))``. Valid for arbitrary spacing and arbitrary weights, not
-    only fine beams.
+    only fine beams. Scalar ``psi`` in, complex out; an ndarray of angles
+    in, a complex ndarray of the same shape out.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (geom.n_antennas,):
@@ -127,8 +125,11 @@ def array_gain_sum(
     _check_psi(psi)
     _check_xi(xi)
     k = np.arange(geom.n_antennas)
-    phase = 2.0 * math.pi * xi * geom.spacing_ratio * psi * k - w
-    return complex(np.exp(1j * phase).sum() / math.sqrt(geom.n_antennas))
+    phase = 2.0 * math.pi * xi * geom.spacing_ratio * np.multiply.outer(psi, k) - w
+    total = np.exp(1j * phase).sum(axis=-1) / math.sqrt(geom.n_antennas)
+    if np.ndim(psi) == 0:
+        return complex(total)
+    return total
 
 
 def gain_kernel(x, n_antennas: int):

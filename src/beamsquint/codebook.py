@@ -9,15 +9,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .array_model import ArrayGeometry, _check_n, fine_beam_weights
 from .squint import (
+    HALF_POWER_CONSTANT,
     BandSpec,
     CoverageInterval,
     GainThreshold,
+    focus_from_left_edge,
     half_power_beamwidth,
     squinted_coverage,
 )
@@ -42,6 +45,18 @@ _EDGE_TOL = 1e-12
 
 class CodebookFormatError(ValueError):
     """Raised when a serialized codebook violates the wire-format invariants."""
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true/false are not JSON numbers
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a finite float."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -148,27 +163,27 @@ class Codebook:
                 raise CodebookFormatError(f"missing required key {key!r}")
 
         n = data["n_antennas"]
-        if not isinstance(n, int) or n < 2:
+        if not _is_int(n) or n < 2:
             raise CodebookFormatError(f"n_antennas must be an integer >= 2, got {n!r}")
         if data["spacing_ratio"] != 0.5:
             raise CodebookFormatError(
                 f"spacing_ratio must be 0.5 (half-wavelength), got {data['spacing_ratio']!r}"
             )
         b = data["fractional_bandwidth"]
-        if not isinstance(b, (int, float)) or not (0.0 <= b < 2.0):
+        if not _is_number(b) or not (0.0 <= b < 2.0):
             raise CodebookFormatError(f"fractional_bandwidth must lie in [0, 2), got {b!r}")
         psi_m = data["psi_m"]
-        if not isinstance(psi_m, (int, float)) or not (0.0 < psi_m <= 1.0):
+        if not _is_number(psi_m) or not (0.0 < psi_m <= 1.0):
             raise CodebookFormatError(f"psi_m must lie in (0, 1], got {psi_m!r}")
         ratio = data["threshold_ratio"]
-        if not isinstance(ratio, (int, float)) or not (0.0 < ratio <= 1.0):
+        if not _is_number(ratio) or not (0.0 < ratio <= 1.0):
             raise CodebookFormatError(f"threshold_ratio must lie in (0, 1], got {ratio!r}")
         if data["parity"] not in ("odd", "even"):
             raise CodebookFormatError(f"parity must be 'odd' or 'even', got {data['parity']!r}")
         raw_beams = data["beams"]
         if not isinstance(raw_beams, list) or not raw_beams:
             raise CodebookFormatError("beams must be a non-empty list")
-        if data["size"] != len(raw_beams):
+        if not _is_int(data["size"]) or data["size"] != len(raw_beams):
             raise CodebookFormatError(
                 f"size {data['size']!r} does not match the number of beams {len(raw_beams)}"
             )
@@ -182,8 +197,11 @@ class Codebook:
             for key in ("index", "psi0", "phases_rad", "coverage"):
                 if key not in entry:
                     raise CodebookFormatError(f"beam {pos} is missing key {key!r}")
+            index = entry["index"]
+            if not _is_int(index):
+                raise CodebookFormatError(f"beam {pos} index must be an integer, got {index!r}")
             psi0 = entry["psi0"]
-            if not isinstance(psi0, (int, float)) or not math.isfinite(psi0) or abs(psi0) > 1.5:
+            if not _is_number(psi0) or abs(psi0) > 1.5:
                 raise CodebookFormatError(f"beam {pos} psi0 out of range, got {psi0!r}")
             if psi0 <= prev_psi0:
                 raise CodebookFormatError("beams must be strictly sorted by psi0")
@@ -194,9 +212,11 @@ class Codebook:
                     f"beam {pos} phases_rad length {len(phases) if isinstance(phases, list) else 'n/a'}"
                     f" does not match n_antennas {n}"
                 )
+            if not all(_is_number(p) for p in phases):
+                raise CodebookFormatError(f"beam {pos} phases_rad must be numbers")
             weights = np.asarray(phases, dtype=float)
             expected = fine_beam_weights(geom, psi0)
-            if not np.all(np.isfinite(weights)) or np.max(np.abs(weights - expected)) > 1e-9:
+            if np.max(np.abs(weights - expected)) > 1e-9:
                 raise CodebookFormatError(
                     f"beam {pos} phases_rad are not the fine-beam phases for psi0={psi0!r}"
                 )
@@ -204,9 +224,9 @@ class Codebook:
             if not isinstance(cov, dict) or "lo" not in cov or "hi" not in cov:
                 raise CodebookFormatError(f"beam {pos} coverage must carry 'lo' and 'hi'")
             lo, hi = cov["lo"], cov["hi"]
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            if not (_is_number(lo) and _is_number(hi) and lo < hi):
                 raise CodebookFormatError(f"beam {pos} coverage [{lo!r}, {hi!r}] is not a valid interval")
-            beams.append(Beam(int(entry["index"]), float(psi0), weights, CoverageInterval(float(lo), float(hi))))
+            beams.append(Beam(index, float(psi0), weights, CoverageInterval(float(lo), float(hi))))
 
         return cls(
             beams=tuple(beams),
@@ -288,7 +308,7 @@ def max_antennas(band: BandSpec, psi_m: float) -> int | None:
     b = band.fractional_bandwidth
     if b == 0.0:
         return None
-    return int(math.floor(1.772 / (psi_m * b) + _EDGE_TOL))
+    return int(math.floor(HALF_POWER_CONSTANT / (psi_m * b) + _EDGE_TOL))
 
 
 def _materialize(
@@ -350,19 +370,13 @@ def _tile_right_half(
     in-loop guard; unreachable once the bound precheck has passed, kept as
     a defense against float collapse right at the bound).
     """
-    width = half_power_beamwidth(n)
-    b = band.fractional_bandwidth
     positive: list[float] = []
-    if odd:
-        # seed beam at broadside; its right edge is squint-shrunk by the
-        # highest frequency
-        psi_cr = (0.5 * width) / (1.0 + 0.5 * b)
-    else:
-        psi_cr = 0.0
+    # the odd procedure seeds a beam at broadside, the even one an edge
+    psi_cr = squinted_coverage(0.0, band, n).hi if odd else 0.0
     while psi_cr < psi_m - _EDGE_TOL:
         psi_cl = psi_cr
-        psi0 = (1.0 - 0.5 * b) * psi_cl + 0.5 * width
-        psi_cr = (psi0 + 0.5 * width) / (1.0 + 0.5 * b)
+        psi0 = focus_from_left_edge(psi_cl, band, n)
+        psi_cr = squinted_coverage(psi0, band, n).hi
         if psi_cl >= psi_cr:
             return None
         positive.append(psi0)
@@ -375,11 +389,13 @@ def design_with_squint(n_antennas: int, band: BandSpec, psi_m: float) -> DesignO
     mirror each, keep the smaller.
 
     Infeasible when b >= 1.772/(psi_m*N); the report carries the bound
-    values.
+    values. Without squint (b = 0) this is :func:`design_no_squint`.
     """
     n = _check_n(n_antennas)
     psi_m = _check_psi_m(psi_m)
     b = band.fractional_bandwidth
+    if b == 0.0:
+        return DesignOutcome(codebook=replace(design_no_squint(n, psi_m), band=band))
     bound = max_fractional_bandwidth(n, psi_m)
 
     def infeasible(reason: str) -> DesignOutcome:

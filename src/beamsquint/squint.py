@@ -9,10 +9,10 @@ the closed-form edges.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .array_model import _check_n, gain_kernel_magnitude
 
@@ -32,6 +32,10 @@ __all__ = [
 #: Half-power beamwidth constant for a half-wavelength ULA:
 #: width in psi space is HALF_POWER_CONSTANT / N, independent of the focus.
 HALF_POWER_CONSTANT = 1.772
+
+# Relative tolerance and iteration cap of the Brent root finder.
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ def exact_half_power_beamwidth(
 ) -> float:
     """Kernel-exact width of the main lobe above the threshold.
 
-    Root of ``|g(x)| = ratio*sqrt(N)`` on the main lobe, bisected to 1e-12,
+    Root of ``|g(x)| = ratio*sqrt(N)`` on the main lobe, refined to 1e-12,
     times two. Reconciles the 1.772/N approximation: for the default
     threshold the two agree within 1% for all N >= 8.
     """
@@ -170,8 +174,7 @@ def exact_half_power_beamwidth(
         return gain_kernel_magnitude(x, n) - target
 
     # gap(0) = (1-ratio)*sqrt(N) > 0 and gap(first_null) = -target < 0
-    root = brentq(gap, 0.0, first_null, xtol=1e-12)
-    return 2.0 * float(root)
+    return 2.0 * _refine_edge(gap, 0.0, first_null, xtol=1e-12)
 
 
 def squinted_coverage(psi0: float, band: BandSpec, n_antennas: int) -> CoverageInterval:
@@ -240,7 +243,7 @@ def numeric_coverage(
     Scans carrier angles psi_c around the beam and keeps the maximal
     contiguous interval containing the gain peak on which
     ``min over the xi grid of |g(xi*psi_c - psi0)| >= g_t``. Edges are
-    refined by bisection to 1e-9. Returns None when no grid point
+    refined to 1e-9. Returns None when no grid point
     qualifies (squint has consumed the beam). Independent of the analytic
     edge formulas, which it exists to check.
     """
@@ -283,7 +286,7 @@ def numeric_coverage(
     return CoverageInterval(float(lo_edge), float(hi_edge))
 
 
-def _refine_edge(margin, inside: float, outside: float) -> float:
+def _refine_edge(margin, inside: float, outside: float, xtol: float = 1e-9) -> float:
     """Root of the threshold crossing between a passing and a failing angle."""
     f_in = margin(inside)
     if f_in == 0.0:
@@ -295,4 +298,52 @@ def _refine_edge(margin, inside: float, outside: float) -> float:
         # no sign change (flat numerics right at the threshold); keep the
         # conservative passing point
         return inside
-    return float(brentq(margin, inside, outside, xtol=1e-9))
+    return _brent(margin, inside, outside, f_in, f_out, xtol)
+
+
+def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
+    """Brent's method for a root of ``f`` between ``xpre`` and ``xcur``.
+
+    ``fpre`` and ``fcur`` are the nonzero, opposite-signed values of ``f``
+    at the ends. A port of scipy's ``brentq.c`` that performs the same
+    float operations in the same order (rtol = 4*eps, 100 iterations), so
+    it returns the same root bit for bit.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"root finder did not converge in {_BRENT_MAXITER} iterations")

@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .array_model import gain_kernel_magnitude
 from .codebook import Codebook, design_with_squint, max_antennas, max_fractional_bandwidth
-from .squint import BandSpec, CoverageInterval
+from .squint import BandSpec, CoverageInterval, _refine_edge
 
 __all__ = [
     "CoverageReport",
@@ -87,7 +86,7 @@ def verify_codebook(
 
     For each carrier angle on the grid: max over beams of (min over the xi
     grid of |g(xi*psi - psi0)|). Failures are data, not exceptions; gap
-    edges are refined by bisection. ``slack_db`` absorbs the 1.772/N
+    edges are refined to 1e-9. ``slack_db`` absorbs the 1.772/N
     beamwidth approximation when certifying constant-width designs (use 0
     for exact-width designs).
     """
@@ -113,24 +112,21 @@ def verify_codebook(
     worst_idx = int(np.argmin(best))
     worst_psi = float(grid[worst_idx])
     worst_amp = float(best[worst_idx])
+    psi0s = np.array([beam.psi0 for beam in codebook.beams])
+
+    def profiles(psi: float) -> np.ndarray:
+        """|g| of every beam (rows) at every subcarrier (columns) at one angle."""
+        return gain_kernel_magnitude(psi * xis[None, :] - psi0s[:, None], n)
 
     # xi achieving the minimum for the beam that wins at the worst angle
-    best_profile = None
-    best_min = -math.inf
-    for beam in codebook.beams:
-        profile = gain_kernel_magnitude(worst_psi * xis - beam.psi0, n)
-        if float(profile.min()) > best_min:
-            best_min = float(profile.min())
-            best_profile = profile
-    worst_xi = float(xis[int(np.argmin(best_profile))])
+    at_worst = profiles(worst_psi)
+    winner = at_worst[int(np.argmax(at_worst.min(axis=1)))]
+    worst_xi = float(xis[int(np.argmin(winner))])
 
-    def quality(psi: float) -> float:
-        out = -math.inf
-        for beam in codebook.beams:
-            out = max(out, float(gain_kernel_magnitude(psi * xis - beam.psi0, n).min()))
-        return out
+    def margin(psi: float) -> float:
+        return float(profiles(psi).min(axis=1).max()) - pass_level
 
-    gaps = _failure_gaps(grid, best, pass_level, quality)
+    gaps = _failure_gaps(grid, best < pass_level, margin)
 
     return CoverageReport(
         passed=not gaps,
@@ -147,35 +143,17 @@ def verify_codebook(
     )
 
 
-def _failure_gaps(grid, best, pass_level, quality) -> list[CoverageInterval]:
-    """Merge failing grid points into intervals, bisecting the edges."""
-    failing = best < pass_level
-
-    def crossing(inside: float, outside: float) -> float:
-        f = lambda p: quality(p) - pass_level
-        fi, fo = f(inside), f(outside)
-        if fi == 0.0:
-            return inside
-        if fo == 0.0:
-            return outside
-        if fi < 0.0 or fo > 0.0:
-            return inside
-        return float(brentq(f, inside, outside, xtol=1e-9))
-
+def _failure_gaps(grid, failing, margin) -> list[CoverageInterval]:
+    """Merge failing grid points into intervals, refining the edges."""
+    flips = np.diff(np.concatenate(([0], failing.astype(np.int8), [0])))
+    last = len(grid) - 1
     gaps: list[CoverageInterval] = []
-    i = 0
-    npts = len(grid)
-    while i < npts:
-        if not failing[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < npts and failing[j + 1]:
-            j += 1
-        lo = grid[0] if i == 0 else crossing(grid[i - 1], grid[i])
-        hi = grid[-1] if j == npts - 1 else crossing(grid[j + 1], grid[j])
+    # each run of failing points starts where failing turns on and ends
+    # one point before it turns off
+    for i, j in zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1):
+        lo = grid[0] if i == 0 else _refine_edge(margin, grid[i - 1], grid[i])
+        hi = grid[-1] if j == last else _refine_edge(margin, grid[j + 1], grid[j])
         gaps.append(CoverageInterval(float(lo), float(hi)))
-        i = j + 1
     return gaps
 
 
@@ -228,7 +206,12 @@ class SweepTable:
                 {
                     "label": s.label,
                     "points": [
-                        {"axis_value": p.axis_value, "size": p.size, "bound": p.bound}
+                        {
+                            "axis_value": p.axis_value,
+                            "size": p.size,
+                            # JSON has no infinity: an unbounded series writes null
+                            "bound": None if math.isinf(p.bound) else p.bound,
+                        }
                         for p in s.points
                     ],
                 }

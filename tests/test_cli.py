@@ -133,6 +133,21 @@ class TestVerifyCommand:
         assert run_cli("verify", "--codebook", str(bad)) == 2
         assert "malformed codebook" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lo", "-1.0"), ("index", [0]), ("index", True), ("lo", False)],
+    )
+    def test_wrongly_typed_beam_field_exits_2(self, codebook_path, tmp_path, capsys, field, value):
+        doc = json.loads(codebook_path.read_text())
+        beam = doc["beams"][0]
+        (beam["coverage"] if field == "lo" else beam)[field] = value
+        edited = tmp_path / "typed.json"
+        edited.write_text(json.dumps(doc))
+        assert run_cli("verify", "--codebook", str(edited)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed codebook: beam 0")
+        assert err.count("\n") == 1
+
 
 class TestPatternCommand:
     def test_fig2_reproduction(self, tmp_path):
@@ -256,6 +271,28 @@ class TestSweepCommands:
         assert "# series: b=0.0714" in text
         _, rows = read_csv(out)
         assert rows[1] == ["32.0", "57", "51.0"]  # b=0.0342 row
+
+    def test_sweep_n_json_is_strict_for_unbounded_series(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert run_cli(
+            "sweep-n", "--b-list", "0,0.0714", "--n-min", "20", "--n-max", "21",
+            "--format", "json", "--out", str(out),
+        ) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        unbounded, bounded = doc["series"]
+        assert [p["bound"] for p in unbounded["points"]] == [None, None]
+        assert [p["bound"] for p in bounded["points"]] == [24.0, 24.0]
+
+    def test_sweep_n_csv_keeps_inf_bound(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep-n", "--b-list", "0", "--n-min", "20", "--n-max", "20",
+                       "--out", str(out)) == 0
+        _, rows = read_csv(out)
+        assert rows == [["20.0", "23", "inf"]]
 
     def test_bad_grid_exits_2(self):
         assert run_cli("sweep-b", "--antennas", "16") == 2

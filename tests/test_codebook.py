@@ -255,6 +255,46 @@ class TestSerialization:
         with pytest.raises(CodebookFormatError, match="spacing_ratio"):
             Codebook.from_dict(doc)
 
+    def test_string_coverage_edge_rejected(self):
+        doc = design_no_squint(16, 1.0).to_dict()
+        doc["beams"][2]["coverage"]["lo"] = "-0.8"
+        with pytest.raises(CodebookFormatError, match="beam 2 coverage"):
+            Codebook.from_dict(doc)
+
+    def test_list_index_rejected(self):
+        doc = design_no_squint(16, 1.0).to_dict()
+        doc["beams"][1]["index"] = [1]
+        with pytest.raises(CodebookFormatError, match="beam 1 index"):
+            Codebook.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path, match",
+        [
+            (("fractional_bandwidth",), "fractional_bandwidth"),
+            (("psi_m",), "psi_m"),
+            (("threshold_ratio",), "threshold_ratio"),
+            (("size",), "size"),
+            (("beams", 0, "index"), "index"),
+            (("beams", 0, "psi0"), "psi0"),
+            (("beams", 0, "phases_rad", 0), "phases_rad"),
+            (("beams", 0, "coverage", "hi"), "coverage"),
+        ],
+    )
+    def test_bool_for_number_rejected(self, path, match):
+        doc = design_no_squint(16, 1.0).to_dict()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = True
+        with pytest.raises(CodebookFormatError, match=match):
+            Codebook.from_dict(doc)
+
+    def test_number_beyond_float_range_rejected(self):
+        doc = design_no_squint(16, 1.0).to_dict()
+        doc["beams"][0]["phases_rad"][0] = 10**400
+        with pytest.raises(CodebookFormatError, match="phases_rad"):
+            Codebook.from_dict(doc)
+
     def test_bad_json_rejected(self):
         with pytest.raises(CodebookFormatError, match="invalid JSON"):
             Codebook.from_json("{not json")

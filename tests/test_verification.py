@@ -1,10 +1,18 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from beamsquint.array_model import gain_kernel_magnitude
 from beamsquint.codebook import design_no_squint, design_with_squint
-from beamsquint.squint import BandSpec, half_power_beamwidth, numeric_coverage, squinted_coverage
+from beamsquint.squint import (
+    BandSpec,
+    _refine_edge,
+    half_power_beamwidth,
+    numeric_coverage,
+    squinted_coverage,
+)
 from beamsquint.verification import sweep_size_vs_b, sweep_size_vs_n, verify_codebook
 
 BAND = BandSpec(0.0342)
@@ -177,3 +185,42 @@ def test_math_of_slack_levels(book16):
     loose = verify_codebook(book16, psi_step=1e-3, slack_db=1.0)
     assert tight.worst_gain_db == loose.worst_gain_db
     assert math.isclose(tight.threshold_db, loose.threshold_db)
+
+
+@pytest.mark.parametrize("n, b", [(8, 0.1), (16, 0.0342)])
+def test_matches_per_beam_loop_reference(n, b):
+    # verify_codebook evaluates every beam at once at the worst angle and
+    # while refining gap edges; one beam at a time is the reference, and the
+    # arithmetic is the same, so the report must match bit for bit
+    book = dataclasses.replace(design_no_squint(n, 1.0), band=BandSpec(b))
+    report = verify_codebook(book, psi_step=2e-3)
+    xis = book.band.xi_grid(65)
+    pass_level = book.threshold.absolute(n) * 10.0 ** (-0.2 / 20.0)
+
+    def quality(psi):
+        return max(float(gain_kernel_magnitude(psi * xis - bm.psi0, n).min()) for bm in book.beams)
+
+    profiles = [gain_kernel_magnitude(report.worst_psi * xis - bm.psi0, n) for bm in book.beams]
+    winner = max(profiles, key=lambda p: float(p.min()))
+    assert report.worst_xi == float(xis[int(np.argmin(winner))])
+
+    def crossing(inside, outside):
+        return _refine_edge(lambda p: quality(p) - pass_level, inside, outside)
+
+    grid = np.linspace(-1.0, 1.0, 1001)
+    failing = [quality(p) < pass_level for p in grid]
+    gaps = []
+    i = 0
+    while i < len(grid):
+        if not failing[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(grid) and failing[j + 1]:
+            j += 1
+        lo = grid[0] if i == 0 else crossing(grid[i - 1], grid[i])
+        hi = grid[-1] if j == len(grid) - 1 else crossing(grid[j + 1], grid[j])
+        gaps.append((float(lo), float(hi)))
+        i = j + 1
+    assert gaps
+    assert [(g.lo, g.hi) for g in report.gaps] == gaps
