@@ -20,6 +20,7 @@ __all__ = [
     "array_gain_sum",
     "gain_kernel",
     "gain_kernel_magnitude",
+    "worst_subcarrier_gain",
     "equivalent_aoa",
     "psi_from_theta",
     "theta_from_psi",
@@ -28,6 +29,10 @@ __all__ = [
 # |sin(pi x / 2)| below this is treated as a removable singularity of the
 # closed-form kernel (the points x = 2k, where naive division is unstable).
 _SINGULARITY_TOL = 1e-12
+
+# Kernel values per chunk of worst_subcarrier_gain (a chunk holds at least
+# one carrier angle); bounds the size of every kernel temporary.
+_GAIN_CHUNK = 1 << 14
 
 # Slack for "psi must be a sine" range checks, absorbs round trips through
 # sin/arcsin.
@@ -176,15 +181,35 @@ def gain_kernel_magnitude(x, n_antennas: int):
     np.abs(den, out=den)
     sqrt_n = math.sqrt(n)
     near = den < _SINGULARITY_TOL
-    if near.any():
+    any_near = np.count_nonzero(near)
+    if any_near:
         den[near] = 1.0
     num /= den
     num /= sqrt_n
-    if near.any():
+    if any_near:
         num[near] = sqrt_n
     if scalar:
         return float(num[0])
     return num
+
+
+def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):
+    """The best beam's gain at its worst subcarrier, per carrier angle.
+
+    ``max over psi0s of min over xis of |g(xi*psi - psi0)|``, evaluated in
+    chunks of carrier angles so that memory grows with the number of
+    angles only. Scalar ``psi`` in, float out; ndarray in, ndarray of the
+    same shape out.
+    """
+    angles = np.asarray(psi, dtype=float)
+    offsets = np.asarray(psi0s, dtype=float).reshape(-1, 1)
+    rows = max(1, _GAIN_CHUNK // (offsets.size * len(xis)))
+    flat = angles.reshape(-1, 1, 1)
+    best = np.empty(len(flat))
+    for i in range(0, len(flat), rows):
+        block = flat[i : i + rows] * xis - offsets  # angles x beams x subcarriers
+        best[i : i + rows] = gain_kernel_magnitude(block, n_antennas).min(axis=2).max(axis=1)
+    return float(best[0]) if angles.ndim == 0 else best.reshape(angles.shape)
 
 
 def equivalent_aoa(theta_c: float, xi: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import _check_n, gain_kernel_magnitude
+from .array_model import _check_n, gain_kernel_magnitude, worst_subcarrier_gain
 
 __all__ = [
     "HALF_POWER_CONSTANT",
@@ -102,7 +102,12 @@ class GainThreshold:
 
     @classmethod
     def from_db(cls, db_below_max: float) -> "GainThreshold":
-        """Threshold ``db_below_max`` decibels under the peak (amplitude 10^(-dB/20))."""
+        """Threshold ``db_below_max`` decibels under the peak (amplitude
+        10^(-dB/20)); 3.0 means the exact half-power ratio 1/sqrt(2)."""
+        if not (math.isfinite(db_below_max) and db_below_max >= 0):
+            raise ValueError(f"threshold dB must be finite and >= 0, got {db_below_max!r}")
+        if db_below_max == 3.0:
+            return cls()
         return cls(10.0 ** (-db_below_max / 20.0))
 
     @property
@@ -264,26 +269,29 @@ def numeric_coverage(
     n_pts = max(2, int(math.ceil((hi_w - lo_w) / psi_step)))
     grid = np.linspace(lo_w, hi_w, n_pts + 1)
 
-    q = gain_kernel_magnitude(grid[:, None] * xis[None, :] - psi0, n).min(axis=1)
+    psi0s = np.array([psi0])
+    q = worst_subcarrier_gain(grid, psi0s, xis, n)
     peak = int(np.argmax(q))
     if q[peak] < floor:
         return None
-
-    left = peak
-    while left > 0 and q[left - 1] >= floor:
-        left -= 1
-    right = peak
-    while right < len(grid) - 1 and q[right + 1] >= floor:
-        right += 1
+    # the maximal run of passing points that contains the peak
+    left, right = next((i, j) for i, j in _runs(q >= floor) if i <= peak <= j)
 
     def margin(psi_c: float) -> float:
-        return float(gain_kernel_magnitude(psi_c * xis - psi0, n).min()) - floor
+        return worst_subcarrier_gain(psi_c, psi0s, xis, n) - floor
 
     lo_edge = grid[0] if left == 0 else _refine_edge(margin, grid[left], grid[left - 1])
     hi_edge = (
         grid[-1] if right == len(grid) - 1 else _refine_edge(margin, grid[right], grid[right + 1])
     )
     return CoverageInterval(float(lo_edge), float(hi_edge))
+
+
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(first, last) index of every run of True in a 1-D boolean array."""
+    flips = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    # a run starts where the mask turns on and ends one point before it turns off
+    return list(zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1))
 
 
 def _refine_edge(margin, inside: float, outside: float, xtol: float = 1e-9) -> float:

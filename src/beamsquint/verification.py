@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import gain_kernel_magnitude
+from .array_model import gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, design_with_squint, max_antennas, max_fractional_bandwidth
-from .squint import BandSpec, CoverageInterval, _refine_edge
+from .squint import BandSpec, CoverageInterval, _refine_edge, _runs
 
 __all__ = [
     "CoverageReport",
@@ -92,45 +92,33 @@ def verify_codebook(
     """
     if not (math.isfinite(psi_step) and psi_step > 0):
         raise ValueError(f"psi_step must be positive, got {psi_step!r}")
-    if slack_db < 0:
-        raise ValueError(f"slack_db must be >= 0, got {slack_db!r}")
+    if not (math.isfinite(slack_db) and slack_db >= 0):
+        raise ValueError(f"slack_db must be finite and >= 0, got {slack_db!r}")
     n = codebook.n_antennas
     psi_m = codebook.psi_m
     xis = codebook.band.xi_grid(xi_points)
-    sqrt_n = math.sqrt(n)
+    psi0s = np.array([beam.psi0 for beam in codebook.beams])
     pass_level = codebook.threshold.absolute(n) * 10.0 ** (-slack_db / 20.0)
 
     steps = max(2, int(round(2.0 * psi_m / psi_step)))
     grid = np.linspace(-psi_m, psi_m, steps + 1)
-
-    best = np.zeros(grid.shape)
-    for beam in codebook.beams:
-        x = grid[:, None] * xis[None, :]
-        x -= beam.psi0
-        np.maximum(best, gain_kernel_magnitude(x, n).min(axis=1), out=best)
+    best = worst_subcarrier_gain(grid, psi0s, xis, n)
 
     worst_idx = int(np.argmin(best))
     worst_psi = float(grid[worst_idx])
-    worst_amp = float(best[worst_idx])
-    psi0s = np.array([beam.psi0 for beam in codebook.beams])
-
-    def profiles(psi: float) -> np.ndarray:
-        """|g| of every beam (rows) at every subcarrier (columns) at one angle."""
-        return gain_kernel_magnitude(psi * xis[None, :] - psi0s[:, None], n)
-
     # xi achieving the minimum for the beam that wins at the worst angle
-    at_worst = profiles(worst_psi)
+    at_worst = gain_kernel_magnitude(worst_psi * xis - psi0s[:, None], n)
     winner = at_worst[int(np.argmax(at_worst.min(axis=1)))]
     worst_xi = float(xis[int(np.argmin(winner))])
 
     def margin(psi: float) -> float:
-        return float(profiles(psi).min(axis=1).max()) - pass_level
+        return worst_subcarrier_gain(psi, psi0s, xis, n) - pass_level
 
     gaps = _failure_gaps(grid, best < pass_level, margin)
 
     return CoverageReport(
         passed=not gaps,
-        worst_gain_db=_to_db(worst_amp / sqrt_n),
+        worst_gain_db=_to_db(float(best[worst_idx]) / math.sqrt(n)),
         worst_psi=worst_psi,
         worst_xi=worst_xi,
         gaps=tuple(gaps),
@@ -145,12 +133,9 @@ def verify_codebook(
 
 def _failure_gaps(grid, failing, margin) -> list[CoverageInterval]:
     """Merge failing grid points into intervals, refining the edges."""
-    flips = np.diff(np.concatenate(([0], failing.astype(np.int8), [0])))
     last = len(grid) - 1
     gaps: list[CoverageInterval] = []
-    # each run of failing points starts where failing turns on and ends
-    # one point before it turns off
-    for i, j in zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1):
+    for i, j in _runs(failing):
         lo = grid[0] if i == 0 else _refine_edge(margin, grid[i - 1], grid[i])
         hi = grid[-1] if j == last else _refine_edge(margin, grid[j + 1], grid[j])
         gaps.append(CoverageInterval(float(lo), float(hi)))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamsquint import array_model
 from beamsquint.array_model import (
     ArrayGeometry,
     array_gain_sum,
@@ -15,6 +16,7 @@ from beamsquint.array_model import (
     psi_from_theta,
     steering_vector,
     theta_from_psi,
+    worst_subcarrier_gain,
 )
 
 HALF = ArrayGeometry(16, 0.5)
@@ -211,3 +213,51 @@ def test_kernel_nulls(k, n):
     if k % n == 0:
         return  # grating lobe, not a null
     assert gain_kernel_magnitude(2.0 * k / n, n) < 1e-9
+
+
+class TestWorstSubcarrierGain:
+    N = 16
+    PSI0S = np.linspace(-0.9, 0.9, 5)
+    XIS = np.linspace(0.98, 1.02, 9)  # 5 beams x 9 subcarriers = 45 values per angle
+    GRID = np.linspace(-1.0, 1.0, 23)
+
+    def reference(self, psi):
+        # one beam at a time over the whole grid, no chunks
+        best = np.zeros(psi.shape)
+        for psi0 in self.PSI0S:
+            x = psi[:, None] * self.XIS[None, :]
+            x -= psi0
+            np.maximum(best, gain_kernel_magnitude(x, self.N).min(axis=1), out=best)
+        return best
+
+    @pytest.mark.parametrize(
+        "chunk, rows",
+        [
+            (1 << 14, 23),  # the whole grid in one chunk
+            (4 * 45, 4),  # five full chunks and a short last one of 3 angles
+            (30, 1),  # one angle alone exceeds the chunk: one angle per chunk
+        ],
+    )
+    def test_matches_per_beam_loop(self, monkeypatch, chunk, rows):
+        monkeypatch.setattr(array_model, "_GAIN_CHUNK", chunk)
+        blocks = []
+
+        def recording(x, n):
+            blocks.append(np.shape(x))
+            return gain_kernel_magnitude(x, n)
+
+        monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
+        got = worst_subcarrier_gain(self.GRID, self.PSI0S, self.XIS, self.N)
+        assert np.array_equal(got, self.reference(self.GRID))
+        expected = [min(rows, len(self.GRID) - i) for i in range(0, len(self.GRID), rows)]
+        assert [shape[0] for shape in blocks] == expected
+        assert all(shape[1:] == (5, 9) for shape in blocks)
+
+    def test_scalar_and_shape(self):
+        want = self.reference(self.GRID)
+        got = worst_subcarrier_gain(self.GRID[7], list(self.PSI0S), self.XIS, self.N)
+        assert isinstance(got, float)
+        assert got == want[7]
+        grid2d = self.GRID[:22].reshape(2, 11)
+        got2d = worst_subcarrier_gain(grid2d, self.PSI0S, self.XIS, self.N)
+        assert np.array_equal(got2d, want[:22].reshape(2, 11))

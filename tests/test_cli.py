@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
 from beamsquint.cli import main
+from beamsquint.codebook import design_no_squint
+from beamsquint.squint import BandSpec
 
 
 def run_cli(*argv):
@@ -146,6 +149,32 @@ class TestVerifyCommand:
         assert run_cli("verify", "--codebook", str(edited)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed codebook: beam 0")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "option",
+        ["--psi-step=0", "--psi-step=nan", "--xi-points=1", "--slack-db=-1",
+         "--slack-db=nan", "--slack-db=inf", "--threshold-db=-1e10", "--threshold-db=nan"],
+    )
+    def test_out_of_range_option_exits_2(self, codebook_path, capsys, option):
+        capsys.readouterr()  # drop the fixture's design summary
+        assert run_cli("verify", "--codebook", str(codebook_path), option) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("slack", ["nan", "inf"])
+    def test_non_finite_slack_does_not_certify(self, tmp_path, capsys, slack):
+        # the narrowband N=16 codebook fails under squint at the default slack
+        book = dataclasses.replace(design_no_squint(16, 1.0), band=BandSpec(0.0342))
+        path = tmp_path / "narrowband.json"
+        path.write_text(book.to_json())
+        assert run_cli("verify", "--codebook", str(path), "--psi-step", "1e-3") == 4
+        capsys.readouterr()
+        assert run_cli("verify", "--codebook", str(path), "--slack-db", slack) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: slack_db must be finite")
         assert err.count("\n") == 1
 
 
@@ -321,6 +350,25 @@ class TestBoundsCommand:
         assert doc["max_fractional_bandwidth"] == pytest.approx(0.055375, abs=1e-12)
         assert doc["max_antennas"] is None
         assert doc["fractional_bandwidth"] is None
+
+
+@pytest.mark.parametrize("value", ["0", "1.5", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--antennas", "16", "--fractional-bandwidth", "0.0342"],
+        ["sweep-b", "--antennas", "16", "--b-list", "0.0342"],
+        ["sweep-n", "--b-list", "0.0342", "--n-min", "4", "--n-max", "8"],
+        ["bounds", "--antennas", "16"],
+    ],
+    ids=["design", "sweep-b", "sweep-n", "bounds"],
+)
+def test_psi_max_out_of_range_exits_2(capsys, argv, value):
+    assert run_cli(*argv, "--psi-max", value) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: psi_m must lie in (0, 1]")
+    assert captured.err.count("\n") == 1
 
 
 def test_unknown_command_exits_2():

@@ -60,6 +60,15 @@ class TestGainThreshold:
     def test_db_round_trip(self):
         assert GainThreshold.from_db(2.5).db_below_max == pytest.approx(2.5, abs=1e-12)
 
+    def test_from_db_3_is_exact_half_power(self):
+        assert GainThreshold.from_db(3.0) == GainThreshold()
+        assert GainThreshold.from_db(0.0).ratio_to_max == 1.0
+
+    @pytest.mark.parametrize("db", [-1.0, -1e10, math.nan, math.inf, -math.inf])
+    def test_from_db_rejects_negative_or_non_finite(self, db):
+        with pytest.raises(ValueError, match="threshold dB"):
+            GainThreshold.from_db(db)
+
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
             GainThreshold(0.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ class TestVerifyCodebook:
             verify_codebook(book16, psi_step=0.0)
         with pytest.raises(ValueError):
             verify_codebook(book16, slack_db=-0.1)
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf])
+    def test_non_finite_slack_rejected(self, slack):
+        # an infinite or NaN slack would lower the pass level to 0 (or NaN)
+        # and certify a codebook that fails at the default slack
+        book = dataclasses.replace(design_no_squint(16, 1.0), band=BAND)
+        assert not verify_codebook(book, psi_step=1e-3).passed
+        with pytest.raises(ValueError, match="slack_db"):
+            verify_codebook(book, psi_step=1e-3, slack_db=slack)
 
 
 class TestAnalyticNumericAgreement:
@@ -224,3 +234,21 @@ def test_matches_per_beam_loop_reference(n, b):
         i = j + 1
     assert gaps
     assert [(g.lo, g.hi) for g in report.gaps] == gaps
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_grows_with_grid_points_only():
+    # Unchunked, with every angle x subcarrier at once, these two calls
+    # peak at 86 MB (verify_codebook) and 56 MB (numeric_coverage); in
+    # chunks the kernel temporaries stay small and the 1-D grids dominate.
+    book = design_with_squint(4, BAND, 1.0).codebook
+    assert _peak_bytes(lambda: verify_codebook(book, psi_step=5e-5)) < 16e6
+    assert _peak_bytes(lambda: numeric_coverage(0.3, BAND, 16, psi_step=1e-5)) < 16e6
