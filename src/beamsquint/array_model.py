@@ -63,10 +63,6 @@ class ArrayGeometry:
         """Peak voltage gain sqrt(N), attained by a matched fine beam."""
         return math.sqrt(self.n_antennas)
 
-    @property
-    def is_half_wavelength(self) -> bool:
-        return self.spacing_ratio == 0.5
-
 
 def _check_n(n_antennas: int) -> int:
     if n_antennas != int(n_antennas) or int(n_antennas) < 2:
@@ -137,6 +133,29 @@ def array_gain_sum(weights: np.ndarray, geom: ArrayGeometry, psi, xi: float = 1.
     return total
 
 
+def _kernel_factor(x: np.ndarray, n: int) -> np.ndarray:
+    """The real factor ``sin(N*pi*x/2) / (sqrt(N)*sin(pi*x/2))`` of the
+    kernel, as a fresh array for an ndarray ``x`` of at least one
+    dimension; the removable singularities at ``x = 2k`` return their
+    limit instead of dividing by ~0."""
+    half = 0.5 * math.pi * x
+    ratio = n * half
+    np.sin(ratio, out=ratio)
+    den = np.sin(half, out=half)
+    near = np.abs(den) < _SINGULARITY_TOL
+    any_near = np.count_nonzero(near)
+    if any_near:
+        den[near] = 1.0
+    ratio /= den
+    sqrt_n = math.sqrt(n)
+    ratio /= sqrt_n
+    if any_near:
+        # limit of sin(N pi x/2)/sin(pi x/2) at x = 2k is N*(-1)^(k(N-1))
+        k = np.rint(0.5 * x[near])
+        ratio[near] = (1.0 - 2.0 * np.mod(k * (n - 1), 2.0)) * sqrt_n
+    return ratio
+
+
 def gain_kernel(x, n_antennas: int):
     """Closed-form fine-beam gain ``g(x)`` for half-wavelength spacing.
 
@@ -148,20 +167,10 @@ def gain_kernel(x, n_antennas: int):
     Accepts a scalar or an ndarray; returns complex of matching shape.
     """
     n = _check_n(n_antennas)
-    arr = np.asarray(x, dtype=float)
-    half = 0.5 * math.pi * arr
-    den = np.sin(half)
-    near = np.abs(den) < _SINGULARITY_TOL
-    sqrt_n = math.sqrt(n)
-    ratio = np.sin(n * half) / (sqrt_n * np.where(near, 1.0, den))
-    if np.any(near):
-        # limit of sin(N pi x/2)/sin(pi x/2) at x = 2k is N*(-1)^(k(N-1))
-        k = np.rint(0.5 * arr)
-        sign = 1.0 - 2.0 * np.mod(k * (n - 1), 2.0)
-        ratio = np.where(near, sign * sqrt_n, ratio)
-    out = ratio * np.exp(1j * (n - 1) * half)
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = _kernel_factor(arr, n) * np.exp(1j * (n - 1) * (0.5 * math.pi * arr))
     if np.ndim(x) == 0:
-        return complex(out)
+        return complex(out[0])
     return out
 
 
@@ -172,25 +181,11 @@ def gain_kernel_magnitude(x, n_antennas: int):
     ndarray in, ndarray out.
     """
     n = _check_n(n_antennas)
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    half = 0.5 * math.pi * arr
-    num = np.sin(n * half)
-    den = np.sin(half)
-    np.abs(num, out=num)
-    np.abs(den, out=den)
-    sqrt_n = math.sqrt(n)
-    near = den < _SINGULARITY_TOL
-    any_near = np.count_nonzero(near)
-    if any_near:
-        den[near] = 1.0
-    num /= den
-    num /= sqrt_n
-    if any_near:
-        num[near] = sqrt_n
-    if scalar:
-        return float(num[0])
-    return num
+    mag = _kernel_factor(np.atleast_1d(np.asarray(x, dtype=float)), n)
+    np.abs(mag, out=mag)
+    if np.ndim(x) == 0:
+        return float(mag[0])
+    return mag
 
 
 def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):

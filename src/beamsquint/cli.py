@@ -36,10 +36,6 @@ _EXIT_INFEASIBLE = 3
 _EXIT_VERIFY_FAIL = 4
 
 
-class ConfigError(Exception):
-    """Invalid command-line configuration; maps to exit code 2."""
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -57,17 +53,17 @@ def _band_from_args(args, required: bool = True) -> BandSpec | None:
     has_fc = getattr(args, "carrier_ghz", None) is not None
     has_bw = getattr(args, "bandwidth_ghz", None) is not None
     if has_b and (has_fc or has_bw):
-        raise ConfigError(
+        raise ValueError(
             "give either --fractional-bandwidth or --carrier-ghz with --bandwidth-ghz, not both"
         )
     if has_b:
         return BandSpec(args.fractional_bandwidth)
     if has_fc != has_bw:
-        raise ConfigError("--carrier-ghz and --bandwidth-ghz must be given together")
+        raise ValueError("--carrier-ghz and --bandwidth-ghz must be given together")
     if has_fc:
         return BandSpec.from_carrier(args.carrier_ghz * 1e9, args.bandwidth_ghz * 1e9)
     if required:
-        raise ConfigError(
+        raise ValueError(
             "band is required: either --fractional-bandwidth or --carrier-ghz with --bandwidth-ghz"
         )
     return None
@@ -77,9 +73,9 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"{flag} expects numbers, got {text!r}") from exc
+        raise ValueError(f"{flag} expects numbers, got {text!r}") from exc
     if not values:
-        raise ConfigError(f"{flag} must not be empty")
+        raise ValueError(f"{flag} must not be empty")
     return values
 
 
@@ -89,27 +85,27 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 def _cmd_pattern(args) -> int:
     geom = ArrayGeometry(args.antennas, args.spacing_ratio)
     if (args.psi0 is None) == (args.theta0_deg is None):
-        raise ConfigError("give exactly one of --psi0 or --theta0-deg")
+        raise ValueError("give exactly one of --psi0 or --theta0-deg")
     psi0 = args.psi0 if args.psi0 is not None else math.sin(math.radians(args.theta0_deg))
     if abs(psi0) > 1.0:
-        raise ConfigError(f"focus angle psi0 must lie in [-1, 1], got {psi0!r}")
+        raise ValueError(f"focus angle psi0 must lie in [-1, 1], got {psi0!r}")
 
     if args.xi is not None and args.freq_ghz is not None:
-        raise ConfigError("give either --xi or --freq-ghz, not both")
+        raise ValueError("give either --xi or --freq-ghz, not both")
     if args.xi is not None:
         xis = args.xi
     elif args.freq_ghz is not None:
-        if args.carrier_ghz is None:
-            raise ConfigError("--freq-ghz requires --carrier-ghz")
+        # also rejects a NaN carrier
+        if args.carrier_ghz is None or not args.carrier_ghz > 0:
+            raise ValueError(f"--freq-ghz requires a positive --carrier-ghz, got {args.carrier_ghz}")
         xis = [f / args.carrier_ghz for f in args.freq_ghz]
     else:
-        raise ConfigError("give a frequency list via --xi or --freq-ghz")
-    if any(x <= 0 for x in xis):
-        raise ConfigError("frequency ratios must be positive")
-    if args.psi_step <= 0:
-        raise ConfigError(f"--psi-step must be positive, got {args.psi_step}")
+        raise ValueError("give a frequency list via --xi or --freq-ghz")
+    # also rejects NaN; a step up to 1 leaves at least 3 grid points
+    if not 0 < args.psi_step <= 1:
+        raise ValueError(f"--psi-step must lie in (0, 1], got {args.psi_step}")
 
-    steps = max(2, int(round(2.0 / args.psi_step)))
+    steps = int(round(2.0 / args.psi_step))
     # rounded so that decimal steps land on exact decimal grid points
     grid = np.round(np.linspace(-1.0, 1.0, steps + 1), 12)
     weights = fine_beam_weights(geom, psi0)
@@ -144,14 +140,6 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    if args.spacing_ratio != 0.5:
-        raise ConfigError(
-            f"codebook design requires half-wavelength spacing (0.5), got {args.spacing_ratio}"
-        )
-    if args.threshold_db != 3.0:
-        raise ConfigError(
-            "codebook design is derived for the half-power threshold; --threshold-db must be 3.0"
-        )
     band = _band_from_args(args)
     outcome = design_with_squint(args.antennas, band, args.psi_max)
     if not outcome.feasible:
@@ -182,11 +170,11 @@ def _cmd_verify(args) -> int:
     try:
         text = Path(args.codebook).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read codebook file: {exc}") from exc
+        raise ValueError(f"cannot read codebook file: {exc}") from exc
     try:
         book = Codebook.from_json(text)
     except CodebookFormatError as exc:
-        raise ConfigError(f"malformed codebook: {exc}") from exc
+        raise ValueError(f"malformed codebook: {exc}") from exc
 
     if args.threshold_db is not None:
         book = dataclasses.replace(book, threshold=GainThreshold.from_db(args.threshold_db))
@@ -209,14 +197,14 @@ def _cmd_verify(args) -> int:
 def _b_grid_from_args(args) -> list[float]:
     if args.b_list is not None:
         if args.b_min is not None or args.b_max is not None:
-            raise ConfigError("give either --b-list or --b-min/--b-max/--b-points, not both")
+            raise ValueError("give either --b-list or --b-min/--b-max/--b-points, not both")
         return _parse_float_list(args.b_list, "--b-list")
     if args.b_min is None or args.b_max is None:
-        raise ConfigError("give a bandwidth grid via --b-list or --b-min/--b-max/--b-points")
+        raise ValueError("give a bandwidth grid via --b-list or --b-min/--b-max/--b-points")
     if args.b_points < 2:
-        raise ConfigError(f"--b-points must be >= 2, got {args.b_points}")
+        raise ValueError(f"--b-points must be >= 2, got {args.b_points}")
     if not 0.0 <= args.b_min <= args.b_max:
-        raise ConfigError("need 0 <= --b-min <= --b-max")
+        raise ValueError("need 0 <= --b-min <= --b-max")
     return [float(v) for v in np.linspace(args.b_min, args.b_max, args.b_points)]
 
 
@@ -230,7 +218,7 @@ def _cmd_sweep_b(args) -> int:
 def _cmd_sweep_n(args) -> int:
     b_values = _parse_float_list(args.b_list, "--b-list")
     if args.n_min < 2 or args.n_max < args.n_min or args.n_step < 1:
-        raise ConfigError("need 2 <= --n-min <= --n-max and --n-step >= 1")
+        raise ValueError("need 2 <= --n-min <= --n-max and --n-step >= 1")
     n_values = list(range(args.n_min, args.n_max + 1, args.n_step))
     table = sweep_size_vs_n(b_values, n_values, args.psi_max)
     _emit(table.to_csv() if args.format == "csv" else json.dumps(table.to_dict(), indent=2) + "\n", args.out)
@@ -241,12 +229,11 @@ def _cmd_sweep_n(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    geom = ArrayGeometry(args.antennas, 0.5)
     band = _band_from_args(args, required=False)
     doc = {
-        "n_antennas": geom.n_antennas,
+        "n_antennas": args.antennas,
         "psi_m": args.psi_max,
-        "max_fractional_bandwidth": max_fractional_bandwidth(geom.n_antennas, args.psi_max),
+        "max_fractional_bandwidth": max_fractional_bandwidth(args.antennas, args.psi_max),
         "fractional_bandwidth": None if band is None else band.fractional_bandwidth,
         "max_antennas": None if band is None else max_antennas(band, args.psi_max),
     }
@@ -291,10 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="design a minimum-size codebook and write it as JSON")
     p.add_argument("--antennas", type=int, required=True)
-    p.add_argument("--spacing-ratio", type=float, default=0.5)
     _add_band(p)
     p.add_argument("--psi-max", type=float, default=1.0, help="target coverage [-psi_max, psi_max]")
-    p.add_argument("--threshold-db", type=float, default=3.0)
     _add_out(p, "json", choices=("json",))
     p.set_defaults(func=_cmd_design)
 
@@ -344,8 +329,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        return _fail(str(exc))
     except ValueError as exc:
         return _fail(str(exc))
     except OSError as exc:

@@ -361,14 +361,12 @@ def design_no_squint(n_antennas: int, psi_m: float) -> Codebook:
     return _materialize(positive, center, band, ArrayGeometry(n, 0.5), psi_m)
 
 
-def _tile_right_half(
-    n: int, band: BandSpec, psi_m: float, odd: bool
-) -> tuple[list[float], bool] | None:
+def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> list[float] | None:
     """Abutting squinted beams rightward from broadside.
 
-    Returns (positive foci, has_center) or None if the tiling stalls (the
-    in-loop guard; unreachable once the bound precheck has passed, kept as
-    a defense against float collapse right at the bound).
+    Returns the positive foci or None if the tiling stalls (the in-loop
+    guard; unreachable once the bound precheck has passed, kept as a
+    defense against float collapse right at the bound).
     """
     positive: list[float] = []
     # the odd procedure seeds a beam at broadside, the even one an edge
@@ -380,7 +378,7 @@ def _tile_right_half(
         if psi_cl >= psi_cr:
             return None
         positive.append(psi0)
-    return positive, odd
+    return positive
 
 
 def design_with_squint(n_antennas: int, band: BandSpec, psi_m: float) -> DesignOutcome:
@@ -416,18 +414,16 @@ def design_with_squint(n_antennas: int, band: BandSpec, psi_m: float) -> DesignO
             f"{bound:.6f} = 1.772/(psi_m*N) for N={n}, psi_m={psi_m:g}"
         )
 
-    candidates = []
+    tilings = []
     for odd in (True, False):
-        tiled = _tile_right_half(n, band, psi_m, odd)
-        if tiled is None:
+        positive = _tile_right_half(n, band, psi_m, odd)
+        if positive is None:
             return infeasible(
                 f"beam tiling stalled before reaching psi_m={psi_m:g} "
                 f"(fractional bandwidth {b:.6f} at the feasibility bound {bound:.6f})"
             )
-        positive, has_center = tiled
-        candidates.append((2 * len(positive) + (1 if has_center else 0), positive, has_center))
+        tilings.append((odd, positive))
 
-    size, positive, has_center = min(candidates, key=lambda c: c[0])
-    book = _materialize(positive, has_center, band, ArrayGeometry(n, 0.5), psi_m)
-    assert book.size == size
-    return DesignOutcome(codebook=book)
+    # the odd tiling holds 2*len + 1 beams, the even one 2*len
+    odd, positive = min(tilings, key=lambda t: 2 * len(t[1]) + t[0])
+    return DesignOutcome(codebook=_materialize(positive, odd, band, ArrayGeometry(n, 0.5), psi_m))

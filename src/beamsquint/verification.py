@@ -90,17 +90,18 @@ def verify_codebook(
     beamwidth approximation when certifying constant-width designs (use 0
     for exact-width designs).
     """
-    if not (math.isfinite(psi_step) and psi_step > 0):
-        raise ValueError(f"psi_step must be positive, got {psi_step!r}")
+    psi_m = codebook.psi_m
+    # also rejects NaN; a step up to psi_m leaves at least 3 grid points
+    if not 0 < psi_step <= psi_m:
+        raise ValueError(f"psi_step must lie in (0, psi_m={psi_m!r}], got {psi_step!r}")
     if not (math.isfinite(slack_db) and slack_db >= 0):
         raise ValueError(f"slack_db must be finite and >= 0, got {slack_db!r}")
     n = codebook.n_antennas
-    psi_m = codebook.psi_m
     xis = codebook.band.xi_grid(xi_points)
     psi0s = np.array([beam.psi0 for beam in codebook.beams])
     pass_level = codebook.threshold.absolute(n) * 10.0 ** (-slack_db / 20.0)
 
-    steps = max(2, int(round(2.0 * psi_m / psi_step)))
+    steps = int(round(2.0 * psi_m / psi_step))
     grid = np.linspace(-psi_m, psi_m, steps + 1)
     best = worst_subcarrier_gain(grid, psi0s, xis, n)
 

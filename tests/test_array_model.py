@@ -159,6 +159,75 @@ class TestGainKernel:
         with pytest.raises(ValueError):
             gain_kernel(0.1, 1)
 
+    @pytest.mark.parametrize("n", [4, 5, 12, 17])
+    def test_grating_lobe_sign_matches_sum(self, n):
+        # x = xi*psi_c - psi0 at and next to +-2 and +-4. The points up to
+        # 3e-13 away take the limit, whose sign (-1)^(k(N-1)) the phase must
+        # undo; the others divide, no nearer than 1e-6, where the rounding
+        # of pi*x/2 that the division amplifies stays below the tolerance
+        geom = ArrayGeometry(n, 0.5)
+        for psi0, edge in ((-1.0, 1.0), (1.0, -1.0)):
+            w = fine_beam_weights(geom, psi0)
+            for xi in (1.0, 3.0):
+                for delta in (0.0, 1e-14, 1e-13, 1e-6, 1e-3):
+                    psi_c = edge - math.copysign(delta, edge)
+                    closed = gain_kernel(xi * psi_c - psi0, n)
+                    total = array_gain_sum(w, geom, psi_c, xi)
+                    assert abs(closed - total) <= 1e-9 * math.sqrt(n)
+            assert gain_kernel(-2.0 * psi0, n) == pytest.approx(math.sqrt(n), abs=1e-12)
+
+
+def reference_kernel_magnitude(x, n):
+    """The magnitude kernel as written before it shared one closed form
+    with :func:`gain_kernel`, kept verbatim to pin its bits."""
+    scalar = np.ndim(x) == 0
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    half = 0.5 * math.pi * arr
+    num = np.sin(n * half)
+    den = np.sin(half)
+    np.abs(num, out=num)
+    np.abs(den, out=den)
+    sqrt_n = math.sqrt(n)
+    near = den < 1e-12
+    any_near = np.count_nonzero(near)
+    if any_near:
+        den[near] = 1.0
+    num /= den
+    num /= sqrt_n
+    if any_near:
+        num[near] = sqrt_n
+    if scalar:
+        return float(num[0])
+    return num
+
+
+class TestKernelBits:
+    LOBES = 2.0 * np.arange(-2, 3)
+    SPECIAL = np.concatenate([LOBES, LOBES + 1e-14, LOBES - 1e-14])
+
+    @pytest.mark.parametrize("n", list(range(2, 71)) + [128, 512])
+    def test_magnitude_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        x = np.concatenate([rng.uniform(-4.2, 4.2, 2000), self.SPECIAL])
+        got = gain_kernel_magnitude(x, n)
+        want = reference_kernel_magnitude(x, n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_scalar_in_float_out(self):
+        for n in (2, 7, 16, 512):
+            for x in list(self.SPECIAL) + [0.3, -1.1]:
+                got = gain_kernel_magnitude(float(x), n)
+                assert type(got) is float
+                assert got == reference_kernel_magnitude(float(x), n)
+
+    def test_block_shape_kept(self):
+        x = np.random.default_rng(3).uniform(-4.2, 4.2, (4, 22, 65))
+        x[1, 2, :15] = self.SPECIAL
+        got = gain_kernel_magnitude(x, 32)
+        assert got.shape == (4, 22, 65)
+        want = reference_kernel_magnitude(x, 32)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestEquivalentAoa:
     def test_identity_at_carrier(self):

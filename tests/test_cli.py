@@ -154,7 +154,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "option",
         ["--psi-step=0", "--psi-step=nan", "--xi-points=1", "--slack-db=-1",
-         "--slack-db=nan", "--slack-db=inf", "--threshold-db=-1e10", "--threshold-db=nan"],
+         "--slack-db=nan", "--slack-db=inf", "--threshold-db=-1e10", "--threshold-db=nan",
+         "--psi-step=5"],
     )
     def test_out_of_range_option_exits_2(self, codebook_path, capsys, option):
         capsys.readouterr()  # drop the fixture's design summary
@@ -230,6 +231,22 @@ class TestPatternCommand:
             "pattern", "--antennas", "16", "--psi0", "0.5",
             "--freq-ghz", "73",  # missing --carrier-ghz
         ) == 2
+
+    @pytest.mark.parametrize(
+        "options",
+        # a step above 1 leaves fewer than 3 points on [-1, 1]; a carrier
+        # of 0 would divide by zero
+        [["--xi", "1", "--psi-step", step] for step in ("inf", "nan", "1.5", "3")]
+        + [["--freq-ghz", "73", "--carrier-ghz", fc] for fc in ("0", "-73", "nan")],
+        ids=lambda options: "=".join(options[-2:]),
+    )
+    def test_out_of_range_option_exits_2(self, capsys, options):
+        assert run_cli("pattern", "--antennas", "8", "--psi0", "0", *options) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert options[-2] in captured.err  # names the option
+        assert captured.err.count("\n") == 1
 
     def test_general_spacing_uses_summation_form(self, tmp_path):
         out = tmp_path / "pattern.csv"

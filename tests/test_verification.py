@@ -90,6 +90,14 @@ class TestVerifyCodebook:
         with pytest.raises(ValueError):
             verify_codebook(book16, slack_db=-0.1)
 
+    def test_psi_step_bounded_by_psi_m(self):
+        # a step above psi_m leaves fewer than 3 points on [-psi_m, psi_m]
+        book = design_no_squint(16, 0.5)
+        assert verify_codebook(book, psi_step=0.5).psi_step == 0.5  # grid -0.5, 0, 0.5
+        for step in (math.nextafter(0.5, 1.0), 1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="psi_step"):
+                verify_codebook(book, psi_step=step)
+
     @pytest.mark.parametrize("slack", [math.nan, math.inf])
     def test_non_finite_slack_rejected(self, slack):
         # an infinite or NaN slack would lower the pass level to 0 (or NaN)
