@@ -257,8 +257,15 @@ def _add_band(parser) -> None:
     parser.add_argument("--bandwidth-ghz", type=float, help="baseband bandwidth in GHz")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: <message>`` line, exit 2."""
+
+    def error(self, message):
+        self.exit(_EXIT_CONFIG, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beamsquint",
         description="Design and certify ULA analog-beamforming codebooks under wideband beam squint.",
     )

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from beamsquint.cli import main
+from beamsquint.cli import build_parser, main
 from beamsquint.codebook import design_no_squint
 from beamsquint.squint import BandSpec
 
@@ -394,3 +394,47 @@ def test_unknown_command_exits_2():
 
 def test_missing_required_flag_exits_2():
     assert run_cli("design") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["pattern", "--antennas", "x", "--psi0", "0", "--xi", "1"],
+        ["pattern", "--psi0", "0", "--xi", "1"],
+        ["design", "--antennas", "16", "--fractional-bandwidth", "0.03", "--threshold-db", "3"],
+        ["design", "--fractional-bandwidth", "0.03"],
+        ["verify", "--codebook", "book.json", "--xi-points", "many"],
+        ["verify"],
+        ["sweep-b", "--antennas", "16", "--b-points"],
+        ["sweep-b", "--b-list", "0.03"],
+        ["sweep-n", "--b-list", "0.03", "--n-max", "1.5"],
+        ["sweep-n"],
+        ["bounds", "--antennas", "16", "--format", "csv"],
+        ["bounds", "--fractional-bandwidth", "0.03"],
+    ],
+    ids=[
+        "no-command", "unknown-command",
+        "pattern-bad-int", "pattern-missing-required",
+        "design-unknown-option", "design-missing-required",
+        "verify-bad-int", "verify-missing-required",
+        "sweep-b-missing-value", "sweep-b-missing-required",
+        "sweep-n-bad-int", "sweep-n-missing-required",
+        "bounds-bad-choice", "bounds-missing-required",
+    ],
+)
+def test_usage_error_is_one_line(capsys, argv):
+    # argparse's own errors keep the one-line contract of every other exit 2
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["design", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: beamsquint design")

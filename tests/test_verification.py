@@ -5,16 +5,32 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beamsquint.array_model import gain_kernel_magnitude
-from beamsquint.codebook import design_no_squint, design_with_squint
+from beamsquint.array_model import ArrayGeometry, gain_kernel_magnitude, worst_subcarrier_gain
+from beamsquint.codebook import (
+    Beam,
+    Codebook,
+    design_no_squint,
+    design_with_squint,
+    max_fractional_bandwidth,
+)
 from beamsquint.squint import (
     BandSpec,
+    CoverageInterval,
+    GainThreshold,
     _refine_edge,
     half_power_beamwidth,
     numeric_coverage,
     squinted_coverage,
 )
-from beamsquint.verification import sweep_size_vs_b, sweep_size_vs_n, verify_codebook
+from beamsquint.verification import (
+    CoverageReport,
+    _failure_gaps,
+    _to_db,
+    _windowed_worst_gain,
+    sweep_size_vs_b,
+    sweep_size_vs_n,
+    verify_codebook,
+)
 
 BAND = BandSpec(0.0342)
 
@@ -260,3 +276,119 @@ def test_memory_grows_with_grid_points_only():
     book = design_with_squint(4, BAND, 1.0).codebook
     assert _peak_bytes(lambda: verify_codebook(book, psi_step=5e-5)) < 16e6
     assert _peak_bytes(lambda: numeric_coverage(0.3, BAND, 16, psi_step=1e-5)) < 16e6
+
+
+def reference_verify_codebook(
+    codebook: Codebook,
+    psi_step: float = 1e-4,
+    xi_points: int = 65,
+    slack_db: float = 0.2,
+) -> CoverageReport:
+    """The dense certifier, every beam at every grid angle, kept verbatim
+    as the reference for the windowed sweep."""
+    psi_m = codebook.psi_m
+    # also rejects NaN; a step up to psi_m leaves at least 3 grid points
+    if not 0 < psi_step <= psi_m:
+        raise ValueError(f"psi_step must lie in (0, psi_m={psi_m!r}], got {psi_step!r}")
+    if not (math.isfinite(slack_db) and slack_db >= 0):
+        raise ValueError(f"slack_db must be finite and >= 0, got {slack_db!r}")
+    n = codebook.n_antennas
+    xis = codebook.band.xi_grid(xi_points)
+    psi0s = np.array([beam.psi0 for beam in codebook.beams])
+    pass_level = codebook.threshold.absolute(n) * 10.0 ** (-slack_db / 20.0)
+
+    steps = int(round(2.0 * psi_m / psi_step))
+    grid = np.linspace(-psi_m, psi_m, steps + 1)
+    best = worst_subcarrier_gain(grid, psi0s, xis, n)
+
+    worst_idx = int(np.argmin(best))
+    worst_psi = float(grid[worst_idx])
+    # xi achieving the minimum for the beam that wins at the worst angle
+    at_worst = gain_kernel_magnitude(worst_psi * xis - psi0s[:, None], n)
+    winner = at_worst[int(np.argmax(at_worst.min(axis=1)))]
+    worst_xi = float(xis[int(np.argmin(winner))])
+
+    def margin(psi: float) -> float:
+        return worst_subcarrier_gain(psi, psi0s, xis, n) - pass_level
+
+    gaps = _failure_gaps(grid, best < pass_level, margin)
+
+    return CoverageReport(
+        passed=not gaps,
+        worst_gain_db=_to_db(float(best[worst_idx]) / math.sqrt(n)),
+        worst_psi=worst_psi,
+        worst_xi=worst_xi,
+        gaps=tuple(gaps),
+        threshold_db=-codebook.threshold.db_below_max,
+        slack_db=slack_db,
+        psi_step=psi_step,
+        xi_points=xi_points,
+        n_antennas=n,
+        psi_m=psi_m,
+    )
+
+
+def _book(n, b, psi_m, foci, threshold=GainThreshold()):
+    # built directly, so foci may lie anywhere (from_dict caps them at 1.5)
+    beams = tuple(
+        Beam(i, float(f), np.zeros(n), CoverageInterval(float(f), float(f)))
+        for i, f in enumerate(sorted(foci))
+    )
+    return Codebook(beams, psi_m, BandSpec(b), ArrayGeometry(n), threshold)
+
+
+class TestWindowedSweepIsExact:
+    """The windowed sweep against the dense reference: reports must be
+    equal, float for float."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_criterion_6_configurations(self, n):
+        for b in (0.0, 0.0179, 0.0342):
+            if b < max_fractional_bandwidth(n, 1.0):
+                book = design_with_squint(n, BandSpec(b), 1.0).codebook
+                assert verify_codebook(book, psi_step=1e-3) == reference_verify_codebook(
+                    book, psi_step=1e-3
+                )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_codebooks(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 17, 100):
+            b = float(rng.choice([0.0, rng.uniform(0.0, 1.99)]))
+            psi_m = float(rng.uniform(0.2, 1.0))
+            foci = rng.uniform(-1.6, 1.6, int(rng.integers(1, 2 * n + 2)))
+            foci[0] = rng.choice([-1, 1]) * rng.uniform(1.5, 40.0)
+            xi_points = int(rng.choice([2, 9, 65]))
+            threshold = GainThreshold(float(rng.uniform(0.3, 1.0)))
+            book = _book(n, b, psi_m, foci, threshold)
+            step = psi_m / float(rng.integers(150, 400))
+            args = dict(psi_step=step, xi_points=xi_points, slack_db=float(rng.uniform(0, 1)))
+            assert verify_codebook(book, **args) == reference_verify_codebook(book, **args)
+
+    @pytest.mark.parametrize("n, b", [(2, 0.0), (5, 0.3), (16, 0.0342), (64, 1.5)])
+    def test_one_beam(self, n, b):
+        # no window covers most of the grid, so most angles fall back
+        book = _book(n, b, 1.0, [0.3])
+        assert verify_codebook(book, psi_step=2e-3) == reference_verify_codebook(
+            book, psi_step=2e-3
+        )
+
+    @pytest.mark.parametrize("edge", [1.0, math.nextafter(1.0, 2.0)])
+    def test_edge_focus_grating_lobe(self, edge):
+        # at psi = -1 the beam focused at +edge is on its grating lobe x = -2
+        # and beats the beam focused at -edge by a few ulps, so best there
+        # is only exact with the lobe images k != 0 in the windows
+        n, b = 17, 0.05
+        xis = BandSpec(b).xi_grid(65)
+        near, far = (worst_subcarrier_gain(-1.0, [f], xis, n) for f in (-edge, edge))
+        assert near < far
+        grid = np.linspace(-1.0, 1.0, 2001)
+        dense = worst_subcarrier_gain(grid, [-edge, edge], xis, n)
+        windowed = _windowed_worst_gain(grid, np.array([-edge, edge]), xis, n)
+        assert windowed[0] == far
+        assert np.array_equal(windowed.view(np.int64), dense.view(np.int64))
+
+        book = _book(n, b, 1.0, [-edge, -0.5, 0.0, 0.5, edge])
+        assert verify_codebook(book, psi_step=1e-3) == reference_verify_codebook(
+            book, psi_step=1e-3
+        )
