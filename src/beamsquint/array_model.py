@@ -34,12 +34,16 @@ _SINGULARITY_TOL = 1e-12
 # one carrier angle); bounds the size of every kernel temporary.
 _GAIN_CHUNK = 1 << 14
 
+# Band-edge screen margin of worst_subcarrier_gain, in units of sqrt(N);
+# absolute, as a relative one is too loose next to the first null.
+_SCREEN_TOL = 1e-9
+
 # Slack for "psi must be a sine" range checks, absorbs round trips through
 # sin/arcsin.
 _PSI_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayGeometry:
     """ULA with ``n_antennas`` identical isotropic elements spaced
     ``spacing_ratio`` carrier wavelengths apart.
@@ -188,23 +192,74 @@ def gain_kernel_magnitude(x, n_antennas: int):
     return mag
 
 
-def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):
+def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int, *, floor: float = -math.inf):
     """The best beam's gain at its worst subcarrier, per carrier angle.
 
-    ``max over psi0s of min over xis of |g(xi*psi - psi0)|``, evaluated in
-    chunks of carrier angles so that memory grows with the number of
-    angles only. Scalar ``psi`` in, float out; ndarray in, ndarray of the
-    same shape out.
+    ``max over psi0s of min over xis of |g(xi*psi - psi0)|`` for ascending
+    ``xis``: bit for bit wherever it exceeds ``floor``, at most ``floor``
+    elsewhere. Evaluated in chunks of carrier angles, so memory grows with
+    the number of angles only. Scalar ``psi`` in, float out; ndarray in,
+    ndarray of the same shape out.
+
+    With five or more subcarriers each (angle, beam) pair is first probed
+    at ``xis[[0, 1, -2, -1]]``. Its band-edge min ``U`` is two of its
+    values, so at least its min, and it *is* its min when both edge
+    offsets lie in the main lobe ``|x| < 2/N`` and both neighbours exceed
+    ``U`` by ``_SCREEN_TOL*sqrt(N)``:
+
+    - the computed ``x_j = xi_j*psi - psi0`` are weakly monotone in j, as
+      rounding is monotone, so all lie between the two edge offsets;
+    - on the main lobe ``|g|`` is even and decreasing in ``|x|``, so
+      unimodal along j, and the exact interior min is at j = 1 or j = -2;
+    - the kernel's absolute error there, about ``1e-15*sqrt(N)``, is far
+      below the margin, so every computed interior value exceeds ``U``.
+
+    Per angle, the unscreened pair with the largest ``U`` is then
+    evaluated on every subcarrier, and after it only the pairs whose
+    ``U`` still exceeds both the best exact value and ``floor``.
     """
     angles = np.asarray(psi, dtype=float)
-    offsets = np.asarray(psi0s, dtype=float).reshape(-1, 1)
-    rows = max(1, _GAIN_CHUNK // (offsets.size * len(xis)))
-    flat = angles.reshape(-1, 1, 1)
+    offsets = np.asarray(psi0s, dtype=float).reshape(-1)
+    xis = np.asarray(xis, dtype=float)
+    flat = angles.reshape(-1)
     best = np.empty(len(flat))
+    # fewer than five subcarriers are all probed, and that is the whole min
+    probe = [0, 1, -2, -1] if len(xis) >= 5 else slice(None)
+    rows = max(1, _GAIN_CHUNK // (offsets.size * len(xis[probe])))
     for i in range(0, len(flat), rows):
-        block = flat[i : i + rows] * xis - offsets  # angles x beams x subcarriers
-        best[i : i + rows] = gain_kernel_magnitude(block, n_antennas).min(axis=2).max(axis=1)
+        chunk = flat[i : i + rows]
+        best[i : i + rows] = _worst_gain_chunk(chunk, offsets, xis, probe, n_antennas, floor)
     return float(best[0]) if angles.ndim == 0 else best.reshape(angles.shape)
+
+
+def _worst_gain_chunk(angles, offsets, xis, probe, n, floor):
+    x = angles[:, None, None] * xis[probe] - offsets[:, None]  # angles x beams x probe
+    g = gain_kernel_magnitude(x, n)
+    if len(xis) < 5:
+        return g.min(axis=2).max(axis=1)
+    upper = np.minimum(g[..., 0], g[..., 3])  # angles x beams
+    screened = np.all(np.abs(x[..., [0, 3]]) < 2.0 / n, axis=2)
+    screened &= np.minimum(g[..., 1], g[..., 2]) - upper >= _SCREEN_TOL * math.sqrt(n)
+    value = np.where(screened, upper, -np.inf)  # exact mins known so far
+    pending = ~screened
+    top = np.zeros_like(pending)
+    top[np.arange(len(angles)), upper.argmax(axis=1)] = True
+    for candidates in (top, pending):
+        bar = np.maximum(value.max(axis=1), floor)
+        todo = candidates & pending & (upper > bar[:, None])
+        value[todo] = _pair_mins(angles, offsets, xis, n, *np.nonzero(todo))
+        pending &= ~todo
+    return value.max(axis=1)
+
+
+def _pair_mins(angles, offsets, xis, n, rows, beams):
+    """Min over all subcarriers of each (angles[rows], offsets[beams]) pair."""
+    out = np.empty(len(rows))
+    step = max(1, _GAIN_CHUNK // len(xis))
+    for i in range(0, len(rows), step):
+        block = angles[rows[i : i + step], None] * xis - offsets[beams[i : i + step], None]
+        out[i : i + step] = gain_kernel_magnitude(block, n).min(axis=1)
+    return out
 
 
 def equivalent_aoa(theta_c: float, xi: float) -> float:

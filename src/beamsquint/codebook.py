@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,13 +59,13 @@ def _is_number(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Beam:
-    """One codebook entry: focus angle, phase vector, analytic coverage."""
+    """One codebook entry: focus angle and analytic coverage. Its phases
+    are ``fine_beam_weights(geometry, psi0)``, derived when needed."""
 
     index: int
     psi0: float
-    weights: np.ndarray = field(repr=False)
     coverage: CoverageInterval
 
     @property
@@ -77,7 +77,7 @@ class Beam:
         return math.degrees(math.asin(self.psi0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Codebook:
     """Beams sorted by focus angle, jointly covering [-psi_m, psi_m]."""
 
@@ -133,7 +133,7 @@ class Codebook:
                     "index": beam.index,
                     "psi0": beam.psi0,
                     "theta0_deg": beam.theta0_deg,
-                    "phases_rad": [float(p) for p in beam.weights],
+                    "phases_rad": [float(p) for p in fine_beam_weights(self.geometry, beam.psi0)],
                     "coverage": {"lo": beam.coverage.lo, "hi": beam.coverage.hi},
                 }
                 for beam in self.beams
@@ -214,9 +214,8 @@ class Codebook:
                 )
             if not all(_is_number(p) for p in phases):
                 raise CodebookFormatError(f"beam {pos} phases_rad must be numbers")
-            weights = np.asarray(phases, dtype=float)
             expected = fine_beam_weights(geom, psi0)
-            if np.max(np.abs(weights - expected)) > 1e-9:
+            if np.max(np.abs(np.asarray(phases, dtype=float) - expected)) > 1e-9:
                 raise CodebookFormatError(
                     f"beam {pos} phases_rad are not the fine-beam phases for psi0={psi0!r}"
                 )
@@ -226,7 +225,7 @@ class Codebook:
             lo, hi = cov["lo"], cov["hi"]
             if not (_is_number(lo) and _is_number(hi) and lo < hi):
                 raise CodebookFormatError(f"beam {pos} coverage [{lo!r}, {hi!r}] is not a valid interval")
-            beams.append(Beam(index, float(psi0), weights, CoverageInterval(float(lo), float(hi))))
+            beams.append(Beam(index, float(psi0), CoverageInterval(float(lo), float(hi))))
 
         return cls(
             beams=tuple(beams),
@@ -245,7 +244,7 @@ class Codebook:
         return cls.from_dict(data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Infeasibility:
     """Why no codebook exists, with the violated bound values attached."""
 
@@ -257,7 +256,7 @@ class Infeasibility:
     max_antennas: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesignOutcome:
     """Either a codebook or an infeasibility report."""
 
@@ -318,16 +317,11 @@ def _materialize(
     geom: ArrayGeometry,
     psi_m: float,
 ) -> Codebook:
-    """Mirror the right-half foci, attach phases and analytic coverage."""
+    """Mirror the right-half foci and attach analytic coverage."""
     foci = sorted([-f for f in positive_foci] + ([0.0] if include_center else []) + positive_foci)
     n = geom.n_antennas
     beams = tuple(
-        Beam(
-            index=i,
-            psi0=f,
-            weights=fine_beam_weights(geom, f),
-            coverage=squinted_coverage(f, band, n),
-        )
+        Beam(index=i, psi0=f, coverage=squinted_coverage(f, band, n))
         for i, f in enumerate(foci)
     )
     return Codebook(

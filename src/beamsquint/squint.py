@@ -38,7 +38,7 @@ _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BandSpec:
     """Band geometry as fractional bandwidth ``b = B / f_c``.
 
@@ -86,7 +86,7 @@ class BandSpec:
         return np.linspace(self.xi_min, self.xi_max, points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GainThreshold:
     """Minimum acceptable gain as a fraction of the sqrt(N) maximum.
 
@@ -119,7 +119,7 @@ class GainThreshold:
         return self.ratio_to_max * math.sqrt(_check_n(n_antennas))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverageInterval:
     """Carrier-frequency angles [lo, hi] over which a beam meets the gain
     threshold at every subcarrier in the band.

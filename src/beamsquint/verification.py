@@ -35,7 +35,7 @@ def _to_db(amplitude: float) -> float:
     return 20.0 * math.log10(max(amplitude, _DB_FLOOR))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverageReport:
     """Outcome of a brute-force codebook certification.
 
@@ -97,6 +97,10 @@ def verify_codebook(
     whose windowed best stays at or below S_N is re-evaluated with all
     beams. The kernel is element-wise and max/min are exact, so the report
     is bit for bit that of evaluating every beam at every angle.
+
+    :func:`worst_subcarrier_gain` screens on the band edges (see there),
+    and the window calls pass ``floor=S_N``: a beam that cannot exceed S_N
+    in a window is left to the all-beam pass.
     """
     psi_m = codebook.psi_m
     # also rejects NaN; a step up to psi_m leaves at least 3 grid points
@@ -145,6 +149,8 @@ def _windowed_worst_gain(grid, psi0s, xis, n):
     grid, each beam evaluated on its main-lobe windows only (see
     :func:`verify_codebook`)."""
     step, lobe = grid[1] - grid[0], 2.0 / n
+    # S_N, raised by a relative margin that covers the kernel's rounding
+    sidelobe = (1.0 + 1e-9) / (math.sqrt(n) * math.sin(math.pi / n))
     best = np.full(len(grid), -1.0)  # below any gain: uncovered angles fall back
     for psi0 in psi0s:
         x_lo, x_hi = xis[0] * grid[[0, -1]] - psi0
@@ -153,10 +159,8 @@ def _windowed_worst_gain(grid, psi0s, xis, n):
             lo, hi = ((psi0 + 2 * k + np.array([-lobe, lobe])) / xis[0] - grid[0]) / step
             i, j = max(0, math.floor(lo) - 2), min(len(grid), math.ceil(hi) + 3)
             if i < j:
-                window = worst_subcarrier_gain(grid[i:j], [psi0], xis, n)
+                window = worst_subcarrier_gain(grid[i:j], [psi0], xis, n, floor=sidelobe)
                 np.maximum(best[i:j], window, out=best[i:j])
-    # S_N, raised by a relative margin that covers the kernel's rounding
-    sidelobe = (1.0 + 1e-9) / (math.sqrt(n) * math.sin(math.pi / n))
     low = best <= sidelobe
     best[low] = worst_subcarrier_gain(grid[low], psi0s, xis, n)
     return best
@@ -173,7 +177,7 @@ def _failure_gaps(grid, failing, margin) -> list[CoverageInterval]:
     return gaps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepPoint:
     """One sweep sample: axis value, codebook size (None = infeasible),
     and the feasibility bound annotated for that series."""
@@ -187,13 +191,13 @@ class SweepPoint:
         return self.size is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSeries:
     label: str
     points: tuple[SweepPoint, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepTable:
     """Sweep results, one series per fixed parameter.
 

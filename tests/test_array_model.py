@@ -303,8 +303,9 @@ class TestWorstSubcarrierGain:
         "chunk, rows",
         [
             (1 << 14, 23),  # the whole grid in one chunk
-            (4 * 45, 4),  # five full chunks and a short last one of 3 angles
-            (30, 1),  # one angle alone exceeds the chunk: one angle per chunk
+            (180, 9),  # two full chunks and a short last one of 5 angles
+            (30, 1),  # one angle per chunk; pair blocks of 3 pairs
+            (15, 1),  # one angle alone exceeds the chunk: one angle per chunk
         ],
     )
     def test_matches_per_beam_loop(self, monkeypatch, chunk, rows):
@@ -318,9 +319,15 @@ class TestWorstSubcarrierGain:
         monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
         got = worst_subcarrier_gain(self.GRID, self.PSI0S, self.XIS, self.N)
         assert np.array_equal(got, self.reference(self.GRID))
+        # probe blocks: angles x beams x the 4 subcarriers xis[[0, 1, -2, -1]]
+        probes = [shape for shape in blocks if len(shape) == 3]
         expected = [min(rows, len(self.GRID) - i) for i in range(0, len(self.GRID), rows)]
-        assert [shape[0] for shape in blocks] == expected
-        assert all(shape[1:] == (5, 9) for shape in blocks)
+        assert [shape[0] for shape in probes] == expected
+        assert all(shape[1:] == (5, 4) for shape in probes)
+        # pair blocks: (angle, beam) pairs x all 9 subcarriers, at most a chunk
+        pairs = [shape for shape in blocks if len(shape) == 2]
+        assert pairs and len(pairs) + len(probes) == len(blocks)
+        assert all(shape[1] == 9 and shape[0] <= max(1, chunk // 9) for shape in pairs)
 
     def test_scalar_and_shape(self):
         want = self.reference(self.GRID)
@@ -330,3 +337,47 @@ class TestWorstSubcarrierGain:
         grid2d = self.GRID[:22].reshape(2, 11)
         got2d = worst_subcarrier_gain(grid2d, self.PSI0S, self.XIS, self.N)
         assert np.array_equal(got2d, want[:22].reshape(2, 11))
+
+
+def dense_worst_gain(psi, psi0s, xis, n):
+    """Every beam at every subcarrier in one block, no screen."""
+    x = psi[:, None, None] * xis - np.asarray(psi0s)[:, None]
+    return gain_kernel_magnitude(x, n).min(axis=2).max(axis=1)
+
+
+class TestBandEdgeScreen:
+    """The screened primitive against the dense reduction, compared as
+    int64 bits. Tiny bands are where an interior subcarrier can round
+    below a band edge; wide ones carry edges out of the main lobe; foci
+    out to +-1.5 reach the grating lobes."""
+
+    GRID = np.linspace(-1.0, 1.0, 401)
+
+    def case(self, n, b, seed):
+        rng = np.random.default_rng(seed)
+        if b is None:
+            b = rng.uniform(0.0, 1.99)
+        foci = np.sort(rng.uniform(-1.5, 1.5, 9))
+        return foci, [np.linspace(1 - b / 2, 1 + b / 2, m) for m in (2, 3, 4, 5, 9, 65)]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 17, 64])
+    @pytest.mark.parametrize("b", [0.0, 1e-12, 1e-9, 1e-6, None], ids=str)
+    def test_bits_equal_dense(self, n, b):
+        for seed in range(3):
+            foci, grids = self.case(n, b, [n, seed])
+            for xis in grids:
+                got = worst_subcarrier_gain(self.GRID, foci, xis, n)
+                want = dense_worst_gain(self.GRID, foci, xis, n)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, len(xis))
+
+    @pytest.mark.parametrize("n", [3, 16, 17])
+    @pytest.mark.parametrize("b", [1e-9, None], ids=str)
+    def test_floor_contract(self, n, b):
+        foci, grids = self.case(n, b, [n, 7])
+        for xis in grids:
+            want = dense_worst_gain(self.GRID, foci, xis, n)
+            for floor in np.quantile(want, [0.1, 0.5, 0.9]):
+                got = worst_subcarrier_gain(self.GRID, foci, xis, n, floor=floor)
+                above = want > floor
+                assert np.array_equal(got[above].view(np.int64), want[above].view(np.int64))
+                assert np.all(got[~above] <= floor)

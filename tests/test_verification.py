@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from beamsquint import array_model
 from beamsquint.array_model import ArrayGeometry, gain_kernel_magnitude, worst_subcarrier_gain
 from beamsquint.codebook import (
     Beam,
@@ -278,6 +279,24 @@ def test_memory_grows_with_grid_points_only():
     assert _peak_bytes(lambda: numeric_coverage(0.3, BAND, 16, psi_step=1e-5)) < 16e6
 
 
+def test_memory_bounded_when_many_pairs_need_every_subcarrier(monkeypatch):
+    # A band this wide carries every subcarrier range through nulls, so
+    # few (angle, beam) pairs pass the band-edge screen and most go to
+    # full evaluation: about 117k of 200k pairs, 60 MB if evaluated at once.
+    pairs = []
+
+    def recording(x, n):
+        if np.ndim(x) == 2:
+            pairs.append(len(x))
+        return gain_kernel_magnitude(x, n)
+
+    monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
+    grid, foci = np.linspace(-1, 1, 20001), np.linspace(-0.9, 0.9, 10)
+    xis = np.linspace(0.05, 1.95, 65)
+    assert _peak_bytes(lambda: worst_subcarrier_gain(grid, foci, xis, 4)) < 16e6
+    assert sum(pairs) > 0.5 * grid.size * foci.size
+
+
 def reference_verify_codebook(
     codebook: Codebook,
     psi_step: float = 1e-4,
@@ -331,7 +350,7 @@ def reference_verify_codebook(
 def _book(n, b, psi_m, foci, threshold=GainThreshold()):
     # built directly, so foci may lie anywhere (from_dict caps them at 1.5)
     beams = tuple(
-        Beam(i, float(f), np.zeros(n), CoverageInterval(float(f), float(f)))
+        Beam(i, float(f), CoverageInterval(float(f), float(f)))
         for i, f in enumerate(sorted(foci))
     )
     return Codebook(beams, psi_m, BandSpec(b), ArrayGeometry(n), threshold)
