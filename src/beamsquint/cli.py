@@ -244,11 +244,10 @@ def _cmd_bounds(args) -> int:
 # ------------------------------------------------------------ parser setup
 
 
-def _add_out(parser, default_format: str, choices=("csv", "json")) -> None:
+def _add_out(parser, default_format: str | None = None) -> None:
     parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument(
-        "--format", choices=list(choices), default=default_format, help="output format"
-    )
+    if default_format:  # design, verify and bounds write JSON only and have no --format
+        parser.add_argument("--format", choices=["csv", "json"], default=default_format, help="output format")
 
 
 def _add_band(parser) -> None:
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--antennas", type=int, required=True)
     _add_band(p)
     p.add_argument("--psi-max", type=float, default=1.0, help="target coverage [-psi_max, psi_max]")
-    _add_out(p, "json", choices=("json",))
+    _add_out(p)
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("verify", help="brute-force certify a codebook JSON file")
@@ -296,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-points", type=int, default=65)
     p.add_argument("--slack-db", type=float, default=0.2)
     p.add_argument("--threshold-db", type=float, default=None, help="override the file's threshold")
-    _add_out(p, "json", choices=("json",))
+    _add_out(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep-b", help="minimum size vs fractional bandwidth")
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--antennas", type=int, required=True)
     _add_band(p)
     p.add_argument("--psi-max", type=float, default=1.0)
-    _add_out(p, "json", choices=("json",))
+    _add_out(p)
     p.set_defaults(func=_cmd_bounds)
 
     return parser

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,14 +178,17 @@ class Codebook:
         ratio = data["threshold_ratio"]
         if not _is_number(ratio) or not (0.0 < ratio <= 1.0):
             raise CodebookFormatError(f"threshold_ratio must lie in (0, 1], got {ratio!r}")
-        if data["parity"] not in ("odd", "even"):
-            raise CodebookFormatError(f"parity must be 'odd' or 'even', got {data['parity']!r}")
         raw_beams = data["beams"]
         if not isinstance(raw_beams, list) or not raw_beams:
             raise CodebookFormatError("beams must be a non-empty list")
         if not _is_int(data["size"]) or data["size"] != len(raw_beams):
             raise CodebookFormatError(
                 f"size {data['size']!r} does not match the number of beams {len(raw_beams)}"
+            )
+        parity = "odd" if len(raw_beams) % 2 else "even"
+        if data["parity"] != parity:
+            raise CodebookFormatError(
+                f"parity must be {parity!r} for {len(raw_beams)} beams, got {data['parity']!r}"
             )
 
         geom = ArrayGeometry(n, 0.5)
@@ -239,7 +242,7 @@ class Codebook:
     def from_json(cls, text: str) -> "Codebook":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
             raise CodebookFormatError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(data)
 
@@ -343,16 +346,9 @@ def design_no_squint(n_antennas: int, psi_m: float) -> Codebook:
     """
     n = _check_n(n_antennas)
     psi_m = _check_psi_m(psi_m)
-    size = min_size_no_squint(n, psi_m)
-    width = half_power_beamwidth(n)
-    if size % 2:
-        positive = [k * width for k in range(1, (size - 1) // 2 + 1)]
-        center = True
-    else:
-        positive = [(k - 0.5) * width for k in range(1, size // 2 + 1)]
-        center = False
     band = BandSpec(0.0)
-    return _materialize(positive, center, band, ArrayGeometry(n, 0.5), psi_m)
+    odd, positive = _plan(n, band, psi_m)
+    return _materialize(positive, odd, band, ArrayGeometry(n, 0.5), psi_m)
 
 
 def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> list[float] | None:
@@ -375,6 +371,43 @@ def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> list[fl
     return positive
 
 
+def _plan(n: int, band: BandSpec, psi_m: float) -> tuple[bool, list[float]] | Infeasibility:
+    """The foci of the minimum codebook, without building it: ``(odd,
+    positive_foci)`` for ``2*len(positive_foci) + odd`` beams (one at
+    broadside when odd), or the Infeasibility that rules the design out.
+    The only place that decides a codebook's foci; raises ValueError on an
+    invalid n or psi_m."""
+    b = band.fractional_bandwidth
+    if b == 0.0:
+        size = min_size_no_squint(n, psi_m)
+        width = half_power_beamwidth(n)
+        odd = bool(size % 2)
+        return odd, [(k - (0.0 if odd else 0.5)) * width for k in range(1, size // 2 + 1)]
+    bound = max_fractional_bandwidth(n, psi_m)
+    if b >= bound:
+        reason = (
+            f"fractional bandwidth {b:.6f} is not below the bound "
+            f"{bound:.6f} = 1.772/(psi_m*N) for N={n}, psi_m={psi_m:g}"
+        )
+    else:
+        tilings = [(odd, _tile_right_half(n, band, psi_m, odd)) for odd in (True, False)]
+        if all(positive is not None for _, positive in tilings):
+            # the odd tiling holds 2*len + 1 beams, the even one 2*len
+            return min(tilings, key=lambda t: 2 * len(t[1]) + t[0])
+        reason = (
+            f"beam tiling stalled before reaching psi_m={psi_m:g} "
+            f"(fractional bandwidth {b:.6f} at the feasibility bound {bound:.6f})"
+        )
+    return Infeasibility(
+        reason=reason,
+        n_antennas=n,
+        psi_m=psi_m,
+        fractional_bandwidth=b,
+        max_fractional_bandwidth=bound,
+        max_antennas=max_antennas(band, psi_m),
+    )
+
+
 def design_with_squint(n_antennas: int, band: BandSpec, psi_m: float) -> DesignOutcome:
     """Squint-compensated minimum codebook: run the odd procedure (seed
     beam at broadside) and the even procedure (seed edge at broadside),
@@ -385,39 +418,8 @@ def design_with_squint(n_antennas: int, band: BandSpec, psi_m: float) -> DesignO
     """
     n = _check_n(n_antennas)
     psi_m = _check_psi_m(psi_m)
-    b = band.fractional_bandwidth
-    if b == 0.0:
-        return DesignOutcome(codebook=replace(design_no_squint(n, psi_m), band=band))
-    bound = max_fractional_bandwidth(n, psi_m)
-
-    def infeasible(reason: str) -> DesignOutcome:
-        return DesignOutcome(
-            infeasibility=Infeasibility(
-                reason=reason,
-                n_antennas=n,
-                psi_m=psi_m,
-                fractional_bandwidth=b,
-                max_fractional_bandwidth=bound,
-                max_antennas=max_antennas(band, psi_m),
-            )
-        )
-
-    if b >= bound:
-        return infeasible(
-            f"fractional bandwidth {b:.6f} is not below the bound "
-            f"{bound:.6f} = 1.772/(psi_m*N) for N={n}, psi_m={psi_m:g}"
-        )
-
-    tilings = []
-    for odd in (True, False):
-        positive = _tile_right_half(n, band, psi_m, odd)
-        if positive is None:
-            return infeasible(
-                f"beam tiling stalled before reaching psi_m={psi_m:g} "
-                f"(fractional bandwidth {b:.6f} at the feasibility bound {bound:.6f})"
-            )
-        tilings.append((odd, positive))
-
-    # the odd tiling holds 2*len + 1 beams, the even one 2*len
-    odd, positive = min(tilings, key=lambda t: 2 * len(t[1]) + t[0])
+    plan = _plan(n, band, psi_m)
+    if isinstance(plan, Infeasibility):
+        return DesignOutcome(infeasibility=plan)
+    odd, positive = plan
     return DesignOutcome(codebook=_materialize(positive, odd, band, ArrayGeometry(n, 0.5), psi_m))

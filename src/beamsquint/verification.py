@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import gain_kernel_magnitude, worst_subcarrier_gain
-from .codebook import Codebook, design_with_squint, max_antennas, max_fractional_bandwidth
+from .codebook import Codebook, Infeasibility, _plan, max_antennas, max_fractional_bandwidth
 from .squint import BandSpec, CoverageInterval, _refine_edge, _runs
 
 __all__ = [
@@ -240,6 +240,13 @@ class SweepTable:
         }
 
 
+def _size(n: int, band: BandSpec, psi_m: float) -> int | None:
+    """Minimum codebook size from the design plan, None when infeasible;
+    builds no codebook."""
+    plan = _plan(n, band, psi_m)
+    return None if isinstance(plan, Infeasibility) else 2 * len(plan[1]) + plan[0]
+
+
 def sweep_size_vs_b(
     n_antennas_list: list[int], b_grid: list[float], psi_m: float = 1.0
 ) -> SweepTable:
@@ -250,12 +257,7 @@ def sweep_size_vs_b(
     series = []
     for n in n_antennas_list:
         bound = max_fractional_bandwidth(n, psi_m)
-        points = []
-        for b in b_grid:
-            outcome = design_with_squint(n, BandSpec(float(b)), psi_m)
-            points.append(
-                SweepPoint(float(b), outcome.size if outcome.feasible else None, bound)
-            )
+        points = [SweepPoint(float(b), _size(n, BandSpec(float(b)), psi_m), bound) for b in b_grid]
         series.append(SweepSeries(f"N={n}", tuple(points)))
     return SweepTable("fractional_bandwidth", tuple(series))
 
@@ -272,11 +274,6 @@ def sweep_size_vs_n(
         band = BandSpec(float(b))
         n_cap = max_antennas(band, psi_m)
         bound = math.inf if n_cap is None else float(n_cap)
-        points = []
-        for n in n_range:
-            outcome = design_with_squint(int(n), band, psi_m)
-            points.append(
-                SweepPoint(float(n), outcome.size if outcome.feasible else None, bound)
-            )
+        points = [SweepPoint(float(n), _size(int(n), band, psi_m), bound) for n in n_range]
         series.append(SweepSeries(f"b={b:g}", tuple(points)))
     return SweepTable("n_antennas", tuple(series))

@@ -107,6 +107,7 @@ class TestVerifyCommand:
         doc = json.loads(codebook_path.read_text())
         del doc["beams"][11]  # first positive focus
         doc["size"] = len(doc["beams"])
+        doc["parity"] = "odd"
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc))
         report_path = tmp_path / "r.json"
@@ -129,6 +130,16 @@ class TestVerifyCommand:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("verify", "--codebook", str(tmp_path / "nope.json")) == 2
+
+    def test_contradicting_parity_exits_2(self, tmp_path, capsys):
+        doc = design_no_squint(16, 1.0).to_dict()  # 19 beams
+        doc["parity"] = "even"
+        edited = tmp_path / "parity.json"
+        edited.write_text(json.dumps(doc))
+        assert run_cli("verify", "--codebook", str(edited)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed codebook: parity")
+        assert err.count("\n") == 1
 
     def test_unparseable_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "junk.json"
@@ -413,6 +424,7 @@ def test_missing_required_flag_exits_2():
         ["sweep-n"],
         ["bounds", "--antennas", "16", "--format", "csv"],
         ["bounds", "--fractional-bandwidth", "0.03"],
+        ["design", "--antennas", "16", "--fractional-bandwidth", "0.03", "--format", "json"],
     ],
     ids=[
         "no-command", "unknown-command",
@@ -422,6 +434,7 @@ def test_missing_required_flag_exits_2():
         "sweep-b-missing-value", "sweep-b-missing-required",
         "sweep-n-bad-int", "sweep-n-missing-required",
         "bounds-bad-choice", "bounds-missing-required",
+        "design-no-format-option",
     ],
 )
 def test_usage_error_is_one_line(capsys, argv):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsquint.array_model import ArrayGeometry
 from beamsquint.codebook import (
@@ -69,6 +71,22 @@ class TestDesignNoSquint:
         for n in (2, 7, 16, 33):
             for psi_m in (0.25, 0.7, 1.0):
                 assert design_no_squint(n, psi_m).coverage_gaps() == []
+
+    @pytest.mark.parametrize("psi_m", [1.0, 0.77, 0.3])
+    def test_foci_bits(self, psi_m):
+        # k*width with a broadside beam when odd, (k - 1/2)*width when even
+        for n in range(2, 130):
+            size = min_size_no_squint(n, psi_m)
+            width = half_power_beamwidth(n)
+            if size % 2:
+                half = [k * width for k in range(1, (size - 1) // 2 + 1)]
+                want = [-f for f in reversed(half)] + [0.0] + half
+            else:
+                half = [(k - 0.5) * width for k in range(1, size // 2 + 1)]
+                want = [-f for f in reversed(half)] + half
+            for book in (design_no_squint(n, psi_m), design_with_squint(n, BandSpec(0.0), psi_m).codebook):
+                got = np.array([beam.psi0 for beam in book.beams])
+                assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64)), (n, psi_m)
 
 
 class TestDesignWithSquint:
@@ -238,6 +256,12 @@ class TestSerialization:
         with pytest.raises(CodebookFormatError, match="fine-beam"):
             Codebook.from_dict(doc)
 
+    def test_contradicting_parity_rejected(self):
+        doc = design_no_squint(16, 1.0).to_dict()  # 19 beams
+        doc["parity"] = "even"
+        with pytest.raises(CodebookFormatError, match="parity must be 'odd' for 19 beams"):
+            Codebook.from_dict(doc)
+
     def test_size_mismatch_rejected(self):
         doc = design_no_squint(16, 1.0).to_dict()
         doc["size"] = 5
@@ -300,6 +324,10 @@ class TestSerialization:
         with pytest.raises(CodebookFormatError, match="invalid JSON"):
             Codebook.from_json("{not json")
 
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(CodebookFormatError, match="invalid JSON"):
+            Codebook.from_json("[" * 100_000 + "]" * 100_000)
+
     def test_unphysical_focus_serializes_as_null(self):
         geom = ArrayGeometry(16, 0.5)
         beam = Beam(0, 1.05, CoverageInterval(0.9, 1.1))
@@ -314,3 +342,53 @@ class TestSerialization:
         doc = json.loads(book.to_json())
         assert doc["beams"][0]["theta0_deg"] is None
         assert Codebook.from_dict(doc).beams[0].psi0 == 1.05
+
+
+# Any value json.loads can return: NaN, infinities and integers beyond the
+# float range included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(node, prefix=()):
+    """Every key or index path below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _parse_or_format_error(doc):
+    try:
+        assert isinstance(Codebook.from_dict(doc), Codebook)
+    except CodebookFormatError:
+        pass
+
+
+class TestFromDictFuzz:
+    """Each input gives a Codebook or a CodebookFormatError, never another
+    exception."""
+
+    VALID = design_with_squint(4, BandSpec(0.1), 1.0).codebook.to_json()
+
+    @settings(max_examples=300, derandomize=True)
+    @given(doc=JSON_VALUES)
+    def test_any_json_value(self, doc):
+        _parse_or_format_error(doc)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(data=st.data(), delete=st.booleans())
+    def test_one_field_mutated(self, data, delete):
+        doc = json.loads(self.VALID)
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if delete:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = data.draw(JSON_VALUES)
+        _parse_or_format_error(doc)

@@ -198,6 +198,23 @@ class TestSweeps:
         assert lines[1] == "# series: N=16"
         assert "# series: N=32" in lines
 
+    @pytest.mark.parametrize("psi_m", [1.0, 0.77, 0.3])
+    def test_sizes_match_the_design_path(self, psi_m):
+        # the sweeps read sizes from the design plan and build no codebook;
+        # every point must still be the size design_with_squint builds
+        shares = [0.01, 0.3, 0.7, 0.99, 0.999999, 1.0, 1.01]
+        for n in range(2, 130):
+            bound = max_fractional_bandwidth(n, psi_m)
+            grid = [b for b in [0.0, 1e-9] + [s * bound for s in shares] if b < 2.0]
+            want = []
+            for b in grid:
+                outcome = design_with_squint(n, BandSpec(b), psi_m)
+                want.append(outcome.size if outcome.feasible else None)
+            by_b = [p.size for p in sweep_size_vs_b([n], grid, psi_m).series[0].points]
+            by_n = [s.points[0].size for s in sweep_size_vs_n(grid, [n], psi_m).series]
+            assert by_b == want, (n, psi_m)
+            assert by_n == want, (n, psi_m)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_size_vs_b([], [0.1], 1.0)
