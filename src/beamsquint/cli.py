@@ -203,8 +203,9 @@ def _b_grid_from_args(args) -> list[float]:
         raise ValueError("give a bandwidth grid via --b-list or --b-min/--b-max/--b-points")
     if args.b_points < 2:
         raise ValueError(f"--b-points must be >= 2, got {args.b_points}")
-    if not 0.0 <= args.b_min <= args.b_max:
-        raise ValueError("need 0 <= --b-min <= --b-max")
+    # also rejects NaN and an infinite --b-max, which linspace would turn into NaN
+    if not 0.0 <= args.b_min <= args.b_max < math.inf:
+        raise ValueError(f"need 0 <= --b-min <= --b-max < inf, got {args.b_min} and {args.b_max}")
     return [float(v) for v in np.linspace(args.b_min, args.b_max, args.b_points)]
 
 

@@ -61,8 +61,9 @@ def _is_number(value) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Beam:
-    """One codebook entry: focus angle and analytic coverage. Its phases
-    are ``fine_beam_weights(geometry, psi0)``, derived when needed."""
+    """One codebook entry: position, focus angle and analytic coverage,
+    all derived from the codebook's foci. Its phases are
+    ``fine_beam_weights(geometry, psi0)``, derived when needed."""
 
     index: int
     psi0: float
@@ -79,13 +80,19 @@ class Beam:
 
 @dataclass(frozen=True, slots=True)
 class Codebook:
-    """Beams sorted by focus angle, jointly covering [-psi_m, psi_m]."""
+    """Ascending beam foci, jointly covering [-psi_m, psi_m]. A beam is its
+    focus: its index and analytic coverage follow from the foci, N and b."""
 
-    beams: tuple[Beam, ...]
+    foci: tuple[float, ...]
     psi_m: float
     band: BandSpec
     geometry: ArrayGeometry
     threshold: GainThreshold
+
+    @property
+    def beams(self) -> tuple[Beam, ...]:
+        n = self.n_antennas
+        return tuple(Beam(i, f, squinted_coverage(f, self.band, n)) for i, f in enumerate(self.foci))
 
     @property
     def n_antennas(self) -> int:
@@ -93,7 +100,7 @@ class Codebook:
 
     @property
     def size(self) -> int:
-        return len(self.beams)
+        return len(self.foci)
 
     @property
     def parity(self) -> str:
@@ -192,7 +199,7 @@ class Codebook:
             )
 
         geom = ArrayGeometry(n, 0.5)
-        beams = []
+        foci = []
         prev_psi0 = -math.inf
         for pos, entry in enumerate(raw_beams):
             if not isinstance(entry, dict):
@@ -228,10 +235,14 @@ class Codebook:
             lo, hi = cov["lo"], cov["hi"]
             if not (_is_number(lo) and _is_number(hi) and lo < hi):
                 raise CodebookFormatError(f"beam {pos} coverage [{lo!r}, {hi!r}] is not a valid interval")
-            beams.append(Beam(index, float(psi0), CoverageInterval(float(lo), float(hi))))
+            foci.append(float(psi0))
+        # after the sort order, so that an unsorted document is reported as such
+        for pos, entry in enumerate(raw_beams):
+            if entry["index"] != pos:
+                raise CodebookFormatError(f"beam {pos} index must be its position {pos}, got {entry['index']!r}")
 
         return cls(
-            beams=tuple(beams),
+            foci=tuple(foci),
             psi_m=float(psi_m),
             band=BandSpec(float(b)),
             geometry=geom,
@@ -313,29 +324,6 @@ def max_antennas(band: BandSpec, psi_m: float) -> int | None:
     return int(math.floor(HALF_POWER_CONSTANT / (psi_m * b) + _EDGE_TOL))
 
 
-def _materialize(
-    positive_foci: list[float],
-    include_center: bool,
-    band: BandSpec,
-    geom: ArrayGeometry,
-    psi_m: float,
-) -> Codebook:
-    """Mirror the right-half foci and attach analytic coverage."""
-    foci = sorted([-f for f in positive_foci] + ([0.0] if include_center else []) + positive_foci)
-    n = geom.n_antennas
-    beams = tuple(
-        Beam(index=i, psi0=f, coverage=squinted_coverage(f, band, n))
-        for i, f in enumerate(foci)
-    )
-    return Codebook(
-        beams=beams,
-        psi_m=psi_m,
-        band=band,
-        geometry=geom,
-        threshold=GainThreshold(),
-    )
-
-
 def design_no_squint(n_antennas: int, psi_m: float) -> Codebook:
     """Tile [-psi_m, psi_m] with abutting constant-width beams, symmetric
     about broadside.
@@ -347,14 +335,13 @@ def design_no_squint(n_antennas: int, psi_m: float) -> Codebook:
     n = _check_n(n_antennas)
     psi_m = _check_psi_m(psi_m)
     band = BandSpec(0.0)
-    odd, positive = _plan(n, band, psi_m)
-    return _materialize(positive, odd, band, ArrayGeometry(n, 0.5), psi_m)
+    return Codebook(_plan(n, band, psi_m), psi_m, band, ArrayGeometry(n, 0.5), GainThreshold())
 
 
-def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> list[float] | None:
-    """Abutting squinted beams rightward from broadside.
+def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> tuple[float, ...] | None:
+    """Abutting squinted beams rightward from broadside, mirrored.
 
-    Returns the positive foci or None if the tiling stalls (the in-loop
+    Returns the ascending foci or None if the tiling stalls (the in-loop
     guard; unreachable once the bound precheck has passed, kept as a
     defense against float collapse right at the bound).
     """
@@ -368,21 +355,19 @@ def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> list[fl
         if psi_cl >= psi_cr:
             return None
         positive.append(psi0)
-    return positive
+    return tuple([-f for f in reversed(positive)] + ([0.0] if odd else []) + positive)
 
 
-def _plan(n: int, band: BandSpec, psi_m: float) -> tuple[bool, list[float]] | Infeasibility:
-    """The foci of the minimum codebook, without building it: ``(odd,
-    positive_foci)`` for ``2*len(positive_foci) + odd`` beams (one at
-    broadside when odd), or the Infeasibility that rules the design out.
-    The only place that decides a codebook's foci; raises ValueError on an
-    invalid n or psi_m."""
+def _plan(n: int, band: BandSpec, psi_m: float) -> tuple[float, ...] | Infeasibility:
+    """The ascending, mirror-symmetric foci of the minimum codebook (one at
+    broadside when their count is odd), or the Infeasibility that rules the
+    design out. The only place that decides a codebook's foci; raises
+    ValueError on an invalid n or psi_m."""
     b = band.fractional_bandwidth
     if b == 0.0:
         size = min_size_no_squint(n, psi_m)
         width = half_power_beamwidth(n)
-        odd = bool(size % 2)
-        return odd, [(k - (0.0 if odd else 0.5)) * width for k in range(1, size // 2 + 1)]
+        return tuple((i - (size - 1) / 2) * width for i in range(size))
     bound = max_fractional_bandwidth(n, psi_m)
     if b >= bound:
         reason = (
@@ -390,10 +375,9 @@ def _plan(n: int, band: BandSpec, psi_m: float) -> tuple[bool, list[float]] | In
             f"{bound:.6f} = 1.772/(psi_m*N) for N={n}, psi_m={psi_m:g}"
         )
     else:
-        tilings = [(odd, _tile_right_half(n, band, psi_m, odd)) for odd in (True, False)]
-        if all(positive is not None for _, positive in tilings):
-            # the odd tiling holds 2*len + 1 beams, the even one 2*len
-            return min(tilings, key=lambda t: 2 * len(t[1]) + t[0])
+        tilings = [_tile_right_half(n, band, psi_m, odd) for odd in (True, False)]
+        if None not in tilings:
+            return min(tilings, key=len)
         reason = (
             f"beam tiling stalled before reaching psi_m={psi_m:g} "
             f"(fractional bandwidth {b:.6f} at the feasibility bound {bound:.6f})"
@@ -421,5 +405,4 @@ def design_with_squint(n_antennas: int, band: BandSpec, psi_m: float) -> DesignO
     plan = _plan(n, band, psi_m)
     if isinstance(plan, Infeasibility):
         return DesignOutcome(infeasibility=plan)
-    odd, positive = plan
-    return DesignOutcome(codebook=_materialize(positive, odd, band, ArrayGeometry(n, 0.5), psi_m))
+    return DesignOutcome(codebook=Codebook(plan, psi_m, band, ArrayGeometry(n, 0.5), GainThreshold()))

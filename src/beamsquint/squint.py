@@ -255,8 +255,6 @@ def numeric_coverage(
     n = _check_n(n_antennas)
     if not math.isfinite(psi0):
         raise ValueError(f"psi0 must be finite, got {psi0!r}")
-    if not (math.isfinite(psi_step) and psi_step > 0):
-        raise ValueError(f"psi_step must be positive, got {psi_step!r}")
     thr = threshold if threshold is not None else GainThreshold()
     xis = band.xi_grid(xi_points)
     floor = thr.absolute(n)
@@ -266,7 +264,10 @@ def numeric_coverage(
     lobe = 2.0 / n
     lo_w = min((psi0 - lobe) / band.xi_min, (psi0 - lobe) / band.xi_max)
     hi_w = max((psi0 + lobe) / band.xi_min, (psi0 + lobe) / band.xi_max)
-    n_pts = max(2, int(math.ceil((hi_w - lo_w) / psi_step)))
+    # also rejects NaN and inf; a step below the window width leaves at least 3 grid points
+    if not (psi_step > 0 and (hi_w - lo_w) / psi_step > 1):
+        raise ValueError(f"psi_step must lie in (0, {hi_w - lo_w!r}), the scan window's width, got {psi_step!r}")
+    n_pts = int(math.ceil((hi_w - lo_w) / psi_step))
     grid = np.linspace(lo_w, hi_w, n_pts + 1)
 
     psi0s = np.array([psi0])

@@ -110,7 +110,7 @@ def verify_codebook(
         raise ValueError(f"slack_db must be finite and >= 0, got {slack_db!r}")
     n = codebook.n_antennas
     xis = codebook.band.xi_grid(xi_points)
-    psi0s = np.array([beam.psi0 for beam in codebook.beams])
+    psi0s = np.array(codebook.foci)
     pass_level = codebook.threshold.absolute(n) * 10.0 ** (-slack_db / 20.0)
 
     steps = int(round(2.0 * psi_m / psi_step))
@@ -244,7 +244,7 @@ def _size(n: int, band: BandSpec, psi_m: float) -> int | None:
     """Minimum codebook size from the design plan, None when infeasible;
     builds no codebook."""
     plan = _plan(n, band, psi_m)
-    return None if isinstance(plan, Infeasibility) else 2 * len(plan[1]) + plan[0]
+    return None if isinstance(plan, Infeasibility) else len(plan)
 
 
 def sweep_size_vs_b(

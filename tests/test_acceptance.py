@@ -168,9 +168,7 @@ def test_criterion_7_degeneracy_symmetry_minimality():
         symmetry_ok &= sorted(foci) == sorted(-f for f in foci)
         symmetry_ok &= (0.0 in foci) == (book.parity == "odd")
         for drop in range(book.size):
-            thinned = dataclasses.replace(
-                book, beams=tuple(bm for i, bm in enumerate(book.beams) if i != drop)
-            )
+            thinned = dataclasses.replace(book, foci=book.foci[:drop] + book.foci[drop + 1 :])
             if not thinned.coverage_gaps():
                 minimal_ok = False
     elapsed = time.perf_counter() - t0

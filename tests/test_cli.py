@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamsquint.cli import build_parser, main
-from beamsquint.codebook import design_no_squint
+from beamsquint.codebook import design_no_squint, design_with_squint
 from beamsquint.squint import BandSpec
 
 
@@ -108,6 +113,8 @@ class TestVerifyCommand:
         del doc["beams"][11]  # first positive focus
         doc["size"] = len(doc["beams"])
         doc["parity"] = "odd"
+        for i, beam in enumerate(doc["beams"]):
+            beam["index"] = i
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc))
         report_path = tmp_path / "r.json"
@@ -149,7 +156,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("lo", "-1.0"), ("index", [0]), ("index", True), ("lo", False)],
+        [("lo", "-1.0"), ("index", [0]), ("index", True), ("lo", False), ("index", -7)],
     )
     def test_wrongly_typed_beam_field_exits_2(self, codebook_path, tmp_path, capsys, field, value):
         doc = json.loads(codebook_path.read_text())
@@ -356,6 +363,19 @@ class TestSweepCommands:
         assert run_cli("sweep-b", "--antennas", "16", "--b-list", "abc") == 2
         assert run_cli("sweep-n", "--b-list", "0.03", "--n-min", "1") == 2
 
+    @pytest.mark.parametrize("b_min, b_max", [("0", "inf"), ("inf", "inf"), ("0", "nan")])
+    def test_non_finite_b_bound_exits_2(self, capsys, b_min, b_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("sweep-b", "--antennas", "16", "--b-min", b_min, "--b-max", b_max,
+                           "--b-points", "3")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "--b-max" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("sweep-b", "--antennas", "16", "--b-min", "0", "--b-max", "0.1",
@@ -451,3 +471,98 @@ def test_help_still_prints_usage(capsys):
         build_parser().parse_args(["design", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: beamsquint design")
+
+
+# Option values for the cli.main fuzz: malformed tokens plus a few valid
+# ones, bounded so that no example asks for a large grid or array. "@good",
+# "@missing" and "@dir" stand for a codebook file, a missing path and a
+# directory.
+_BAD = ["nan", "inf", "-1", "0", "x", ""]
+_N = _BAD + ["2", "8", "64"]
+_PSI_MAX = _BAD + ["1", "0.3"]
+_BAND = {
+    "--fractional-bandwidth": _BAD + ["0.0342", "0.5"],
+    "--carrier-ghz": _BAD + ["73"],
+    "--bandwidth-ghz": _BAD + ["2.5"],
+}
+_OUT = {"--out": ["@dir", "@out"]}
+_FORMAT = {"--format": ["csv", "json", "x"]}
+_OPTIONS = {
+    "pattern": {
+        "--antennas": _N,
+        "--spacing-ratio": _BAD + ["0.5", "0.7"],
+        "--psi0": _BAD + ["0.5", "1.5"],
+        "--theta0-deg": _BAD + ["30"],
+        "--xi": _BAD + ["1", "1.05"],
+        "--freq-ghz": _BAD + ["73"],
+        "--carrier-ghz": _BAD + ["73"],
+        "--psi-step": _BAD + ["1e-2", "3"],
+        **_FORMAT,
+        **_OUT,
+    },
+    "design": {"--antennas": _N, **_BAND, "--psi-max": _PSI_MAX, **_OUT},
+    "verify": {
+        "--codebook": ["@good", "@missing", "@dir"],
+        "--psi-step": _BAD + ["1e-2", "0.5"],
+        "--xi-points": _BAD + ["2", "65"],
+        "--slack-db": _BAD + ["0.2"],
+        "--threshold-db": _BAD + ["3"],
+        **_OUT,
+    },
+    "sweep-b": {
+        "--antennas": _N,
+        "--b-list": _BAD + ["0,0.0342", "0.1 0.2"],
+        "--b-min": _BAD + ["0.01"],
+        "--b-max": _BAD + ["0.2"],
+        "--b-points": _BAD + ["2", "50"],
+        "--psi-max": _PSI_MAX,
+        **_FORMAT,
+        **_OUT,
+    },
+    "sweep-n": {
+        "--b-list": _BAD + ["0,0.0342", "0.1 0.2"],
+        "--n-min": _BAD + ["2", "16"],
+        "--n-max": _BAD + ["32", "64"],
+        "--n-step": _BAD + ["1", "5"],
+        "--psi-max": _PSI_MAX,
+        **_FORMAT,
+        **_OUT,
+    },
+    "bounds": {"--antennas": _N, **_BAND, "--psi-max": _PSI_MAX, **_OUT},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    argv = [command]
+    for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        argv += [name, draw(st.sampled_from(options[name]))]
+    return argv
+
+
+class TestMainFuzz:
+    """Whatever the arguments, cli.main returns an exit code of the
+    contract, and an exit of 2 prints one ``error:`` line."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        good = root / "good.json"
+        good.write_text(design_with_squint(8, BandSpec(0.0179), 1.0).codebook.to_json())
+        return {"@good": good, "@missing": root / "missing.json", "@dir": root, "@out": root / "out"}
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(argv=_argv())
+    @example(argv=["sweep-b", "--antennas", "16", "--b-min", "0", "--b-max", "inf", "--b-points", "3"])
+    def test_exit_code_and_one_line_errors(self, paths, argv):
+        argv = [str(paths.get(token, token)) for token in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in {0, 2, 3, 4}
+        if code == 2:
+            assert stderr.getvalue().startswith("error: ")
+            assert stderr.getvalue().count("\n") == 1

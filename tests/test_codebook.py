@@ -18,7 +18,7 @@ from beamsquint.codebook import (
     max_fractional_bandwidth,
     min_size_no_squint,
 )
-from beamsquint.squint import BandSpec, CoverageInterval, half_power_beamwidth
+from beamsquint.squint import BandSpec, CoverageInterval, half_power_beamwidth, squinted_coverage
 
 from recurrence_oracle import oracle_min_size, oracle_sizes
 
@@ -147,8 +147,7 @@ class TestDesignWithSquint:
     def test_minimal_tiling(self):
         book = design_with_squint(16, BAND, 1.0).codebook
         for drop in range(book.size):
-            remaining = tuple(b for i, b in enumerate(book.beams) if i != drop)
-            thinned = dataclasses.replace(book, beams=remaining)
+            thinned = dataclasses.replace(book, foci=book.foci[:drop] + book.foci[drop + 1 :])
             assert thinned.coverage_gaps() != []
 
     def test_size_monotone_in_bandwidth(self):
@@ -286,6 +285,28 @@ class TestSerialization:
         with pytest.raises(CodebookFormatError, match="beam 2 coverage"):
             Codebook.from_dict(doc)
 
+    def test_index_not_position_rejected(self):
+        doc = design_no_squint(16, 1.0).to_dict()
+        doc["beams"][1]["index"] = -7
+        with pytest.raises(CodebookFormatError, match="beam 1 index must be its position 1"):
+            Codebook.from_dict(doc)
+
+    def test_coverage_is_derived_not_read(self):
+        # a narrowband document relabelled to a squinted band: the coverages
+        # it carries are those of b = 0, one of them absurdly wide
+        doc = design_no_squint(16, 1.0).to_dict()
+        doc["fractional_bandwidth"] = 0.0342
+        doc["beams"][0]["coverage"] = {"lo": -5.0, "hi": 5.0}
+        book = Codebook.from_dict(doc)
+        for beam in book.beams:
+            assert beam.coverage == squinted_coverage(beam.psi0, BandSpec(0.0342), 16)
+        assert book.coverage_gaps() != []
+        written = book.to_dict()["beams"]
+        assert [beam["index"] for beam in written] == list(range(19))
+        assert [beam["coverage"] for beam in written] == [
+            {"lo": bm.coverage.lo, "hi": bm.coverage.hi} for bm in book.beams
+        ]
+
     def test_list_index_rejected(self):
         doc = design_no_squint(16, 1.0).to_dict()
         doc["beams"][1]["index"] = [1]
@@ -333,7 +354,7 @@ class TestSerialization:
         beam = Beam(0, 1.05, CoverageInterval(0.9, 1.1))
         assert beam.theta0_deg is None
         book = Codebook(
-            beams=(beam,),
+            foci=(beam.psi0,),
             psi_m=1.0,
             band=BAND,
             geometry=geom,

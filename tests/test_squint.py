@@ -249,6 +249,10 @@ class TestNumericCoverage:
             numeric_coverage(0.0, BAND, 16, psi_step=0.0)
         with pytest.raises(ValueError):
             numeric_coverage(0.0, BAND, 16, xi_points=1)
+        # a step as wide as the scan window would leave fewer than 3 points
+        for step in (10.0, 1e300, math.inf, math.nan, -1e-4):
+            with pytest.raises(ValueError, match="psi_step"):
+                numeric_coverage(0.3, BandSpec(0.0342), 16, psi_step=step)
 
 
 def test_coverage_interval_helpers():

@@ -8,7 +8,6 @@ import pytest
 from beamsquint import array_model
 from beamsquint.array_model import ArrayGeometry, gain_kernel_magnitude, worst_subcarrier_gain
 from beamsquint.codebook import (
-    Beam,
     Codebook,
     design_no_squint,
     design_with_squint,
@@ -16,7 +15,6 @@ from beamsquint.codebook import (
 )
 from beamsquint.squint import (
     BandSpec,
-    CoverageInterval,
     GainThreshold,
     _refine_edge,
     half_power_beamwidth,
@@ -64,9 +62,7 @@ class TestVerifyCodebook:
     def test_removed_beam_opens_gap(self, book16):
         # drop the first positive-focus beam; its coverage is the hole
         victim = next(b for b in book16.beams if b.psi0 > 0)
-        thinned = dataclasses.replace(
-            book16, beams=tuple(b for b in book16.beams if b is not victim)
-        )
+        thinned = dataclasses.replace(book16, foci=tuple(f for f in book16.foci if f != victim.psi0))
         report = verify_codebook(thinned, slack_db=0.0)
         assert not report.passed
         assert len(report.gaps) == 1
@@ -366,11 +362,7 @@ def reference_verify_codebook(
 
 def _book(n, b, psi_m, foci, threshold=GainThreshold()):
     # built directly, so foci may lie anywhere (from_dict caps them at 1.5)
-    beams = tuple(
-        Beam(i, float(f), CoverageInterval(float(f), float(f)))
-        for i, f in enumerate(sorted(foci))
-    )
-    return Codebook(beams, psi_m, BandSpec(b), ArrayGeometry(n), threshold)
+    return Codebook(tuple(float(f) for f in sorted(foci)), psi_m, BandSpec(b), ArrayGeometry(n), threshold)
 
 
 class TestWindowedSweepIsExact:
