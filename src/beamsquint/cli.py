@@ -27,7 +27,7 @@ from .codebook import (
     max_antennas,
     max_fractional_bandwidth,
 )
-from .squint import BandSpec, GainThreshold
+from .squint import _MAX_GRID_POINTS, BandSpec, GainThreshold
 from .verification import sweep_size_vs_b, sweep_size_vs_n, verify_codebook
 
 _EXIT_OK = 0
@@ -102,8 +102,8 @@ def _cmd_pattern(args) -> int:
     else:
         raise ValueError("give a frequency list via --xi or --freq-ghz")
     # also rejects NaN; a step up to 1 leaves at least 3 grid points
-    if not 0 < args.psi_step <= 1:
-        raise ValueError(f"--psi-step must lie in (0, 1], got {args.psi_step}")
+    if not (0 < args.psi_step <= 1 and 2.0 / args.psi_step <= _MAX_GRID_POINTS - 1):
+        raise ValueError(f"--psi-step must lie in (0, 1] (at most {_MAX_GRID_POINTS} points), got {args.psi_step}")
 
     steps = int(round(2.0 / args.psi_step))
     # rounded so that decimal steps land on exact decimal grid points

@@ -33,6 +33,9 @@ __all__ = [
 #: width in psi space is HALF_POWER_CONSTANT / N, independent of the focus.
 HALF_POWER_CONSTANT = 1.772
 
+#: Most points a carrier-angle grid step may ask for (32 MB of float64).
+_MAX_GRID_POINTS = 2**22
+
 # Relative tolerance and iteration cap of the Brent root finder.
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
@@ -175,11 +178,11 @@ def exact_half_power_beamwidth(
     target = thr.absolute(n)
     first_null = 2.0 / n
 
-    def gap(x: float) -> float:
+    def gap(x: np.ndarray) -> np.ndarray:
         return gain_kernel_magnitude(x, n) - target
 
     # gap(0) = (1-ratio)*sqrt(N) > 0 and gap(first_null) = -target < 0
-    return 2.0 * _refine_edge(gap, 0.0, first_null, xtol=1e-12)
+    return 2.0 * _refine_edges(gap, [(0.0, first_null)], xtol=1e-12)[0]
 
 
 def squinted_coverage(psi0: float, band: BandSpec, n_antennas: int) -> CoverageInterval:
@@ -265,9 +268,10 @@ def numeric_coverage(
     lo_w = min((psi0 - lobe) / band.xi_min, (psi0 - lobe) / band.xi_max)
     hi_w = max((psi0 + lobe) / band.xi_min, (psi0 + lobe) / band.xi_max)
     # also rejects NaN and inf; a step below the window width leaves at least 3 grid points
-    if not (psi_step > 0 and (hi_w - lo_w) / psi_step > 1):
-        raise ValueError(f"psi_step must lie in (0, {hi_w - lo_w!r}), the scan window's width, got {psi_step!r}")
-    n_pts = int(math.ceil((hi_w - lo_w) / psi_step))
+    width = hi_w - lo_w
+    if not (psi_step > 0 and 1 < width / psi_step <= _MAX_GRID_POINTS - 1):
+        raise ValueError(f"psi_step must lie in (0, {width!r}), the scan window's width (at most {_MAX_GRID_POINTS} points), got {psi_step!r}")
+    n_pts = int(math.ceil(width / psi_step))
     grid = np.linspace(lo_w, hi_w, n_pts + 1)
 
     psi0s = np.array([psi0])
@@ -278,14 +282,13 @@ def numeric_coverage(
     # the maximal run of passing points that contains the peak
     left, right = next((i, j) for i, j in _runs(q >= floor) if i <= peak <= j)
 
-    def margin(psi_c: float) -> float:
+    def margin(psi_c: np.ndarray) -> np.ndarray:
         return worst_subcarrier_gain(psi_c, psi0s, xis, n) - floor
 
-    lo_edge = grid[0] if left == 0 else _refine_edge(margin, grid[left], grid[left - 1])
-    hi_edge = (
-        grid[-1] if right == len(grid) - 1 else _refine_edge(margin, grid[right], grid[right + 1])
-    )
-    return CoverageInterval(float(lo_edge), float(hi_edge))
+    # both edges refined together; a window end pairs with itself and stays
+    pairs = [(grid[left], grid[max(left - 1, 0)]), (grid[right], grid[min(right + 1, len(grid) - 1)])]
+    lo_edge, hi_edge = _refine_edges(margin, pairs)
+    return CoverageInterval(lo_edge, hi_edge)
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -295,23 +298,36 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1))
 
 
-def _refine_edge(margin, inside: float, outside: float, xtol: float = 1e-9) -> float:
-    """Root of the threshold crossing between a passing and a failing angle."""
-    f_in = margin(inside)
-    if f_in == 0.0:
-        return inside
-    f_out = margin(outside)
-    if f_out == 0.0:
-        return outside
-    if f_in < 0.0 or f_out > 0.0:
-        # no sign change (flat numerics right at the threshold); keep the
-        # conservative passing point
-        return inside
-    return _brent(margin, inside, outside, f_in, f_out, xtol)
+def _refine_edges(margin, pairs, xtol: float = 1e-9) -> list[float]:
+    """Root of the threshold crossing in each (passing, failing) pair of
+    angles; a pair ``(x, x)`` returns x. ``margin`` maps an array of angles
+    to an array. Every edge runs :func:`_brent`, in lockstep: one ``margin``
+    call for both ends of all pairs (x, y != x), then one per round for the
+    edges still refining."""
+    ends = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    values = np.zeros_like(ends)  # a pair (x, x) is not evaluated: it returns x
+    moving = ends[:, 0] != ends[:, 1]
+    if moving.any():
+        values[moving] = margin(ends[moving].reshape(-1)).reshape(-1, 2)
+    # no sign change (flat numerics right at the threshold): keep the passing point
+    roots = [b if fa != 0.0 and fb == 0.0 else a for (a, b), (fa, fb) in zip(ends, values)]
+    asking = [(k, _brent(*ends[k], *f, xtol)) for k, f in enumerate(values) if f[0] > 0.0 > f[1]]
+    replies = [None] * len(asking)  # a fresh iteration is sent None first
+    while asking:
+        angles, still = [], []
+        for (k, steps), reply in zip(asking, replies):
+            try:
+                angles.append(steps.send(reply))
+                still.append((k, steps))
+            except StopIteration as done:  # a bracket narrower than xtol returns at once
+                roots[k] = done.value
+        asking, replies = still, margin(np.array(angles)) if still else []
+    return [float(root) for root in roots]
 
 
-def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
-    """Brent's method for a root of ``f`` between ``xpre`` and ``xcur``.
+def _brent(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
+    """Brent's method for a root of ``f`` between ``xpre`` and ``xcur``, as a
+    generator that yields each x to evaluate, is sent f(x), and returns the root.
 
     ``fpre`` and ``fcur`` are the nonzero, opposite-signed values of ``f``
     at the ends. A port of scipy's ``brentq.c`` that performs the same
@@ -354,5 +370,5 @@ def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
+        fcur = yield xcur
     raise RuntimeError(f"root finder did not converge in {_BRENT_MAXITER} iterations")

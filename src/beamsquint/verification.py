@@ -16,7 +16,7 @@ import numpy as np
 
 from .array_model import gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, Infeasibility, _plan, max_antennas, max_fractional_bandwidth
-from .squint import BandSpec, CoverageInterval, _refine_edge, _runs
+from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _refine_edges, _runs
 
 __all__ = [
     "CoverageReport",
@@ -104,8 +104,8 @@ def verify_codebook(
     """
     psi_m = codebook.psi_m
     # also rejects NaN; a step up to psi_m leaves at least 3 grid points
-    if not 0 < psi_step <= psi_m:
-        raise ValueError(f"psi_step must lie in (0, psi_m={psi_m!r}], got {psi_step!r}")
+    if not (0 < psi_step <= psi_m and 2.0 * psi_m / psi_step <= _MAX_GRID_POINTS - 1):
+        raise ValueError(f"psi_step must lie in (0, psi_m={psi_m!r}] (at most {_MAX_GRID_POINTS} points), got {psi_step!r}")
     if not (math.isfinite(slack_db) and slack_db >= 0):
         raise ValueError(f"slack_db must be finite and >= 0, got {slack_db!r}")
     n = codebook.n_antennas
@@ -124,7 +124,7 @@ def verify_codebook(
     winner = at_worst[int(np.argmax(at_worst.min(axis=1)))]
     worst_xi = float(xis[int(np.argmin(winner))])
 
-    def margin(psi: float) -> float:
+    def margin(psi: np.ndarray) -> np.ndarray:
         return worst_subcarrier_gain(psi, psi0s, xis, n) - pass_level
 
     gaps = _failure_gaps(grid, best < pass_level, margin)
@@ -167,14 +167,13 @@ def _windowed_worst_gain(grid, psi0s, xis, n):
 
 
 def _failure_gaps(grid, failing, margin) -> list[CoverageInterval]:
-    """Merge failing grid points into intervals, refining the edges."""
+    """Merge failing grid points into intervals, refining all their edges
+    in one batch; an edge at a grid end pairs with itself and stays."""
     last = len(grid) - 1
-    gaps: list[CoverageInterval] = []
-    for i, j in _runs(failing):
-        lo = grid[0] if i == 0 else _refine_edge(margin, grid[i - 1], grid[i])
-        hi = grid[-1] if j == last else _refine_edge(margin, grid[j + 1], grid[j])
-        gaps.append(CoverageInterval(float(lo), float(hi)))
-    return gaps
+    runs = _runs(failing)
+    lows = [(grid[max(i - 1, 0)], grid[i]) for i, _ in runs]
+    edges = _refine_edges(margin, lows + [(grid[min(j + 1, last)], grid[j]) for _, j in runs])
+    return [CoverageInterval(lo, hi) for lo, hi in zip(edges[: len(runs)], edges[len(runs) :])]
 
 
 @dataclass(frozen=True, slots=True)

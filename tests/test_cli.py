@@ -173,7 +173,8 @@ class TestVerifyCommand:
         "option",
         ["--psi-step=0", "--psi-step=nan", "--xi-points=1", "--slack-db=-1",
          "--slack-db=nan", "--slack-db=inf", "--threshold-db=-1e10", "--threshold-db=nan",
-         "--psi-step=5"],
+         # a step too fine for the grid-size cap, refused before any grid is built
+         "--psi-step=5", "--psi-step=1e-300", "--psi-step=5e-324", f"--psi-step={2 / 2**22!r}"],
     )
     def test_out_of_range_option_exits_2(self, codebook_path, capsys, option):
         capsys.readouterr()  # drop the fixture's design summary
@@ -252,9 +253,10 @@ class TestPatternCommand:
 
     @pytest.mark.parametrize(
         "options",
-        # a step above 1 leaves fewer than 3 points on [-1, 1]; a carrier
-        # of 0 would divide by zero
-        [["--xi", "1", "--psi-step", step] for step in ("inf", "nan", "1.5", "3")]
+        # a step above 1 leaves fewer than 3 points on [-1, 1], one below
+        # 2/(2**22 - 1) more than the grid-size cap; a carrier of 0 would
+        # divide by zero
+        [["--xi", "1", "--psi-step", step] for step in ("inf", "nan", "1.5", "3", "1e-300", "5e-324")]
         + [["--freq-ghz", "73", "--carrier-ghz", fc] for fc in ("0", "-73", "nan")],
         ids=lambda options: "=".join(options[-2:]),
     )

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 import beamsquint
-from beamsquint.array_model import gain_kernel_magnitude
+from beamsquint.array_model import gain_kernel_magnitude, worst_subcarrier_gain
 from beamsquint.codebook import design_no_squint, design_with_squint
 from beamsquint.squint import (
     BandSpec,
     GainThreshold,
-    _brent,
-    _refine_edge,
+    _refine_edges,
     exact_half_power_beamwidth,
 )
 
@@ -32,7 +31,14 @@ def _kernel_gap(n, target):
 def _subcarrier_margin(n, psi0, band):
     xis = band.xi_grid(65)
     floor = GainThreshold().absolute(n)
-    return lambda p: float(gain_kernel_magnitude(p * xis - psi0, n).min()) - floor
+    # one angle or an array of them, each reduced over its own subcarriers
+    return lambda p: gain_kernel_magnitude(np.multiply.outer(p, xis) - psi0, n).min(axis=-1) - floor
+
+
+def refine(margin, inside, outside, xtol=1e-9):
+    """One edge through the batched refiner, for a margin of one angle."""
+    (root,) = _refine_edges(np.vectorize(margin, otypes=[float]), [(inside, outside)], xtol)
+    return root
 
 
 def _random_brackets(count, seed=11):
@@ -60,7 +66,7 @@ class TestAgainstScipy:
                 gap = _kernel_gap(n, ratio * math.sqrt(n))
                 a, b = 0.0, 2.0 / n
                 expected = brentq(gap, a, b, xtol=1e-12)
-                assert _brent(gap, a, b, gap(a), gap(b), 1e-12) == expected
+                assert refine(gap, a, b, 1e-12) == expected
                 width = exact_half_power_beamwidth(n, GainThreshold(ratio))
                 assert width == 2.0 * expected
 
@@ -69,35 +75,118 @@ class TestAgainstScipy:
         brentq = pytest.importorskip("scipy.optimize").brentq
         for margin, inside, outside in _random_brackets(150):
             for a, b in ((inside, outside), (outside, inside)):
-                got = _brent(margin, a, b, margin(a), margin(b), xtol)
+                # the refiner takes the passing end first; Brent's steps are
+                # symmetric under negating f, so a failing first end refines -f
+                sign = 1.0 if a == inside else -1.0
+                got = refine(lambda p: sign * margin(p), a, b, xtol)
                 assert got == brentq(margin, a, b, xtol=xtol)
 
     def test_refine_edge(self):
         brentq = pytest.importorskip("scipy.optimize").brentq
         for margin, inside, outside in _random_brackets(50, seed=3):
             expected = brentq(margin, inside, outside, xtol=1e-9)
-            assert _refine_edge(margin, inside, outside) == expected
+            assert refine(margin, inside, outside) == expected
+
+
+def _batch_margin():
+    """One array margin with crossings of every kind: below 2 the
+    worst-subcarrier margin of the narrowband N=16 codebook under squint
+    (16 gaps), from 2 on the line ``3 - p``, which is exactly 0 at 3."""
+    book = design_no_squint(16, 1.0)
+    xis, level = BandSpec(0.0342).xi_grid(65), GainThreshold().absolute(16)
+
+    def margin(p):
+        p = np.asarray(p, dtype=float)
+        return np.where(p < 2.0, worst_subcarrier_gain(p, book.foci, xis, 16) - level, 3.0 - p)
+
+    return margin
+
+
+def _mixed_batch(margin, seed=0):
+    """(passing, failing) pairs of every kind, shuffled: random kernel
+    brackets with the passing end on either side, zeros at either end,
+    pairs with no sign change, and brackets narrower than 1e-12."""
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(-1.0, 1.0, 4000)
+    ends = starts + rng.choice([-1.0, 1.0], 4000) * rng.uniform(1e-6, 2e-2, 4000)
+    fs, fe = margin(starts), margin(ends)
+    brackets = [(a, b) for a, b, f, g in zip(starts, ends, fs, fe) if f > 0.0 > g][:60]
+    assert {a < b for a, b in brackets} == {True, False}
+    flat = [(a, b) for a, b, f, g in zip(starts, ends, fs, fe) if (f > 0.0) == (g > 0.0)][:10]
+    # bisect a few brackets down to ulps, then widen them to 4e-13
+    a, b = np.array(brackets[:8]).T
+    for _ in range(45):
+        mid = 0.5 * (a + b)
+        passing = margin(mid) > 0.0
+        a, b = np.where(passing, mid, a), np.where(passing, b, mid)
+    d = np.sign(b - a) * 2e-13
+    narrow = [(x, y) for x, y in zip(a - d, b + d) if margin(x) > 0.0 > margin(y)]
+    assert len(narrow) >= 4
+    narrow.append((3.0 - 2e-13, 3.0 + 2e-13))
+    zeros = [(3.0, 3.5), (2.5, 3.0), (3.0, 2.5)]
+    pairs = brackets + flat + narrow + zeros + [(0.5, 0.5)]
+    return [pairs[k] for k in rng.permutation(len(pairs))]
+
+
+class TestBatchedRefiner:
+    @pytest.mark.parametrize("xtol", [1e-9, 1e-12])
+    def test_mixed_batch_matches_brentq_and_single_pairs(self, xtol):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        margin = _batch_margin()
+        pairs = _mixed_batch(margin)
+        calls = []
+        roots = _refine_edges(lambda p: calls.append(len(p)) or margin(p), pairs, xtol)
+        assert len(roots) == len(pairs)
+        assert calls[0] == 2 * (len(pairs) - 1)  # both ends of every pair but (0.5, 0.5), once
+        rounds = []
+        for (inside, outside), root in zip(pairs, roots):
+            alone = []
+            assert [root] == _refine_edges(
+                lambda p: alone.append(len(p)) or margin(p), [(inside, outside)], xtol
+            )
+            rounds.append(len(alone))
+            f_in, f_out = margin([inside, outside])
+            if f_in >= 0.0 >= f_out:
+                assert root == brentq(lambda p: float(margin(p)), inside, outside, xtol=xtol)
+            else:  # no sign change keeps the passing point
+                assert root == inside
+        # in lockstep the batch takes as many margin calls as its slowest edge
+        assert len(calls) == max(rounds) > 1
+
+    def test_narrow_bracket_returns_without_a_round(self):
+        calls = []
+        margin = lambda p: calls.append(len(p)) or 3.0 - np.asarray(p)  # noqa: E731
+        assert _refine_edges(margin, [(3.0 - 2e-13, 3.0 + 2e-13)]) == [3.0 + 2e-13]
+        assert calls == [2]
+
+    def test_empty_batch_makes_no_margin_call(self):
+        def margin(p):
+            raise AssertionError("margin called")
+
+        assert _refine_edges(margin, []) == []
+        # nor does a batch of pairs (x, x), which return x as they are
+        assert _refine_edges(margin, [(0.5, 0.5), (-1.0, -1.0)]) == [0.5, -1.0]
 
 
 class TestRefiner:
     def test_root_within_tolerance(self):
         for margin, inside, outside in _random_brackets(50, seed=5):
-            root = _refine_edge(margin, inside, outside)
+            root = refine(margin, inside, outside)
             assert min(inside, outside) <= root <= max(inside, outside)
             # a sign change within 1e-9 of the returned root
             step = math.copysign(1e-9, outside - inside)
             assert margin(root - step) >= 0.0 or margin(root + step) <= 0.0
 
     def test_no_sign_change_keeps_passing_point(self):
-        assert _refine_edge(lambda p: 1.0, 0.1, 0.2) == 0.1
-        assert _refine_edge(lambda p: -1.0, 0.1, 0.2) == 0.1
+        assert refine(lambda p: 1.0, 0.1, 0.2) == 0.1
+        assert refine(lambda p: -1.0, 0.1, 0.2) == 0.1
 
     def test_exact_zero_at_an_end(self):
-        assert _refine_edge(lambda p: p - 0.1, 0.1, 0.0) == 0.1
-        assert _refine_edge(lambda p: 0.2 - p, 0.1, 0.2) == 0.2
+        assert refine(lambda p: p - 0.1, 0.1, 0.0) == 0.1
+        assert refine(lambda p: 0.2 - p, 0.1, 0.2) == 0.2
 
     def test_linear_root(self):
-        root = _refine_edge(lambda p: 0.3 - p, 0.0, 1.0, xtol=1e-14)
+        root = refine(lambda p: 0.3 - p, 0.0, 1.0, xtol=1e-14)
         assert root == pytest.approx(0.3, abs=1e-14)
 
 

@@ -249,8 +249,9 @@ class TestNumericCoverage:
             numeric_coverage(0.0, BAND, 16, psi_step=0.0)
         with pytest.raises(ValueError):
             numeric_coverage(0.0, BAND, 16, xi_points=1)
-        # a step as wide as the scan window would leave fewer than 3 points
-        for step in (10.0, 1e300, math.inf, math.nan, -1e-4):
+        # a step as wide as the scan window would leave fewer than 3 points,
+        # and one this fine more than the grid-size cap
+        for step in (10.0, 1e300, math.inf, math.nan, -1e-4, 1e-300, 5e-324, 1e-8):
             with pytest.raises(ValueError, match="psi_step"):
                 numeric_coverage(0.3, BandSpec(0.0342), 16, psi_step=step)
 

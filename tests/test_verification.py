@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beamsquint import array_model
+from beamsquint import array_model, squint, verification
 from beamsquint.array_model import ArrayGeometry, gain_kernel_magnitude, worst_subcarrier_gain
 from beamsquint.codebook import (
     Codebook,
@@ -16,7 +16,7 @@ from beamsquint.codebook import (
 from beamsquint.squint import (
     BandSpec,
     GainThreshold,
-    _refine_edge,
+    _refine_edges,
     half_power_beamwidth,
     numeric_coverage,
     squinted_coverage,
@@ -253,7 +253,9 @@ def test_matches_per_beam_loop_reference(n, b):
     assert report.worst_xi == float(xis[int(np.argmin(winner))])
 
     def crossing(inside, outside):
-        return _refine_edge(lambda p: quality(p) - pass_level, inside, outside)
+        margin = np.vectorize(lambda p: quality(p) - pass_level, otypes=[float])
+        (root,) = _refine_edges(margin, [(inside, outside)])
+        return root
 
     grid = np.linspace(-1.0, 1.0, 1001)
     failing = [quality(p) < pass_level for p in grid]
@@ -272,6 +274,53 @@ def test_matches_per_beam_loop_reference(n, b):
         i = j + 1
     assert gaps
     assert [(g.lo, g.hi) for g in report.gaps] == gaps
+
+
+@pytest.fixture
+def primitive_calls(monkeypatch):
+    """Angles per worst_subcarrier_gain call made by verification and squint."""
+    calls = []
+
+    def counting(psi, *args, **kwargs):
+        calls.append(np.size(psi))
+        return worst_subcarrier_gain(psi, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "worst_subcarrier_gain", counting)
+    monkeypatch.setattr(squint, "worst_subcarrier_gain", counting)
+    return calls
+
+
+class TestRefinementCalls:
+    """Every edge is refined in lockstep, so the primitive calls of one
+    refinement follow the Brent rounds of its slowest edge, not the number
+    of edges (one call per edge and step before)."""
+
+    def _refinement_calls(self, monkeypatch, calls, book):
+        spans = []
+
+        def failure_gaps(grid, failing, margin):
+            start = len(calls)
+            gaps = _failure_gaps(grid, failing, margin)
+            spans.append(len(calls) - start)
+            return gaps
+
+        monkeypatch.setattr(verification, "_failure_gaps", failure_gaps)
+        return verify_codebook(book), spans[0]
+
+    def test_gap_refinement_does_not_grow_with_gaps(self, monkeypatch, primitive_calls, book16):
+        narrowband = dataclasses.replace(design_no_squint(64, 1.0), band=BandSpec(0.0179))
+        report, calls = self._refinement_calls(monkeypatch, primitive_calls, narrowband)
+        assert len(report.gaps) == 68
+        assert calls <= 10  # 680 when each edge called it once per Brent step
+        report, calls = self._refinement_calls(monkeypatch, primitive_calls, book16)
+        assert report.passed
+        assert calls == 0
+
+    def test_numeric_coverage_refines_both_edges_together(self, primitive_calls, book16):
+        for beam in book16.beams[::5]:
+            primitive_calls.clear()
+            assert numeric_coverage(beam.psi0, BAND, 16) is not None
+            assert len(primitive_calls) <= 8  # 11 with one edge after the other
 
 
 def _peak_bytes(fn) -> int:
