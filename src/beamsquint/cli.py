@@ -82,6 +82,10 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 # ---------------------------------------------------------------- pattern
 
 
+# one pattern row as json.dumps(rows, indent=2) writes it
+_JSON_ROW = '  {\n    "psi": %r,\n    "theta_deg": %r,\n    "xi": %r,\n    "gain_abs": %r,\n    "gain_db": %r\n  }'
+
+
 def _cmd_pattern(args) -> int:
     geom = ArrayGeometry(args.antennas, args.spacing_ratio)
     if (args.psi0 is None) == (args.theta0_deg is None):
@@ -109,30 +113,19 @@ def _cmd_pattern(args) -> int:
     # rounded so that decimal steps land on exact decimal grid points
     grid = np.round(np.linspace(-1.0, 1.0, steps + 1), 12)
     weights = fine_beam_weights(geom, psi0)
-
+    psis = grid.tolist()
+    thetas = [math.degrees(math.asin(psi)) for psi in psis]
+    # %r writes a float as json.dumps and str do
+    row = "%r,%r,%r,%r,%r" if args.format == "csv" else _JSON_ROW
     rows = []
-    for xi in xis:
-        mag = np.abs(array_gain_sum(weights, geom, grid, xi))
-        for psi, m in zip(grid, mag):
-            rows.append(
-                {
-                    "psi": float(psi),
-                    "theta_deg": math.degrees(math.asin(float(psi))),
-                    "xi": float(xi),
-                    "gain_abs": float(m),
-                    "gain_db": 20.0 * math.log10(max(float(m), 1e-15)),
-                }
-            )
+    for xi in map(float, xis):
+        mags = np.abs(array_gain_sum(weights, geom, grid, xi)).tolist()
+        rows += [row % (psi, theta, xi, m, 20.0 * math.log10(max(m, 1e-15))) for psi, theta, m in zip(psis, thetas, mags)]
 
     if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
+        _emit("[\n%s\n]\n" % ",\n".join(rows), args.out)
     else:
-        lines = ["psi,theta_deg,xi,gain_abs,gain_db"]
-        lines += [
-            f"{r['psi']},{r['theta_deg']},{r['xi']},{r['gain_abs']},{r['gain_db']}"
-            for r in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("psi,theta_deg,xi,gain_abs,gain_db\n%s\n" % "\n".join(rows), args.out)
     return _EXIT_OK
 
 

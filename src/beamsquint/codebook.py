@@ -63,7 +63,7 @@ def _is_number(value) -> bool:
 class Beam:
     """One codebook entry: position, focus angle and analytic coverage,
     all derived from the codebook's foci. Its phases are
-    ``fine_beam_weights(geometry, psi0)``, derived when needed."""
+    ``fine_beam_weights(ArrayGeometry(N), psi0)``, derived when needed."""
 
     index: int
     psi0: float
@@ -80,23 +80,23 @@ class Beam:
 
 @dataclass(frozen=True, slots=True)
 class Codebook:
-    """Ascending beam foci, jointly covering [-psi_m, psi_m]. A beam is its
-    focus: its index and analytic coverage follow from the foci, N and b."""
+    """Ascending beam foci, jointly covering [-psi_m, psi_m], for the
+    half-wavelength ULA of ``n_antennas`` elements. A beam is its focus: its
+    index and analytic coverage follow from the foci, N and b."""
 
     foci: tuple[float, ...]
     psi_m: float
     band: BandSpec
-    geometry: ArrayGeometry
+    n_antennas: int
     threshold: GainThreshold
+
+    def __post_init__(self) -> None:
+        _check_n(self.n_antennas)
 
     @property
     def beams(self) -> tuple[Beam, ...]:
         n = self.n_antennas
         return tuple(Beam(i, f, squinted_coverage(f, self.band, n)) for i, f in enumerate(self.foci))
-
-    @property
-    def n_antennas(self) -> int:
-        return self.geometry.n_antennas
 
     @property
     def size(self) -> int:
@@ -127,9 +127,10 @@ class Codebook:
         return gaps
 
     def to_dict(self) -> dict:
+        geom = ArrayGeometry(self.n_antennas)
         return {
             "n_antennas": self.n_antennas,
-            "spacing_ratio": self.geometry.spacing_ratio,
+            "spacing_ratio": geom.spacing_ratio,
             "fractional_bandwidth": self.band.fractional_bandwidth,
             "psi_m": self.psi_m,
             "threshold_ratio": self.threshold.ratio_to_max,
@@ -140,7 +141,7 @@ class Codebook:
                     "index": beam.index,
                     "psi0": beam.psi0,
                     "theta0_deg": beam.theta0_deg,
-                    "phases_rad": [float(p) for p in fine_beam_weights(self.geometry, beam.psi0)],
+                    "phases_rad": [float(p) for p in fine_beam_weights(geom, beam.psi0)],
                     "coverage": {"lo": beam.coverage.lo, "hi": beam.coverage.hi},
                 }
                 for beam in self.beams
@@ -245,7 +246,7 @@ class Codebook:
             foci=tuple(foci),
             psi_m=float(psi_m),
             band=BandSpec(float(b)),
-            geometry=geom,
+            n_antennas=n,
             threshold=GainThreshold(float(ratio)),
         )
 
@@ -335,7 +336,7 @@ def design_no_squint(n_antennas: int, psi_m: float) -> Codebook:
     n = _check_n(n_antennas)
     psi_m = _check_psi_m(psi_m)
     band = BandSpec(0.0)
-    return Codebook(_plan(n, band, psi_m), psi_m, band, ArrayGeometry(n, 0.5), GainThreshold())
+    return Codebook(_plan(n, band, psi_m), psi_m, band, n, GainThreshold())
 
 
 def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> tuple[float, ...] | None:
@@ -405,4 +406,4 @@ def design_with_squint(n_antennas: int, band: BandSpec, psi_m: float) -> DesignO
     plan = _plan(n, band, psi_m)
     if isinstance(plan, Infeasibility):
         return DesignOutcome(infeasibility=plan)
-    return DesignOutcome(codebook=Codebook(plan, psi_m, band, ArrayGeometry(n, 0.5), GainThreshold()))
+    return DesignOutcome(codebook=Codebook(plan, psi_m, band, n, GainThreshold()))

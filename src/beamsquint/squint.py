@@ -46,19 +46,15 @@ class BandSpec:
     """Band geometry as fractional bandwidth ``b = B / f_c``.
 
     Subcarrier frequencies span ``xi in [1 - b/2, 1 + b/2]`` relative to the
-    carrier. ``carrier_freq_hz`` is optional, for reporting only.
+    carrier.
     """
 
     fractional_bandwidth: float
-    carrier_freq_hz: float | None = None
 
     def __post_init__(self) -> None:
         b = self.fractional_bandwidth
         if not (math.isfinite(b) and 0.0 <= b < 2.0):
             raise ValueError(f"fractional_bandwidth must satisfy 0 <= b < 2, got {b!r}")
-        fc = self.carrier_freq_hz
-        if fc is not None and not (math.isfinite(fc) and fc > 0):
-            raise ValueError(f"carrier_freq_hz must be positive, got {fc!r}")
 
     @classmethod
     def from_carrier(cls, carrier_freq_hz: float, bandwidth_hz: float) -> "BandSpec":
@@ -67,7 +63,7 @@ class BandSpec:
             raise ValueError(f"carrier frequency must be positive, got {carrier_freq_hz!r}")
         if not (math.isfinite(bandwidth_hz) and bandwidth_hz >= 0):
             raise ValueError(f"bandwidth must be non-negative, got {bandwidth_hz!r}")
-        return cls(bandwidth_hz / carrier_freq_hz, carrier_freq_hz)
+        return cls(bandwidth_hz / carrier_freq_hz)
 
     @property
     def xi_min(self) -> float:
@@ -279,23 +275,32 @@ def numeric_coverage(
     peak = int(np.argmax(q))
     if q[peak] < floor:
         return None
-    # the maximal run of passing points that contains the peak
-    left, right = next((i, j) for i, j in _runs(q >= floor) if i <= peak <= j)
+    # fail every point outside the maximal passing run that holds the peak:
+    # a failing point, or one with a failing point between it and the peak
+    below = q < floor
+    count = np.cumsum(below)
+    failing = below | (count != count[peak])
 
     def margin(psi_c: np.ndarray) -> np.ndarray:
         return worst_subcarrier_gain(psi_c, psi0s, xis, n) - floor
 
-    # both edges refined together; a window end pairs with itself and stays
-    pairs = [(grid[left], grid[max(left - 1, 0)]), (grid[right], grid[min(right + 1, len(grid) - 1)])]
-    lo_edge, hi_edge = _refine_edges(margin, pairs)
-    return CoverageInterval(lo_edge, hi_edge)
+    # the coverage ends where the gaps on either side begin, or at the window ends
+    gaps = _failure_gaps(grid, failing, margin)
+    lo = gaps[0].hi if failing[0] else float(grid[0])
+    hi = gaps[-1].lo if failing[-1] else float(grid[-1])
+    return CoverageInterval(lo, hi)
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """(first, last) index of every run of True in a 1-D boolean array."""
-    flips = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+def _failure_gaps(grid, failing, margin) -> list[CoverageInterval]:
+    """Merge failing grid points into intervals, refining all their edges
+    in one batch; an edge at a grid end pairs with itself and stays."""
+    last = len(grid) - 1
     # a run starts where the mask turns on and ends one point before it turns off
-    return list(zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1))
+    flips = np.diff(np.concatenate(([0], failing.astype(np.int8), [0])))
+    starts, ends = np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1
+    lows = [(grid[max(i - 1, 0)], grid[i]) for i in starts]
+    edges = _refine_edges(margin, lows + [(grid[min(j + 1, last)], grid[j]) for j in ends])
+    return [CoverageInterval(lo, hi) for lo, hi in zip(edges[: len(starts)], edges[len(starts) :])]
 
 
 def _refine_edges(margin, pairs, xtol: float = 1e-9) -> list[float]:

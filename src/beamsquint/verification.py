@@ -16,7 +16,7 @@ import numpy as np
 
 from .array_model import gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, Infeasibility, _plan, max_antennas, max_fractional_bandwidth
-from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _refine_edges, _runs
+from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps
 
 __all__ = [
     "CoverageReport",
@@ -164,16 +164,6 @@ def _windowed_worst_gain(grid, psi0s, xis, n):
     low = best <= sidelobe
     best[low] = worst_subcarrier_gain(grid[low], psi0s, xis, n)
     return best
-
-
-def _failure_gaps(grid, failing, margin) -> list[CoverageInterval]:
-    """Merge failing grid points into intervals, refining all their edges
-    in one batch; an edge at a grid end pairs with itself and stays."""
-    last = len(grid) - 1
-    runs = _runs(failing)
-    lows = [(grid[max(i - 1, 0)], grid[i]) for i, _ in runs]
-    edges = _refine_edges(margin, lows + [(grid[min(j + 1, last)], grid[j]) for _, j in runs])
-    return [CoverageInterval(lo, hi) for lo, hi in zip(edges[: len(runs)], edges[len(runs) :])]
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -290,6 +291,21 @@ class TestPatternCommand:
         peak = next(r for r in rows if r["psi"] == 0.0)
         assert peak["gain_abs"] == 2.0
         assert peak["gain_db"] == pytest.approx(20 * math.log10(2), abs=1e-12)
+
+    def test_memory_is_a_few_times_the_output(self, tmp_path):
+        # with a dict per grid point and subcarrier the peak was 8 to 9 times the output
+        out = tmp_path / "pattern"
+        for fmt in ("csv", "json"):
+            tracemalloc.start()
+            try:
+                assert run_cli(
+                    "pattern", "--antennas", "8", "--psi0", "0", "--xi", "0.98", "1", "1.02",
+                    "--psi-step", "2e-4", "--format", fmt, "--out", str(out),
+                ) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * out.stat().st_size, fmt
 
 
 class TestSweepCommands:

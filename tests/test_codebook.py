@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamsquint.array_model import ArrayGeometry
 from beamsquint.codebook import (
     Beam,
     Codebook,
@@ -18,7 +17,7 @@ from beamsquint.codebook import (
     max_fractional_bandwidth,
     min_size_no_squint,
 )
-from beamsquint.squint import BandSpec, CoverageInterval, half_power_beamwidth, squinted_coverage
+from beamsquint.squint import BandSpec, CoverageInterval, GainThreshold, half_power_beamwidth, squinted_coverage
 
 from recurrence_oracle import oracle_min_size, oracle_sizes
 
@@ -223,6 +222,19 @@ class TestSerialization:
         phases = [[beam["phases_rad"] for beam in c.to_dict()["beams"]] for c in (clone, book)]
         assert phases[0] == phases[1]
 
+    def test_round_trip_is_equal(self):
+        # a band from a carrier is the band from b: nothing else is stored
+        designed = design_with_squint(16, BandSpec.from_carrier(73e9, 2.5e9), 1.0).codebook
+        assert designed == design_with_squint(16, BandSpec(2.5e9 / 73e9), 1.0).codebook
+        direct = Codebook((-0.5, 0.1, 0.6), 0.8, BAND, 12, GainThreshold(0.3))
+        for book in (designed, direct):
+            assert Codebook.from_json(book.to_json()) == book
+
+    def test_array_size_checked(self):
+        for n in (1, 2.5):
+            with pytest.raises(ValueError, match="n_antennas"):
+                Codebook((0.0,), 1.0, BAND, n, GainThreshold())
+
     def test_schema_key_order_and_fields(self):
         doc = design_no_squint(16, 1.0).to_dict()
         assert list(doc) == [
@@ -350,14 +362,13 @@ class TestSerialization:
             Codebook.from_json("[" * 100_000 + "]" * 100_000)
 
     def test_unphysical_focus_serializes_as_null(self):
-        geom = ArrayGeometry(16, 0.5)
         beam = Beam(0, 1.05, CoverageInterval(0.9, 1.1))
         assert beam.theta0_deg is None
         book = Codebook(
             foci=(beam.psi0,),
             psi_m=1.0,
             band=BAND,
-            geometry=geom,
+            n_antennas=16,
             threshold=design_no_squint(16, 1.0).threshold,
         )
         doc = json.loads(book.to_json())

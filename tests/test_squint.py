@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamsquint.array_model import gain_kernel_magnitude
+from beamsquint.array_model import _check_n, gain_kernel_magnitude, worst_subcarrier_gain
 from beamsquint.squint import (
+    _MAX_GRID_POINTS,
     BandSpec,
     CoverageInterval,
     GainThreshold,
+    _refine_edges,
     effective_beamwidth,
     exact_half_power_beamwidth,
     focus_from_left_edge,
@@ -25,7 +27,9 @@ class TestBandSpec:
     def test_from_carrier_exact_division(self):
         band = BandSpec.from_carrier(73e9, 2.5e9)
         assert band.fractional_bandwidth == 2.5e9 / 73e9
-        assert band.carrier_freq_hz == 73e9
+
+    def test_from_carrier_is_the_band_from_b(self):
+        assert BandSpec.from_carrier(73e9, 2.5e9) == BandSpec(2.5e9 / 73e9)
 
     def test_xi_range(self):
         assert BAND.xi_min == 1 - 0.0171
@@ -254,6 +258,87 @@ class TestNumericCoverage:
         for step in (10.0, 1e300, math.inf, math.nan, -1e-4, 1e-300, 5e-324, 1e-8):
             with pytest.raises(ValueError, match="psi_step"):
                 numeric_coverage(0.3, BandSpec(0.0342), 16, psi_step=step)
+
+
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(first, last) index of every run of True in a 1-D boolean array."""
+    flips = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    # a run starts where the mask turns on and ends one point before it turns off
+    return list(zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1))
+
+
+def reference_numeric_coverage(
+    psi0: float,
+    band: BandSpec,
+    n_antennas: int,
+    threshold: GainThreshold | None = None,
+    psi_step: float = 1e-4,
+    xi_points: int = 65,
+) -> CoverageInterval | None:
+    """The coverage oracle that searches the passing runs for the peak's
+    and refines that run's two edges, kept verbatim as the reference for
+    the one that takes its edges from the gap finder."""
+    n = _check_n(n_antennas)
+    if not math.isfinite(psi0):
+        raise ValueError(f"psi0 must be finite, got {psi0!r}")
+    thr = threshold if threshold is not None else GainThreshold()
+    xis = band.xi_grid(xi_points)
+    floor = thr.absolute(n)
+
+    # Search window: the main lobe spans |xi*psi_c - psi0| < 2/N (first
+    # nulls); take the union of that over the band-edge ratios.
+    lobe = 2.0 / n
+    lo_w = min((psi0 - lobe) / band.xi_min, (psi0 - lobe) / band.xi_max)
+    hi_w = max((psi0 + lobe) / band.xi_min, (psi0 + lobe) / band.xi_max)
+    # also rejects NaN and inf; a step below the window width leaves at least 3 grid points
+    width = hi_w - lo_w
+    if not (psi_step > 0 and 1 < width / psi_step <= _MAX_GRID_POINTS - 1):
+        raise ValueError(f"psi_step must lie in (0, {width!r}), the scan window's width (at most {_MAX_GRID_POINTS} points), got {psi_step!r}")
+    n_pts = int(math.ceil(width / psi_step))
+    grid = np.linspace(lo_w, hi_w, n_pts + 1)
+
+    psi0s = np.array([psi0])
+    q = worst_subcarrier_gain(grid, psi0s, xis, n)
+    peak = int(np.argmax(q))
+    if q[peak] < floor:
+        return None
+    # the maximal run of passing points that contains the peak
+    left, right = next((i, j) for i, j in _runs(q >= floor) if i <= peak <= j)
+
+    def margin(psi_c: np.ndarray) -> np.ndarray:
+        return worst_subcarrier_gain(psi_c, psi0s, xis, n) - floor
+
+    # both edges refined together; a window end pairs with itself and stays
+    pairs = [(grid[left], grid[max(left - 1, 0)]), (grid[right], grid[min(right + 1, len(grid) - 1)])]
+    lo_edge, hi_edge = _refine_edges(margin, pairs)
+    return CoverageInterval(lo_edge, hi_edge)
+
+
+# Wide bands at low thresholds: the scan window holds several passing runs
+# (54, 38, 31 and 16 for these four at the default step), of which only
+# the peak's is the coverage.
+_RNG = np.random.default_rng(10)
+MULTI_RUN_CASES = [(5, 0.9222, 0.553, 0.0111), (9, 1.2307, 0.6356, 0.0132),
+                   (30, 0.5135, 0.4019, 0.0112), (39, 0.9655, -0.3533, 0.01)] + [
+    # N, then b, psi0 and ratio to four decimals
+    (int(_RNG.integers(3, 41)), *np.round(_RNG.uniform((0.3, -0.8, 0.01), (1.5, 0.8, 0.02)), 4).tolist())
+    for _ in range(16)
+]
+
+
+@pytest.mark.parametrize("n, b, psi0, ratio", MULTI_RUN_CASES)
+def test_numeric_coverage_refines_only_the_peak_run(primitive_calls, n, b, psi0, ratio):
+    thr = GainThreshold(ratio)
+    expected = reference_numeric_coverage(psi0, BandSpec(b), n, thr)
+    primitive_calls.clear()
+    cov = numeric_coverage(psi0, BandSpec(b), n, thr)
+    if expected is None:
+        assert cov is None
+        return
+    assert (type(cov.lo), type(cov.hi)) == (float, float)
+    assert (cov.lo.hex(), cov.hi.hex()) == (expected.lo.hex(), expected.hi.hex())
+    # the grid scan, then at most both ends of the two edges per refinement call
+    assert max(primitive_calls[1:], default=0) <= 4
 
 
 def test_coverage_interval_helpers():

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beamsquint import array_model, squint, verification
-from beamsquint.array_model import ArrayGeometry, gain_kernel_magnitude, worst_subcarrier_gain
+from beamsquint import array_model, verification
+from beamsquint.array_model import gain_kernel_magnitude, worst_subcarrier_gain
 from beamsquint.codebook import (
     Codebook,
     design_no_squint,
@@ -276,20 +276,6 @@ def test_matches_per_beam_loop_reference(n, b):
     assert [(g.lo, g.hi) for g in report.gaps] == gaps
 
 
-@pytest.fixture
-def primitive_calls(monkeypatch):
-    """Angles per worst_subcarrier_gain call made by verification and squint."""
-    calls = []
-
-    def counting(psi, *args, **kwargs):
-        calls.append(np.size(psi))
-        return worst_subcarrier_gain(psi, *args, **kwargs)
-
-    monkeypatch.setattr(verification, "worst_subcarrier_gain", counting)
-    monkeypatch.setattr(squint, "worst_subcarrier_gain", counting)
-    return calls
-
-
 class TestRefinementCalls:
     """Every edge is refined in lockstep, so the primitive calls of one
     refinement follow the Brent rounds of its slowest edge, not the number
@@ -411,7 +397,7 @@ def reference_verify_codebook(
 
 def _book(n, b, psi_m, foci, threshold=GainThreshold()):
     # built directly, so foci may lie anywhere (from_dict caps them at 1.5)
-    return Codebook(tuple(float(f) for f in sorted(foci)), psi_m, BandSpec(b), ArrayGeometry(n), threshold)
+    return Codebook(tuple(float(f) for f in sorted(foci)), psi_m, BandSpec(b), n, threshold)
 
 
 class TestWindowedSweepIsExact:
