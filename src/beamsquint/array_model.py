@@ -3,15 +3,18 @@
 Steering vectors, fine-beam phase shifts, the array gain by direct
 summation, and the closed-form Dirichlet-style gain kernel for
 half-wavelength element spacing. All functions are pure and safe to call
-concurrently.
+concurrently. numpy is imported inside the functions that build arrays,
+so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ArrayGeometry",
@@ -75,6 +78,7 @@ def _check_n(n_antennas: int) -> int:
 
 
 def _check_psi(psi) -> None:
+    import numpy as np
     # also rejects NaN, which fails every comparison
     if not np.all(np.abs(psi) <= 1.0 + _PSI_TOL):
         raise ValueError(f"psi must be a sine value in [-1, 1], got {psi!r}")
@@ -92,6 +96,7 @@ def steering_vector(geom: ArrayGeometry, psi: float, xi: float = 1.0) -> np.ndar
     ``2*pi*xi*spacing_ratio*(n-1)*psi``, wavelength referenced to the
     carrier; ``xi`` is the evaluated frequency divided by the carrier.
     """
+    import numpy as np
     _check_psi(psi)
     _check_xi(xi)
     k = np.arange(geom.n_antennas)
@@ -107,9 +112,18 @@ def fine_beam_weights(geom: ArrayGeometry, psi0: float) -> np.ndarray:
     squint-compensated codebook can have a nominal focus marginally outside
     the visible region, and the phase recipe stays well-defined there.
     """
+    import numpy as np
+    return np.array(_fine_phases(geom, psi0))
+
+
+def _fine_phases(geom: ArrayGeometry, psi0: float) -> list[float]:
+    """:func:`fine_beam_weights` as a list, without numpy: element k's phase
+    is ``2*pi*spacing_ratio*psi0`` times k, the IEEE multiply that numpy's
+    array product makes (so -0.0 at k = 0 for a negative focus)."""
     if not math.isfinite(psi0):
         raise ValueError(f"psi0 must be finite, got {psi0!r}")
-    return 2.0 * math.pi * geom.spacing_ratio * psi0 * np.arange(geom.n_antennas)
+    step = 2.0 * math.pi * geom.spacing_ratio * psi0
+    return [step * k for k in range(geom.n_antennas)]
 
 
 def array_gain_sum(weights: np.ndarray, geom: ArrayGeometry, psi, xi: float = 1.0):
@@ -120,6 +134,7 @@ def array_gain_sum(weights: np.ndarray, geom: ArrayGeometry, psi, xi: float = 1.
     only fine beams. Scalar ``psi`` in, complex out; an ndarray of angles
     in, a complex ndarray of the same shape out.
     """
+    import numpy as np
     w = np.asarray(weights, dtype=float)
     if w.shape != (geom.n_antennas,):
         raise ValueError(
@@ -142,6 +157,7 @@ def _kernel_factor(x: np.ndarray, n: int) -> np.ndarray:
     kernel, as a fresh array for an ndarray ``x`` of at least one
     dimension; the removable singularities at ``x = 2k`` return their
     limit instead of dividing by ~0."""
+    import numpy as np
     half = 0.5 * math.pi * x
     ratio = n * half
     np.sin(ratio, out=ratio)
@@ -170,6 +186,7 @@ def gain_kernel(x, n_antennas: int):
 
     Accepts a scalar or an ndarray; returns complex of matching shape.
     """
+    import numpy as np
     n = _check_n(n_antennas)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = _kernel_factor(arr, n) * np.exp(1j * (n - 1) * (0.5 * math.pi * arr))
@@ -184,6 +201,7 @@ def gain_kernel_magnitude(x, n_antennas: int):
     Same singularity handling as :func:`gain_kernel`. Scalar in, float out;
     ndarray in, ndarray out.
     """
+    import numpy as np
     n = _check_n(n_antennas)
     mag = _kernel_factor(np.atleast_1d(np.asarray(x, dtype=float)), n)
     np.abs(mag, out=mag)
@@ -218,6 +236,7 @@ def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int, *, floor: float = -m
     evaluated on every subcarrier, and after it only the pairs whose
     ``U`` still exceeds both the best exact value and ``floor``.
     """
+    import numpy as np
     angles = np.asarray(psi, dtype=float)
     offsets = np.asarray(psi0s, dtype=float).reshape(-1)
     xis = np.asarray(xis, dtype=float)
@@ -233,6 +252,7 @@ def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int, *, floor: float = -m
 
 
 def _worst_gain_chunk(angles, offsets, xis, probe, n, floor):
+    import numpy as np
     x = angles[:, None, None] * xis[probe] - offsets[:, None]  # angles x beams x probe
     g = gain_kernel_magnitude(x, n)
     if len(xis) < 5:
@@ -254,6 +274,7 @@ def _worst_gain_chunk(angles, offsets, xis, probe, n, floor):
 
 def _pair_mins(angles, offsets, xis, n, rows, beams):
     """Min over all subcarriers of each (angles[rows], offsets[beams]) pair."""
+    import numpy as np
     out = np.empty(len(rows))
     step = max(1, _GAIN_CHUNK // len(xis))
     for i in range(0, len(rows), step):

@@ -17,8 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .array_model import ArrayGeometry, array_gain_sum, fine_beam_weights
 from .codebook import (
     Codebook,
@@ -87,6 +85,7 @@ _JSON_ROW = '  {\n    "psi": %r,\n    "theta_deg": %r,\n    "xi": %r,\n    "gain
 
 
 def _cmd_pattern(args) -> int:
+    import numpy as np
     geom = ArrayGeometry(args.antennas, args.spacing_ratio)
     if (args.psi0 is None) == (args.theta0_deg is None):
         raise ValueError("give exactly one of --psi0 or --theta0-deg")
@@ -199,7 +198,17 @@ def _b_grid_from_args(args) -> list[float]:
     # also rejects NaN and an infinite --b-max, which linspace would turn into NaN
     if not 0.0 <= args.b_min <= args.b_max < math.inf:
         raise ValueError(f"need 0 <= --b-min <= --b-max < inf, got {args.b_min} and {args.b_max}")
-    return [float(v) for v in np.linspace(args.b_min, args.b_max, args.b_points)]
+    return _linspace(args.b_min, args.b_max, args.b_points)
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num).tolist()`` for num >= 2, bit for bit:
+    numpy's rule, including its zero-step branch for subnormal steps."""
+    div, delta = num - 1, stop - start
+    step = delta / div
+    grid = [i / div * delta + start if step == 0 else i * step + start for i in range(num)]
+    grid[-1] = stop
+    return grid
 
 
 def _cmd_sweep_b(args) -> int:

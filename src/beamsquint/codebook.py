@@ -12,9 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .array_model import ArrayGeometry, _check_n, fine_beam_weights
+from .array_model import ArrayGeometry, _check_n, _fine_phases
 from .squint import (
     HALF_POWER_CONSTANT,
     BandSpec,
@@ -91,7 +89,7 @@ class Codebook:
     threshold: GainThreshold
 
     def __post_init__(self) -> None:
-        _check_n(self.n_antennas)
+        object.__setattr__(self, "n_antennas", _check_n(self.n_antennas))
 
     @property
     def beams(self) -> tuple[Beam, ...]:
@@ -141,7 +139,7 @@ class Codebook:
                     "index": beam.index,
                     "psi0": beam.psi0,
                     "theta0_deg": beam.theta0_deg,
-                    "phases_rad": [float(p) for p in fine_beam_weights(geom, beam.psi0)],
+                    "phases_rad": _fine_phases(geom, beam.psi0),
                     "coverage": {"lo": beam.coverage.lo, "hi": beam.coverage.hi},
                 }
                 for beam in self.beams
@@ -225,8 +223,7 @@ class Codebook:
                 )
             if not all(_is_number(p) for p in phases):
                 raise CodebookFormatError(f"beam {pos} phases_rad must be numbers")
-            expected = fine_beam_weights(geom, psi0)
-            if np.max(np.abs(np.asarray(phases, dtype=float) - expected)) > 1e-9:
+            if max(abs(float(p) - e) for p, e in zip(phases, _fine_phases(geom, psi0))) > 1e-9:
                 raise CodebookFormatError(
                     f"beam {pos} phases_rad are not the fine-beam phases for psi0={psi0!r}"
                 )

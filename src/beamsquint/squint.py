@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .array_model import _check_n, gain_kernel_magnitude, worst_subcarrier_gain
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HALF_POWER_CONSTANT",
@@ -78,6 +80,7 @@ class BandSpec:
 
         Collapses to the single point 1.0 for a zero-width band.
         """
+        import numpy as np
         if points < 2:
             raise ValueError(f"xi grid needs at least 2 points, got {points}")
         if self.fractional_bandwidth == 0.0:
@@ -251,6 +254,7 @@ def numeric_coverage(
     qualifies (squint has consumed the beam). Independent of the analytic
     edge formulas, which it exists to check.
     """
+    import numpy as np
     n = _check_n(n_antennas)
     if not math.isfinite(psi0):
         raise ValueError(f"psi0 must be finite, got {psi0!r}")
@@ -294,6 +298,7 @@ def numeric_coverage(
 def _failure_gaps(grid, failing, margin) -> list[CoverageInterval]:
     """Merge failing grid points into intervals, refining all their edges
     in one batch; an edge at a grid end pairs with itself and stays."""
+    import numpy as np
     last = len(grid) - 1
     # a run starts where the mask turns on and ends one point before it turns off
     flips = np.diff(np.concatenate(([0], failing.astype(np.int8), [0])))
@@ -309,6 +314,7 @@ def _refine_edges(margin, pairs, xtol: float = 1e-9) -> list[float]:
     to an array. Every edge runs :func:`_brent`, in lockstep: one ``margin``
     call for both ends of all pairs (x, y != x), then one per round for the
     edges still refining."""
+    import numpy as np
     ends = np.asarray(pairs, dtype=float).reshape(-1, 2)
     values = np.zeros_like(ends)  # a pair (x, x) is not evaluated: it returns x
     moving = ends[:, 0] != ends[:, 1]

@@ -12,8 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .array_model import gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, Infeasibility, _plan, max_antennas, max_fractional_bandwidth
 from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps
@@ -102,6 +100,7 @@ def verify_codebook(
     and the window calls pass ``floor=S_N``: a beam that cannot exceed S_N
     in a window is left to the all-beam pass.
     """
+    import numpy as np
     psi_m = codebook.psi_m
     # also rejects NaN; a step up to psi_m leaves at least 3 grid points
     if not (0 < psi_step <= psi_m and 2.0 * psi_m / psi_step <= _MAX_GRID_POINTS - 1):
@@ -148,6 +147,7 @@ def _windowed_worst_gain(grid, psi0s, xis, n):
     """``worst_subcarrier_gain(grid, psi0s, xis, n)`` on an evenly spaced
     grid, each beam evaluated on its main-lobe windows only (see
     :func:`verify_codebook`)."""
+    import numpy as np
     step, lobe = grid[1] - grid[0], 2.0 / n
     # S_N, raised by a relative margin that covers the kernel's rounding
     sidelobe = (1.0 + 1e-9) / (math.sqrt(n) * math.sin(math.pi / n))

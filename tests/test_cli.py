@@ -6,13 +6,15 @@ import math
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beamsquint.cli import build_parser, main
+from beamsquint.cli import _linspace, build_parser, main
 from beamsquint.codebook import design_no_squint, design_with_squint
 from beamsquint.squint import BandSpec
+from beamsquint.verification import sweep_size_vs_b
 
 
 def run_cli(*argv):
@@ -401,6 +403,29 @@ class TestSweepCommands:
         assert run_cli(*args, "--out", str(a)) == 0
         assert run_cli(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        start=st.floats(allow_nan=False, allow_infinity=False),
+        stop=st.floats(allow_nan=False, allow_infinity=False),
+        num=st.integers(2, 300),
+    )
+    @example(start=0.05, stop=0.05, num=7)  # b_min == b_max
+    @example(start=-0.0, stop=-0.0, num=3)
+    @example(start=0.0, stop=0.11, num=2)
+    @example(start=0.0, stop=5e-324, num=3)  # the step rounds to zero
+    @example(start=1e-310, stop=1.2e-310, num=9)  # a subnormal step
+    def test_b_grid_is_numpy_linspace_bit_for_bit(self, start, stop, num):
+        with np.errstate(over="ignore", invalid="ignore"):  # a range near the float limit
+            expected = np.linspace(start, stop, num).tolist()
+        # repr tells -0.0 from 0.0
+        assert list(map(repr, _linspace(start, stop, num))) == list(map(repr, expected))
+
+    def test_sweep_b_range_is_the_linspace_grid(self, capsys):
+        args = ("--antennas", "8", "16", "--b-min", "1e-310", "--b-max", "0.2", "--b-points", "41")
+        assert run_cli("sweep-b", *args, "--format", "json") == 0
+        grid = np.linspace(1e-310, 0.2, 41).tolist()
+        assert json.loads(capsys.readouterr().out) == sweep_size_vs_b([8, 16], grid).to_dict()
 
 
 class TestBoundsCommand:

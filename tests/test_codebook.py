@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamsquint.array_model import ArrayGeometry, fine_beam_weights
 from beamsquint.codebook import (
     Beam,
     Codebook,
@@ -229,6 +230,24 @@ class TestSerialization:
         direct = Codebook((-0.5, 0.1, 0.6), 0.8, BAND, 12, GainThreshold(0.3))
         for book in (designed, direct):
             assert Codebook.from_json(book.to_json()) == book
+
+    @pytest.mark.parametrize("n", [16.0, np.int64(16)])
+    def test_array_size_stored_as_int(self, n):
+        book = Codebook(design_no_squint(16, 1.0).foci, 1.0, BAND, n, GainThreshold())
+        assert type(book.n_antennas) is int
+        assert json.loads(book.to_json())["n_antennas"] == 16
+        assert Codebook.from_json(book.to_json()) == book
+
+    @pytest.mark.parametrize("n", [2, 17, 64])
+    def test_phases_are_fine_beam_weights_bit_for_bit(self, n):
+        foci = (-0.93, -0.25, -0.0, 0.0, 1e-300, 0.4, 1.02)
+        book = Codebook(foci, 1.0, BAND, n, GainThreshold())
+        for beam, psi0 in zip(book.to_dict()["beams"], foci):
+            # the array product fine_beam_weights made with numpy alone
+            product = (2.0 * math.pi * 0.5 * psi0 * np.arange(n)).tolist()
+            # repr tells -0.0 (element 0 of a negative focus) from 0.0
+            assert list(map(repr, beam["phases_rad"])) == list(map(repr, product))
+            assert list(map(repr, fine_beam_weights(ArrayGeometry(n), psi0).tolist())) == list(map(repr, product))
 
     def test_array_size_checked(self):
         for n in (1, 2.5):

@@ -1,0 +1,101 @@
+"""What ``import beamsquint`` exports and loads. numpy is imported only by
+the code that evaluates the gain kernel or builds a grid, so the design
+criterion (bounds, design, the sweeps) runs without it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import beamsquint
+from beamsquint.codebook import design_with_squint
+from beamsquint.squint import BandSpec
+
+PUBLIC_NAMES = [
+    "ArrayGeometry", "BandSpec", "Beam", "Codebook", "CodebookFormatError",
+    "CoverageInterval", "CoverageReport", "DesignOutcome", "GainThreshold",
+    "HALF_POWER_CONSTANT", "Infeasibility", "SweepPoint", "SweepSeries",
+    "SweepTable", "__version__", "array_gain_sum", "design_no_squint",
+    "design_with_squint", "effective_beamwidth", "equivalent_aoa",
+    "exact_half_power_beamwidth", "fine_beam_weights", "focus_from_left_edge",
+    "gain_kernel", "gain_kernel_magnitude", "half_power_beamwidth",
+    "max_antennas", "max_fractional_bandwidth", "min_size_no_squint",
+    "numeric_coverage", "psi_from_theta", "squinted_coverage",
+    "steering_vector", "sweep_size_vs_b", "sweep_size_vs_n", "theta_from_psi",
+    "verify_codebook",
+]
+
+
+def test_public_names():
+    assert sorted(beamsquint.__all__) == PUBLIC_NAMES
+    assert all(hasattr(beamsquint, name) for name in beamsquint.__all__)
+
+
+def _run(code, *argv):
+    """Run ``code`` in a fresh interpreter with this checkout's package;
+    returns its last line of stderr."""
+    src = str(Path(beamsquint.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    return result.stderr.splitlines()[-1]
+
+
+LAYERS = ["beamsquint.array_model", "beamsquint.codebook", "beamsquint.squint", "beamsquint.verification"]
+
+
+def test_import_loads_every_layer_but_not_numpy():
+    loaded = "print(sorted(m for m in sys.modules if m == 'numpy' or m in %r), file=sys.stderr)" % LAYERS
+    assert _run("import sys, beamsquint; " + loaded) == repr(LAYERS)
+    # perfbench's tracer patches the layers that importing the CLI loads
+    assert _run("import sys, beamsquint.cli; " + loaded) == repr(LAYERS)
+
+
+def test_design_library_leaves_numpy_unloaded():
+    code = (
+        "import sys\nfrom beamsquint import *\n"
+        "book = design_with_squint(16, BandSpec(0.0342), 1.0).codebook\n"
+        "assert Codebook.from_json(book.to_json()) == book\n"
+        "design_no_squint(64, 0.5).to_json(); max_antennas(BandSpec(0.0179), 1.0)\n"
+        "sweep_size_vs_b([8, 16], [0.0, 0.05]); sweep_size_vs_n([0.0179], range(4, 65))\n"
+        "effective_beamwidth(0.3, BandSpec(0.0342), 16); psi_from_theta(0.4)\n"
+        "print('numpy' in sys.modules, file=sys.stderr)"
+    )
+    assert _run(code) == "False"
+
+
+def _main_loads_numpy(*argv):
+    code = (
+        "import sys\nfrom beamsquint.cli import main\n"
+        "code = main(sys.argv[1:])\nprint(code, 'numpy' in sys.modules, file=sys.stderr)"
+    )
+    exit_code, loaded = _run(code, *argv).split()
+    return int(exit_code), loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["bounds", "--antennas", "16", "--fractional-bandwidth", "0.0342"], 0),
+        (["design", "--antennas", "64", "--fractional-bandwidth", "0.0179"], 0),
+        (["design", "--antennas", "16", "--fractional-bandwidth", "0.2"], 3),
+        (["sweep-b", "--antennas", "8", "16", "--b-min", "0", "--b-max", "0.2", "--b-points", "9"], 0),
+        (["sweep-n", "--b-list", "0,0.0342", "--n-min", "4", "--n-max", "64"], 0),
+    ],
+    ids=["bounds", "design", "design-infeasible", "sweep-b", "sweep-n"],
+)
+def test_design_commands_leave_numpy_unloaded(argv, exit_code):
+    assert _main_loads_numpy(*argv, "--out", os.devnull) == (exit_code, False)
+
+
+def test_kernel_commands_load_numpy(tmp_path):
+    book = tmp_path / "cb.json"
+    book.write_text(design_with_squint(8, BandSpec(0.0), 1.0).codebook.to_json())
+    verify = ["verify", "--codebook", str(book), "--out", os.devnull]
+    pattern = ["pattern", "--antennas", "4", "--psi0", "0", "--xi", "1", "--psi-step", "0.5", "--out", os.devnull]
+    assert _main_loads_numpy(*verify) == (0, True)
+    assert _main_loads_numpy(*pattern) == (0, True)
