@@ -33,8 +33,8 @@ __all__ = [
 # closed-form kernel (the points x = 2k, where naive division is unstable).
 _SINGULARITY_TOL = 1e-12
 
-# Kernel values per chunk of worst_subcarrier_gain (a chunk holds at least
-# one carrier angle); bounds the size of every kernel temporary.
+# Values per chunk (kernel values, phases, or the windowed verify's pairs),
+# at least one carrier angle's worth; bounds the size of every temporary.
 _GAIN_CHUNK = 1 << 14
 
 # Band-edge screen margin of worst_subcarrier_gain, in units of sqrt(N);
@@ -77,10 +77,9 @@ def _check_n(n_antennas: int) -> int:
     return int(n_antennas)
 
 
-def _check_psi(psi) -> None:
-    import numpy as np
+def _check_psi(psi: float) -> None:
     # also rejects NaN, which fails every comparison
-    if not np.all(np.abs(psi) <= 1.0 + _PSI_TOL):
+    if not abs(psi) <= 1.0 + _PSI_TOL:
         raise ValueError(f"psi must be a sine value in [-1, 1], got {psi!r}")
 
 
@@ -137,19 +136,19 @@ def array_gain_sum(weights: np.ndarray, geom: ArrayGeometry, psi, xi: float = 1.
     import numpy as np
     w = np.asarray(weights, dtype=float)
     if w.shape != (geom.n_antennas,):
-        raise ValueError(
-            f"weights must have shape ({geom.n_antennas},), got {w.shape}"
-        )
+        raise ValueError(f"weights must have shape ({geom.n_antennas},), got {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite phases in radians")
-    _check_psi(psi)
+    angles = np.asarray(psi, dtype=float)
+    _check_psi(float(np.abs(angles).max(initial=0.0)))  # NaN propagates
     _check_xi(xi)
-    k = np.arange(geom.n_antennas)
-    phase = 2.0 * math.pi * xi * geom.spacing_ratio * np.multiply.outer(psi, k) - w
-    total = np.exp(1j * phase).sum(axis=-1) / math.sqrt(geom.n_antennas)
-    if np.ndim(psi) == 0:
-        return complex(total)
-    return total
+    flat, k = angles.reshape(-1), np.arange(geom.n_antennas)
+    total = np.empty(len(flat), dtype=complex)
+    rows = max(1, _GAIN_CHUNK // geom.n_antennas)  # the angle x element phases of a chunk
+    for i in range(0, len(flat), rows):
+        phase = 2.0 * math.pi * xi * geom.spacing_ratio * np.multiply.outer(flat[i : i + rows], k) - w
+        total[i : i + rows] = np.exp(1j * phase).sum(axis=-1) / math.sqrt(geom.n_antennas)
+    return complex(total[0]) if angles.ndim == 0 else total.reshape(angles.shape)
 
 
 def _kernel_factor(x: np.ndarray, n: int) -> np.ndarray:
@@ -190,9 +189,7 @@ def gain_kernel(x, n_antennas: int):
     n = _check_n(n_antennas)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = _kernel_factor(arr, n) * np.exp(1j * (n - 1) * (0.5 * math.pi * arr))
-    if np.ndim(x) == 0:
-        return complex(out[0])
-    return out
+    return complex(out[0]) if np.ndim(x) == 0 else out
 
 
 def gain_kernel_magnitude(x, n_antennas: int):
@@ -205,9 +202,7 @@ def gain_kernel_magnitude(x, n_antennas: int):
     n = _check_n(n_antennas)
     mag = _kernel_factor(np.atleast_1d(np.asarray(x, dtype=float)), n)
     np.abs(mag, out=mag)
-    if np.ndim(x) == 0:
-        return float(mag[0])
-    return mag
+    return float(mag[0]) if np.ndim(x) == 0 else mag
 
 
 def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int, *, floor: float = -math.inf):
@@ -215,15 +210,33 @@ def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int, *, floor: float = -m
 
     ``max over psi0s of min over xis of |g(xi*psi - psi0)|`` for ascending
     ``xis``: bit for bit wherever it exceeds ``floor``, at most ``floor``
-    elsewhere. Evaluated in chunks of carrier angles, so memory grows with
-    the number of angles only. Scalar ``psi`` in, float out; ndarray in,
-    ndarray of the same shape out.
+    elsewhere. Each chunk of carrier angles x beams is one pair batch, so
+    memory grows with the number of angles only. Scalar ``psi`` in, float
+    out; ndarray in, ndarray of the same shape out.
+    """
+    import numpy as np
+    angles = np.asarray(psi, dtype=float)
+    offsets = np.asarray(psi0s, dtype=float).reshape(-1)
+    xis = np.asarray(xis, dtype=float)
+    flat, n_beams = angles.reshape(-1), offsets.size
+    best = np.full(len(flat), -math.inf)
+    rows = max(1, _GAIN_CHUNK // (n_beams * min(len(xis), 4)))
+    for i in range(0, len(flat), rows):
+        pairs = np.divmod(np.arange(i * n_beams, min(i + rows, len(flat)) * n_beams), n_beams)  # (row, beam)
+        _raise_to_pair_mins(flat, offsets, xis, n_antennas, *pairs, best, floor)
+    return float(best[0]) if angles.ndim == 0 else best.reshape(angles.shape)
 
-    With five or more subcarriers each (angle, beam) pair is first probed
-    at ``xis[[0, 1, -2, -1]]``. Its band-edge min ``U`` is two of its
-    values, so at least its min, and it *is* its min when both edge
-    offsets lie in the main lobe ``|x| < 2/N`` and both neighbours exceed
-    ``U`` by ``_SCREEN_TOL*sqrt(N)``:
+
+def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best, floor):
+    """Raise ``best[r]`` to the min over ``xis`` of ``|g(xi*angles[r] -
+    offsets[b])|`` for each pair ``(r, b)`` of ``(rows, beams)``, wherever
+    that min can exceed ``max(best[r], floor)``.
+
+    With five or more subcarriers each pair is first probed at
+    ``xis[[0, 1, -2, -1]]``. Its band-edge min ``U`` is two of its values,
+    so at least its min, and it *is* its min when both edge offsets lie in
+    the main lobe ``|x| < 2/N`` and both neighbours exceed ``U`` by
+    ``_SCREEN_TOL*sqrt(N)``:
 
     - the computed ``x_j = xi_j*psi - psi0`` are weakly monotone in j, as
       rounding is monotone, so all lie between the two edge offsets;
@@ -232,55 +245,30 @@ def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int, *, floor: float = -m
     - the kernel's absolute error there, about ``1e-15*sqrt(N)``, is far
       below the margin, so every computed interior value exceeds ``U``.
 
-    Per angle, the unscreened pair with the largest ``U`` is then
-    evaluated on every subcarrier, and after it only the pairs whose
-    ``U`` still exceeds both the best exact value and ``floor``.
+    The screened mins go into ``best`` first. Then the unscreened pairs
+    are evaluated on every subcarrier, largest ``U`` first, while their
+    ``U`` exceeds the bar ``max(best[r], floor)``, which rises as they go:
+    a skipped pair's min is at most ``U``, so at most the bar, and every
+    max keeps its bits.
     """
     import numpy as np
-    angles = np.asarray(psi, dtype=float)
-    offsets = np.asarray(psi0s, dtype=float).reshape(-1)
-    xis = np.asarray(xis, dtype=float)
-    flat = angles.reshape(-1)
-    best = np.empty(len(flat))
-    # fewer than five subcarriers are all probed, and that is the whole min
     probe = [0, 1, -2, -1] if len(xis) >= 5 else slice(None)
-    rows = max(1, _GAIN_CHUNK // (offsets.size * len(xis[probe])))
-    for i in range(0, len(flat), rows):
-        chunk = flat[i : i + rows]
-        best[i : i + rows] = _worst_gain_chunk(chunk, offsets, xis, probe, n_antennas, floor)
-    return float(best[0]) if angles.ndim == 0 else best.reshape(angles.shape)
-
-
-def _worst_gain_chunk(angles, offsets, xis, probe, n, floor):
-    import numpy as np
-    x = angles[:, None, None] * xis[probe] - offsets[:, None]  # angles x beams x probe
+    x = angles[rows, None] * xis[probe] - offsets[beams, None]  # pairs x probe
     g = gain_kernel_magnitude(x, n)
-    if len(xis) < 5:
-        return g.min(axis=2).max(axis=1)
-    upper = np.minimum(g[..., 0], g[..., 3])  # angles x beams
-    screened = np.all(np.abs(x[..., [0, 3]]) < 2.0 / n, axis=2)
-    screened &= np.minimum(g[..., 1], g[..., 2]) - upper >= _SCREEN_TOL * math.sqrt(n)
-    value = np.where(screened, upper, -np.inf)  # exact mins known so far
-    pending = ~screened
-    top = np.zeros_like(pending)
-    top[np.arange(len(angles)), upper.argmax(axis=1)] = True
-    for candidates in (top, pending):
-        bar = np.maximum(value.max(axis=1), floor)
-        todo = candidates & pending & (upper > bar[:, None])
-        value[todo] = _pair_mins(angles, offsets, xis, n, *np.nonzero(todo))
-        pending &= ~todo
-    return value.max(axis=1)
-
-
-def _pair_mins(angles, offsets, xis, n, rows, beams):
-    """Min over all subcarriers of each (angles[rows], offsets[beams]) pair."""
-    import numpy as np
-    out = np.empty(len(rows))
+    if len(xis) < 5:  # every subcarrier is probed, and that is the whole min
+        np.maximum.at(best, rows, g.min(axis=1))
+        return
+    upper = np.minimum(g[:, 0], g[:, 3])
+    screened = np.all(np.abs(x[:, [0, 3]]) < 2.0 / n, axis=1)
+    screened &= np.minimum(g[:, 1], g[:, 2]) - upper >= _SCREEN_TOL * math.sqrt(n)
+    np.maximum.at(best, rows[screened], upper[screened])
+    todo = np.flatnonzero(~screened)
+    todo = todo[np.argsort(-upper[todo])]
     step = max(1, _GAIN_CHUNK // len(xis))
-    for i in range(0, len(rows), step):
-        block = angles[rows[i : i + step], None] * xis - offsets[beams[i : i + step], None]
-        out[i : i + step] = gain_kernel_magnitude(block, n).min(axis=1)
-    return out
+    while len(todo := todo[upper[todo] > np.maximum(best[rows[todo]], floor)]):
+        r, b = rows[todo[:step]], beams[todo[:step]]
+        np.maximum.at(best, r, gain_kernel_magnitude(angles[r, None] * xis - offsets[b, None], n).min(axis=1))
+        todo = todo[step:]
 
 
 def equivalent_aoa(theta_c: float, xi: float) -> float:

@@ -115,16 +115,16 @@ def _cmd_pattern(args) -> int:
     psis = grid.tolist()
     thetas = [math.degrees(math.asin(psi)) for psi in psis]
     # %r writes a float as json.dumps and str do
-    row = "%r,%r,%r,%r,%r" if args.format == "csv" else _JSON_ROW
-    rows = []
+    row, sep = ("%r,%r,%r,%r,%r", "\n") if args.format == "csv" else (_JSON_ROW, ",\n")
+    blocks = []  # each subcarrier's rows as one string, so no row outlives its block
     for xi in map(float, xis):
         mags = np.abs(array_gain_sum(weights, geom, grid, xi)).tolist()
-        rows += [row % (psi, theta, xi, m, 20.0 * math.log10(max(m, 1e-15))) for psi, theta, m in zip(psis, thetas, mags)]
+        blocks.append(sep.join([row % (psi, theta, xi, m, 20.0 * math.log10(max(m, 1e-15))) for psi, theta, m in zip(psis, thetas, mags)]))
 
     if args.format == "json":
-        _emit("[\n%s\n]\n" % ",\n".join(rows), args.out)
+        _emit("[\n%s\n]\n" % sep.join(blocks), args.out)
     else:
-        _emit("psi,theta_deg,xi,gain_abs,gain_db\n%s\n" % "\n".join(rows), args.out)
+        _emit("psi,theta_deg,xi,gain_abs,gain_db\n%s\n" % sep.join(blocks), args.out)
     return _EXIT_OK
 
 

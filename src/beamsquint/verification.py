@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .array_model import gain_kernel_magnitude, worst_subcarrier_gain
+from .array_model import _GAIN_CHUNK, _raise_to_pair_mins, gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, Infeasibility, _plan, max_antennas, max_fractional_bandwidth
 from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps
 
@@ -96,9 +96,8 @@ def verify_codebook(
     beams. The kernel is element-wise and max/min are exact, so the report
     is bit for bit that of evaluating every beam at every angle.
 
-    :func:`worst_subcarrier_gain` screens on the band edges (see there),
-    and the window calls pass ``floor=S_N``: a beam that cannot exceed S_N
-    in a window is left to the all-beam pass.
+    The windows' (angle, beam) pairs meet the band-edge screen and the
+    per-angle bar of ``array_model._raise_to_pair_mins`` at ``floor=S_N``.
     """
     import numpy as np
     psi_m = codebook.psi_m
@@ -146,24 +145,37 @@ def verify_codebook(
 def _windowed_worst_gain(grid, psi0s, xis, n):
     """``worst_subcarrier_gain(grid, psi0s, xis, n)`` on an evenly spaced
     grid, each beam evaluated on its main-lobe windows only (see
-    :func:`verify_codebook`)."""
+    :func:`verify_codebook`), one pair batch per block of grid angles."""
     import numpy as np
     step, lobe = grid[1] - grid[0], 2.0 / n
     # S_N, raised by a relative margin that covers the kernel's rounding
     sidelobe = (1.0 + 1e-9) / (math.sqrt(n) * math.sin(math.pi / n))
+    # one window per beam and lobe image k that reaches the grid
+    k_lo = np.ceil((xis[0] * grid[0] - psi0s - lobe) / 2)
+    count = (np.floor((xis[0] * grid[-1] - psi0s + lobe) / 2) - k_lo + 1).astype(int)
+    beams = np.repeat(np.arange(len(psi0s)), count)
+    centre = psi0s[beams] + 2 * _ranges(k_lo, count)
+    # grid indices of each window, padded by two steps against rounding
+    lo = np.maximum(np.floor(((centre - lobe) / xis[0] - grid[0]) / step) - 2, 0).astype(int)
+    hi = np.minimum(np.ceil(((centre + lobe) / xis[0] - grid[0]) / step) + 3, len(grid)).astype(int)
+    # a block of angles holds at most _GAIN_CHUNK pairs; the end 2*hi sorts before a start 2*lo+1 at one index
+    edges = np.sort(np.concatenate([2 * lo + 1, 2 * hi]))
+    block = max(1, _GAIN_CHUNK // np.cumsum(edges % 2 * 2 - 1).max(initial=1))
     best = np.full(len(grid), -1.0)  # below any gain: uncovered angles fall back
-    for psi0 in psi0s:
-        x_lo, x_hi = xis[0] * grid[[0, -1]] - psi0
-        for k in range(math.ceil((x_lo - lobe) / 2), math.floor((x_hi + lobe) / 2) + 1):
-            # grid indices of the window, padded by two steps against rounding
-            lo, hi = ((psi0 + 2 * k + np.array([-lobe, lobe])) / xis[0] - grid[0]) / step
-            i, j = max(0, math.floor(lo) - 2), min(len(grid), math.ceil(hi) + 3)
-            if i < j:
-                window = worst_subcarrier_gain(grid[i:j], [psi0], xis, n, floor=sidelobe)
-                np.maximum(best[i:j], window, out=best[i:j])
+    for a in range(0, len(grid), block):
+        i = np.maximum(lo, a)
+        length = np.maximum(np.minimum(hi, a + block) - i, 0)
+        _raise_to_pair_mins(grid, psi0s, xis, n, _ranges(i, length), np.repeat(beams, length), best, sidelobe)
     low = best <= sidelobe
     best[low] = worst_subcarrier_gain(grid[low], psi0s, xis, n)
     return best
+
+
+def _ranges(starts, lengths):
+    """``concatenate([arange(s, s + m) for s, m in zip(starts, lengths)])``."""
+    import numpy as np
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
 
 
 @dataclass(frozen=True, slots=True)

@@ -319,15 +319,15 @@ class TestWorstSubcarrierGain:
         monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
         got = worst_subcarrier_gain(self.GRID, self.PSI0S, self.XIS, self.N)
         assert np.array_equal(got, self.reference(self.GRID))
-        # probe blocks: angles x beams x the 4 subcarriers xis[[0, 1, -2, -1]]
-        probes = [shape for shape in blocks if len(shape) == 3]
-        expected = [min(rows, len(self.GRID) - i) for i in range(0, len(self.GRID), rows)]
+        # probe blocks: the (angle, beam) pairs of a chunk x the 4 subcarriers xis[[0, 1, -2, -1]]
+        assert all(len(shape) == 2 for shape in blocks)
+        probes = [shape for shape in blocks if shape[1] == 4]
+        expected = [5 * min(rows, len(self.GRID) - i) for i in range(0, len(self.GRID), rows)]
         assert [shape[0] for shape in probes] == expected
-        assert all(shape[1:] == (5, 4) for shape in probes)
         # pair blocks: (angle, beam) pairs x all 9 subcarriers, at most a chunk
-        pairs = [shape for shape in blocks if len(shape) == 2]
+        pairs = [shape for shape in blocks if shape[1] == 9]
         assert pairs and len(pairs) + len(probes) == len(blocks)
-        assert all(shape[1] == 9 and shape[0] <= max(1, chunk // 9) for shape in pairs)
+        assert all(shape[0] <= max(1, chunk // 9) for shape in pairs)
 
     def test_scalar_and_shape(self):
         want = self.reference(self.GRID)
@@ -337,6 +337,46 @@ class TestWorstSubcarrierGain:
         grid2d = self.GRID[:22].reshape(2, 11)
         got2d = worst_subcarrier_gain(grid2d, self.PSI0S, self.XIS, self.N)
         assert np.array_equal(got2d, want[:22].reshape(2, 11))
+
+
+class TestPairBatch:
+    """The per-angle bar of the pair primitive: an unscreened pair goes to
+    every subcarrier only while its band-edge bound can still raise its
+    angle's best."""
+
+    XIS = np.linspace(0.9829, 1.0171, 65)
+
+    def record(self, monkeypatch):
+        blocks = []
+
+        def recording(x, n):
+            blocks.append(np.shape(x))
+            return gain_kernel_magnitude(x, n)
+
+        monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
+        return blocks
+
+    def test_dominated_pair_skips_full_evaluation(self, monkeypatch):
+        blocks = self.record(monkeypatch)
+        # at psi = 0.01 the beam focused on 0 is screened near its peak; the
+        # beam focused on 0.5 is on a sidelobe, unscreened, and far below it
+        got = worst_subcarrier_gain(0.01, [0.0, 0.5], self.XIS, 16)
+        assert blocks == [(2, 4)]
+        assert got == gain_kernel_magnitude(0.01 * self.XIS, 16).min()
+        blocks.clear()
+        alone = worst_subcarrier_gain(0.01, [0.5], self.XIS, 16)
+        assert blocks == [(1, 4), (1, 65)]
+        assert alone == gain_kernel_magnitude(0.01 * self.XIS - 0.5, 16).min()
+
+    def test_wide_band_pairs_reach_full_evaluation_in_bounded_blocks(self, monkeypatch):
+        # a band this wide carries every subcarrier range through nulls, so
+        # most pairs pass neither the screen nor the bar
+        blocks = self.record(monkeypatch)
+        grid, foci = np.linspace(-1, 1, 2001), np.linspace(-0.9, 0.9, 10)
+        worst_subcarrier_gain(grid, foci, np.linspace(0.05, 1.95, 65), 4)
+        full = [rows for rows, columns in blocks if columns == 65]
+        assert sum(full) > 0.5 * grid.size * foci.size
+        assert max(full) <= array_model._GAIN_CHUNK // 65
 
 
 def dense_worst_gain(psi, psi0s, xis, n):

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -308,6 +309,22 @@ class TestPatternCommand:
             finally:
                 tracemalloc.stop()
             assert peak < 6 * out.stat().st_size, fmt
+
+    def test_fine_grid_memory_peak(self):
+        # 200,001 angles: array_gain_sum sums the angle x element phases in
+        # chunks and each subcarrier's rows become one string, so the CSV
+        # peak is about 63 MB (79 MB with the whole phase matrix and a list
+        # of row strings)
+        tracemalloc.start()
+        try:
+            assert run_cli(
+                "pattern", "--antennas", "8", "--psi0", "0", "--xi", "1",
+                "--psi-step", "1e-5", "--out", os.devnull,
+            ) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 70e6
 
 
 class TestSweepCommands:

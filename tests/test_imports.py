@@ -68,6 +68,18 @@ def test_design_library_leaves_numpy_unloaded():
     assert _run(code) == "False"
 
 
+def test_psi_check_leaves_numpy_unloaded():
+    code = (
+        "import math, sys\nfrom beamsquint import theta_from_psi\n"
+        "assert theta_from_psi(0.5) == math.asin(0.5) and theta_from_psi(-1.0) == -math.pi / 2\n"
+        "for bad in (1.5, -1.0 - 1e-9, math.nan):\n"
+        "    try:\n        theta_from_psi(bad)\n    except ValueError:\n        pass\n"
+        "    else:\n        raise AssertionError(bad)\n"
+        "print('numpy' in sys.modules, file=sys.stderr)"
+    )
+    assert _run(code) == "False"
+
+
 def _main_loads_numpy(*argv):
     code = (
         "import sys\nfrom beamsquint.cli import main\n"

@@ -327,6 +327,14 @@ def test_memory_grows_with_grid_points_only():
     assert _peak_bytes(lambda: numeric_coverage(0.3, BAND, 16, psi_step=1e-5)) < 16e6
 
 
+def test_memory_of_a_fine_verify_stays_with_the_grid():
+    # 1,000,001 angles: one pair batch per block of grid angles peaks at
+    # 39 MB, about what the grid's own arrays take; every window's pairs
+    # in one batch peaked at 553 MB
+    book = design_with_squint(64, BandSpec(0.0179), 1.0).codebook
+    assert _peak_bytes(lambda: verify_codebook(book, psi_step=2e-6)) < 45e6
+
+
 def test_memory_bounded_when_many_pairs_need_every_subcarrier(monkeypatch):
     # A band this wide carries every subcarrier range through nulls, so
     # few (angle, beam) pairs pass the band-edge screen and most go to
@@ -427,6 +435,47 @@ class TestWindowedSweepIsExact:
             step = psi_m / float(rng.integers(150, 400))
             args = dict(psi_step=step, xi_points=xi_points, slack_db=float(rng.uniform(0, 1)))
             assert verify_codebook(book, **args) == reference_verify_codebook(book, **args)
+
+    @pytest.mark.parametrize("chunk", [1 << 14, 40])  # one block of angles, or dozens
+    @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
+    def test_pair_batches_equal_dense_bits(self, monkeypatch, n, chunk):
+        # seeded codebooks with foci out to +-1.5 reach the grating lobes;
+        # b runs from 0 up to near the bound
+        monkeypatch.setattr(verification, "_GAIN_CHUNK", chunk)
+        batches = []
+
+        def recording(*args):  # (angles, offsets, xis, n, rows, beams, best, floor)
+            batches.append(len(args[4]))
+            return array_model._raise_to_pair_mins(*args)
+
+        monkeypatch.setattr(verification, "_raise_to_pair_mins", recording)
+        rng = np.random.default_rng([n, 12])
+        grid = np.linspace(-1.0, 1.0, 2001)
+        bound = max_fractional_bandwidth(n, 1.0)
+        for b in (0.0, float(rng.uniform(0.0, bound)), 0.99 * bound):
+            foci = np.sort(rng.uniform(-1.5, 1.5, int(rng.integers(1, 2 * n + 2))))
+            for m in (2, 3, 4, 5, 65):
+                xis = BandSpec(b).xi_grid(m)
+                dense = worst_subcarrier_gain(grid, foci, xis, n)
+                batches.clear()
+                windowed = _windowed_worst_gain(grid, foci, xis, n)
+                assert np.array_equal(windowed.view(np.int64), dense.view(np.int64)), (b, m)
+                # a block holds at most a chunk of pairs, or one angle's
+                # windows: at most two per beam
+                assert max(batches) <= max(chunk, 2 * len(foci))
+
+    def test_designed_codebook_leaves_no_angle_to_the_fallback(self, monkeypatch, book16):
+        # the windows, over several blocks of angles at the default step,
+        # lift every angle of a covering codebook above the sidelobe bound
+        fallback = []
+
+        def recording(psi, *args, **kwargs):
+            fallback.append(np.size(psi))
+            return worst_subcarrier_gain(psi, *args, **kwargs)
+
+        monkeypatch.setattr(verification, "worst_subcarrier_gain", recording)
+        assert verify_codebook(book16).passed
+        assert fallback == [0]
 
     @pytest.mark.parametrize("n, b", [(2, 0.0), (5, 0.3), (16, 0.0342), (64, 1.5)])
     def test_one_beam(self, n, b):
