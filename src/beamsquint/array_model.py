@@ -33,7 +33,7 @@ __all__ = [
 # closed-form kernel (the points x = 2k, where naive division is unstable).
 _SINGULARITY_TOL = 1e-12
 
-# Values per chunk (kernel values, phases, or the windowed verify's pairs),
+# Values per chunk (kernel values, probe values of a pair batch, or phases),
 # at least one carrier angle's worth; bounds the size of every temporary.
 _GAIN_CHUNK = 1 << 14
 
@@ -205,26 +205,39 @@ def gain_kernel_magnitude(x, n_antennas: int):
     return float(mag[0]) if np.ndim(x) == 0 else mag
 
 
-def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int, *, floor: float = -math.inf):
-    """The best beam's gain at its worst subcarrier, per carrier angle.
-
+def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):
+    """The best beam's gain at its worst subcarrier, per carrier angle:
     ``max over psi0s of min over xis of |g(xi*psi - psi0)|`` for ascending
-    ``xis``: bit for bit wherever it exceeds ``floor``, at most ``floor``
-    elsewhere. Each chunk of carrier angles x beams is one pair batch, so
-    memory grows with the number of angles only. Scalar ``psi`` in, float
-    out; ndarray in, ndarray of the same shape out.
-    """
+    ``xis``, bit for bit, every beam's window being all of ``psi``. Scalar
+    ``psi`` in, float out; ndarray in, ndarray of the same shape out."""
     import numpy as np
-    angles = np.asarray(psi, dtype=float)
-    offsets = np.asarray(psi0s, dtype=float).reshape(-1)
-    xis = np.asarray(xis, dtype=float)
-    flat, n_beams = angles.reshape(-1), offsets.size
-    best = np.full(len(flat), -math.inf)
-    rows = max(1, _GAIN_CHUNK // (n_beams * min(len(xis), 4)))
-    for i in range(0, len(flat), rows):
-        pairs = np.divmod(np.arange(i * n_beams, min(i + rows, len(flat)) * n_beams), n_beams)  # (row, beam)
-        _raise_to_pair_mins(flat, offsets, xis, n_antennas, *pairs, best, floor)
+    angles, offsets = np.asarray(psi, dtype=float), np.asarray(psi0s, dtype=float).reshape(-1)
+    flat, beams, best = angles.reshape(-1), np.arange(offsets.size), np.full(angles.size, -math.inf)
+    whole = np.zeros_like(beams), np.full_like(beams, len(flat)), beams  # every beam on every angle
+    _raise_to_window_mins(flat, offsets, np.asarray(xis, dtype=float), n_antennas, *whole, best, -math.inf)
     return float(best[0]) if angles.ndim == 0 else best.reshape(angles.shape)
+
+
+def _raise_to_window_mins(angles, offsets, xis, n, lo, hi, beams, best, floor):
+    """:func:`_raise_to_pair_mins` on the pairs ``(r, beams[w])``, ``lo[w] <=
+    r < hi[w]``, one batch per block of angles of at most ``_GAIN_CHUNK``
+    probe values: memory is bounded at any number of angles and overlap."""
+    import numpy as np
+    # the most windows over one angle: an end 2*hi sorts before a start 2*lo+1 at one index
+    edges = np.sort(np.concatenate([2 * lo + 1, 2 * hi]))
+    overlap = np.cumsum(edges % 2 * 2 - 1).max(initial=1)
+    block = max(1, _GAIN_CHUNK // (overlap * min(len(xis), 4)))
+    for a in range(0, len(angles), block):
+        start = np.maximum(lo, a)
+        length = np.maximum(np.minimum(hi, a + block) - start, 0)
+        pairs = _ranges(start - a, length), np.repeat(beams, length)  # rows within the block
+        _raise_to_pair_mins(angles[a : a + block], offsets, xis, n, *pairs, best[a : a + block], floor)
+
+
+def _ranges(starts, lengths):
+    """``concatenate([arange(s, s + m) for s, m in zip(starts, lengths)])``."""
+    import numpy as np
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
 def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best, floor):
@@ -245,11 +258,11 @@ def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best, floor):
     - the kernel's absolute error there, about ``1e-15*sqrt(N)``, is far
       below the margin, so every computed interior value exceeds ``U``.
 
-    The screened mins go into ``best`` first. Then the unscreened pairs
-    are evaluated on every subcarrier, largest ``U`` first, while their
-    ``U`` exceeds the bar ``max(best[r], floor)``, which rises as they go:
-    a skipped pair's min is at most ``U``, so at most the bar, and every
-    max keeps its bits.
+    The screened mins go into ``best`` first. The unscreened pairs go to
+    every subcarrier while their ``U`` exceeds the bar ``max(best[r],
+    floor)``, which rises as they go: each angle's largest ``U`` first,
+    then the rest. A skipped pair's min is at most ``U``, so at most the
+    bar, and every max keeps its bits.
     """
     import numpy as np
     probe = [0, 1, -2, -1] if len(xis) >= 5 else slice(None)
@@ -262,13 +275,15 @@ def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best, floor):
     screened = np.all(np.abs(x[:, [0, 3]]) < 2.0 / n, axis=1)
     screened &= np.minimum(g[:, 1], g[:, 2]) - upper >= _SCREEN_TOL * math.sqrt(n)
     np.maximum.at(best, rows[screened], upper[screened])
-    todo = np.flatnonzero(~screened)
-    todo = todo[np.argsort(-upper[todo])]
+    todo, peak = np.flatnonzero(~screened), np.full(len(angles), -math.inf)
+    np.maximum.at(peak, rows[todo], upper[todo])  # each angle's largest U
+    top = upper[todo] == peak[rows[todo]]
     step = max(1, _GAIN_CHUNK // len(xis))
-    while len(todo := todo[upper[todo] > np.maximum(best[rows[todo]], floor)]):
-        r, b = rows[todo[:step]], beams[todo[:step]]
-        np.maximum.at(best, r, gain_kernel_magnitude(angles[r, None] * xis - offsets[b, None], n).min(axis=1))
-        todo = todo[step:]
+    for group in (todo[top], todo[~top]):
+        while len(group := group[upper[group] > np.maximum(best[rows[group]], floor)]):
+            r, b = rows[group[:step]], beams[group[:step]]
+            np.maximum.at(best, r, gain_kernel_magnitude(angles[r, None] * xis - offsets[b, None], n).min(axis=1))
+            group = group[step:]
 
 
 def equivalent_aoa(theta_c: float, xi: float) -> float:

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .array_model import _GAIN_CHUNK, _raise_to_pair_mins, gain_kernel_magnitude, worst_subcarrier_gain
+from .array_model import _raise_to_window_mins, _ranges, gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, Infeasibility, _plan, max_antennas, max_fractional_bandwidth
 from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps
 
@@ -92,12 +92,10 @@ def verify_codebook(
     ``|xis[0]*psi - psi0 - 2k| < 2/N`` for some k (k != 0: grating lobes).
     Outside them ``|g| <= S_N = 1/(sqrt(N)*sin(pi/N))``, and a beam's min
     over subcarriers is at most its gain at ``xis[0]``; so every angle
-    whose windowed best stays at or below S_N is re-evaluated with all
-    beams. The kernel is element-wise and max/min are exact, so the report
-    is bit for bit that of evaluating every beam at every angle.
-
-    The windows' (angle, beam) pairs meet the band-edge screen and the
-    per-angle bar of ``array_model._raise_to_pair_mins`` at ``floor=S_N``.
+    whose windowed best stays at or below S_N (the ``floor`` of the windows'
+    per-angle bar) is re-evaluated with all beams. The kernel is
+    element-wise and max/min are exact, so the report is bit for bit that
+    of evaluating every beam at every angle.
     """
     import numpy as np
     psi_m = codebook.psi_m
@@ -145,7 +143,7 @@ def verify_codebook(
 def _windowed_worst_gain(grid, psi0s, xis, n):
     """``worst_subcarrier_gain(grid, psi0s, xis, n)`` on an evenly spaced
     grid, each beam evaluated on its main-lobe windows only (see
-    :func:`verify_codebook`), one pair batch per block of grid angles."""
+    :func:`verify_codebook`), all windows in one pass over the grid."""
     import numpy as np
     step, lobe = grid[1] - grid[0], 2.0 / n
     # S_N, raised by a relative margin that covers the kernel's rounding
@@ -158,24 +156,11 @@ def _windowed_worst_gain(grid, psi0s, xis, n):
     # grid indices of each window, padded by two steps against rounding
     lo = np.maximum(np.floor(((centre - lobe) / xis[0] - grid[0]) / step) - 2, 0).astype(int)
     hi = np.minimum(np.ceil(((centre + lobe) / xis[0] - grid[0]) / step) + 3, len(grid)).astype(int)
-    # a block of angles holds at most _GAIN_CHUNK pairs; the end 2*hi sorts before a start 2*lo+1 at one index
-    edges = np.sort(np.concatenate([2 * lo + 1, 2 * hi]))
-    block = max(1, _GAIN_CHUNK // np.cumsum(edges % 2 * 2 - 1).max(initial=1))
     best = np.full(len(grid), -1.0)  # below any gain: uncovered angles fall back
-    for a in range(0, len(grid), block):
-        i = np.maximum(lo, a)
-        length = np.maximum(np.minimum(hi, a + block) - i, 0)
-        _raise_to_pair_mins(grid, psi0s, xis, n, _ranges(i, length), np.repeat(beams, length), best, sidelobe)
+    _raise_to_window_mins(grid, psi0s, xis, n, lo, hi, beams, best, sidelobe)
     low = best <= sidelobe
     best[low] = worst_subcarrier_gain(grid[low], psi0s, xis, n)
     return best
-
-
-def _ranges(starts, lengths):
-    """``concatenate([arange(s, s + m) for s, m in zip(starts, lengths)])``."""
-    import numpy as np
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
 
 
 @dataclass(frozen=True, slots=True)

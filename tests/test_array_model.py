@@ -378,6 +378,19 @@ class TestPairBatch:
         assert sum(full) > 0.5 * grid.size * foci.size
         assert max(full) <= array_model._GAIN_CHUNK // 65
 
+    def test_crowded_beams_evaluate_about_one_pair_per_angle(self, monkeypatch):
+        # 200 beams within +-0.01 at N=64: off their main lobes no pair is
+        # screened, and each angle's pair of largest band-edge bound, taken
+        # first, lifts the bar over the rest; in order of the bound alone,
+        # a chunk of 252 pairs went to full evaluation before the bar rose
+        blocks = self.record(monkeypatch)
+        grid, foci = np.linspace(-1, 1, 401), np.linspace(-0.01, 0.01, 200)
+        xis = np.linspace(0.995, 1.005, 65)
+        got = worst_subcarrier_gain(grid, foci, xis, 64)
+        assert sum(rows for rows, columns in blocks if columns == 65) <= grid.size
+        want = np.max([gain_kernel_magnitude(grid[:, None] * xis - f, 64).min(axis=1) for f in foci], axis=0)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 def dense_worst_gain(psi, psi0s, xis, n):
     """Every beam at every subcarrier in one block, no screen."""
@@ -417,7 +430,10 @@ class TestBandEdgeScreen:
         for xis in grids:
             want = dense_worst_gain(self.GRID, foci, xis, n)
             for floor in np.quantile(want, [0.1, 0.5, 0.9]):
-                got = worst_subcarrier_gain(self.GRID, foci, xis, n, floor=floor)
+                # every (angle, beam) pair of the grid in one batch
+                rows, beams = np.divmod(np.arange(self.GRID.size * foci.size), foci.size)
+                got = np.full(self.GRID.size, -np.inf)
+                array_model._raise_to_pair_mins(self.GRID, foci, xis, n, rows, beams, got, floor)
                 above = want > floor
                 assert np.array_equal(got[above].view(np.int64), want[above].view(np.int64))
                 assert np.all(got[~above] <= floor)
