@@ -11,13 +11,14 @@ JSON), ``verify`` (brute-force certification of a codebook file),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
-from .array_model import ArrayGeometry, array_gain_sum, fine_beam_weights
+from .array_model import _GAIN_CHUNK, ArrayGeometry, _check_xi, array_gain_sum, fine_beam_weights
 from .codebook import (
     Codebook,
     CodebookFormatError,
@@ -34,11 +35,13 @@ _EXIT_INFEASIBLE = 3
 _EXIT_VERIFY_FAIL = 4
 
 
+def _output(out: str | None):  # the --out file opened for writing, or stdout
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as stream:
+        stream.write(text)
 
 
 def _fail(message: str) -> int:
@@ -108,23 +111,23 @@ def _cmd_pattern(args) -> int:
     if not (0 < args.psi_step <= 1 and 2.0 / args.psi_step <= _MAX_GRID_POINTS - 1):
         raise ValueError(f"--psi-step must lie in (0, 1] (at most {_MAX_GRID_POINTS} points), got {args.psi_step}")
 
-    steps = int(round(2.0 / args.psi_step))
     # rounded so that decimal steps land on exact decimal grid points
-    grid = np.round(np.linspace(-1.0, 1.0, steps + 1), 12)
+    grid = np.round(np.linspace(-1.0, 1.0, int(round(2.0 / args.psi_step)) + 1), 12)
     weights = fine_beam_weights(geom, psi0)
-    psis = grid.tolist()
-    thetas = [math.degrees(math.asin(psi)) for psi in psis]
-    # %r writes a float as json.dumps and str do
-    row, sep = ("%r,%r,%r,%r,%r", "\n") if args.format == "csv" else (_JSON_ROW, ",\n")
-    blocks = []  # each subcarrier's rows as one string, so no row outlives its block
-    for xi in map(float, xis):
-        mags = np.abs(array_gain_sum(weights, geom, grid, xi)).tolist()
-        blocks.append(sep.join([row % (psi, theta, xi, m, 20.0 * math.log10(max(m, 1e-15))) for psi, theta, m in zip(psis, thetas, mags)]))
-
-    if args.format == "json":
-        _emit("[\n%s\n]\n" % sep.join(blocks), args.out)
-    else:
-        _emit("psi,theta_deg,xi,gain_abs,gain_db\n%s\n" % sep.join(blocks), args.out)
+    thetas = [math.degrees(math.asin(psi)) for psi in grid.tolist()]
+    for xi in xis:  # before the first byte: rows are written as they are made
+        _check_xi(xi)
+    # %r writes a float as json.dumps and str do; the first rows go out after the header
+    row, sep, prefix, tail = ("%r,%r,%r,%r,%r", "\n", "psi,theta_deg,xi,gain_abs,gain_db\n", "\n") if args.format == "csv" else (_JSON_ROW, ",\n", "[\n", "\n]\n")
+    with _output(args.out) as stream:
+        for xi in xis:
+            mags = np.abs(array_gain_sum(weights, geom, grid, xi))
+            for lo in range(0, len(grid), _GAIN_CHUNK):  # so the rows held as text are one chunk's
+                hi = lo + _GAIN_CHUNK
+                rows = zip(grid[lo:hi].tolist(), thetas[lo:hi], mags[lo:hi].tolist())
+                stream.write(prefix + sep.join([row % (psi, theta, xi, m, 20.0 * math.log10(max(m, 1e-15))) for psi, theta, m in rows]))
+                prefix = sep
+        stream.write(tail)
     return _EXIT_OK
 
 

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .array_model import _check_n, gain_kernel_magnitude, worst_subcarrier_gain
+from .array_model import _GAIN_CHUNK, _check_n, _raise_to_window_mins, gain_kernel_magnitude
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,11 +78,12 @@ class BandSpec:
     def xi_grid(self, points: int = 65) -> np.ndarray:
         """Evenly spaced subcarrier ratios including both band edges.
 
-        Collapses to the single point 1.0 for a zero-width band.
+        Collapses to the single point 1.0 for a zero-width band. At most
+        16,384 points, so that one pair's subcarriers fit one kernel block.
         """
         import numpy as np
-        if points < 2:
-            raise ValueError(f"xi grid needs at least 2 points, got {points}")
+        if not 2 <= points <= _GAIN_CHUNK:
+            raise ValueError(f"xi grid needs 2 to {_GAIN_CHUNK} points, got {points}")
         if self.fractional_bandwidth == 0.0:
             return np.array([1.0])
         return np.linspace(self.xi_min, self.xi_max, points)
@@ -250,17 +251,20 @@ def numeric_coverage(
     Scans carrier angles psi_c around the beam and keeps the maximal
     contiguous interval containing the gain peak on which
     ``min over the xi grid of |g(xi*psi_c - psi0)| >= g_t``. Edges are
-    refined to 1e-9. Returns None when no grid point
-    qualifies (squint has consumed the beam). Independent of the analytic
-    edge formulas, which it exists to check.
+    refined to 1e-9. Returns None when no grid point qualifies (squint
+    has consumed the beam). Independent of the analytic edge formulas,
+    which it exists to check.
+
+    The scan's bar is the float just under g_t. An angle whose band-edge
+    bound (at least its exact min) does not beat it fails either way and
+    stays at -inf, unevaluated; passing values are exact, so no bit moves.
     """
     import numpy as np
     n = _check_n(n_antennas)
     if not math.isfinite(psi0):
         raise ValueError(f"psi0 must be finite, got {psi0!r}")
-    thr = threshold if threshold is not None else GainThreshold()
     xis = band.xi_grid(xi_points)
-    floor = thr.absolute(n)
+    floor = (threshold or GainThreshold()).absolute(n)
 
     # Search window: the main lobe spans |xi*psi_c - psi0| < 2/N (first
     # nulls); take the union of that over the band-edge ratios.
@@ -271,28 +275,21 @@ def numeric_coverage(
     width = hi_w - lo_w
     if not (psi_step > 0 and 1 < width / psi_step <= _MAX_GRID_POINTS - 1):
         raise ValueError(f"psi_step must lie in (0, {width!r}), the scan window's width (at most {_MAX_GRID_POINTS} points), got {psi_step!r}")
-    n_pts = int(math.ceil(width / psi_step))
-    grid = np.linspace(lo_w, hi_w, n_pts + 1)
+    grid = np.linspace(lo_w, hi_w, int(math.ceil(width / psi_step)) + 1)
 
-    psi0s = np.array([psi0])
-    q = worst_subcarrier_gain(grid, psi0s, xis, n)
+    q = np.full(len(grid), -math.inf)  # one window, all of the grid
+    _raise_to_window_mins(grid, np.array([psi0]), xis, n, *np.array([[0], [len(grid)], [0]]), q, math.nextafter(floor, -math.inf))
     peak = int(np.argmax(q))
     if q[peak] < floor:
         return None
     # fail every point outside the maximal passing run that holds the peak:
     # a failing point, or one with a failing point between it and the peak
-    below = q < floor
-    count = np.cumsum(below)
+    count = np.cumsum(below := q < floor)
     failing = below | (count != count[peak])
-
-    def margin(psi_c: np.ndarray) -> np.ndarray:
-        return worst_subcarrier_gain(psi_c, psi0s, xis, n) - floor
-
-    # the coverage ends where the gaps on either side begin, or at the window ends
-    gaps = _failure_gaps(grid, failing, margin)
-    lo = gaps[0].hi if failing[0] else float(grid[0])
-    hi = gaps[-1].lo if failing[-1] else float(grid[-1])
-    return CoverageInterval(lo, hi)
+    # the coverage ends where the gaps on either side begin, or at the window
+    # ends; a refinement round takes at most 4 angles, both ends of two edges
+    gaps = _failure_gaps(grid, failing, lambda psi_c: gain_kernel_magnitude(np.multiply.outer(psi_c, xis) - psi0, n).min(axis=-1) - floor)
+    return CoverageInterval(gaps[0].hi if failing[0] else float(grid[0]), gaps[-1].lo if failing[-1] else float(grid[-1]))
 
 
 def _failure_gaps(grid, failing, margin) -> list[CoverageInterval]:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamsquint import array_model
 from beamsquint.array_model import _check_n, gain_kernel_magnitude, worst_subcarrier_gain
+from beamsquint.codebook import design_with_squint
 from beamsquint.squint import (
     _MAX_GRID_POINTS,
     BandSpec,
@@ -30,6 +32,14 @@ class TestBandSpec:
 
     def test_from_carrier_is_the_band_from_b(self):
         assert BandSpec.from_carrier(73e9, 2.5e9) == BandSpec(2.5e9 / 73e9)
+
+    def test_xi_grid_fits_one_kernel_block(self):
+        assert len(BAND.xi_grid(16384)) == 16384
+        for points in (1, 16385, 10**6):
+            with pytest.raises(ValueError, match="xi grid needs 2 to 16384 points, got"):
+                BAND.xi_grid(points)
+        with pytest.raises(ValueError, match="xi grid needs"):
+            numeric_coverage(0.3, BAND, 16, xi_points=10**5)
 
     def test_xi_range(self):
         assert BAND.xi_min == 1 - 0.0171
@@ -327,18 +337,67 @@ MULTI_RUN_CASES = [(5, 0.9222, 0.553, 0.0111), (9, 1.2307, 0.6356, 0.0132),
 
 
 @pytest.mark.parametrize("n, b, psi0, ratio", MULTI_RUN_CASES)
-def test_numeric_coverage_refines_only_the_peak_run(primitive_calls, n, b, psi0, ratio):
+def test_numeric_coverage_refines_only_the_peak_run(refinement_blocks, n, b, psi0, ratio):
     thr = GainThreshold(ratio)
     expected = reference_numeric_coverage(psi0, BandSpec(b), n, thr)
-    primitive_calls.clear()
+    refinement_blocks.clear()
     cov = numeric_coverage(psi0, BandSpec(b), n, thr)
     if expected is None:
         assert cov is None
         return
     assert (type(cov.lo), type(cov.hi)) == (float, float)
     assert (cov.lo.hex(), cov.hi.hex()) == (expected.lo.hex(), expected.hi.hex())
-    # the grid scan, then at most both ends of the two edges per refinement call
-    assert max(primitive_calls[1:], default=0) <= 4
+    # at most both ends of the two edges per refinement call
+    assert max(refinement_blocks, default=0) <= 4
+
+
+# N, b (0 in every fifth case), psi0, ratio (1.0 in every seventh), xi
+# points and step: many beams that squint consumes, and wide bands with
+# several passing runs
+_FAMILY_RNG = np.random.default_rng(13)
+SEEDED_FAMILY = [
+    (int(_FAMILY_RNG.integers(2, 129)), 0.0 if i % 5 == 0 else 1.2 * float(_FAMILY_RNG.uniform()) ** 3,
+     float(_FAMILY_RNG.uniform(-1.3, 1.3)), 1.0 if i % 7 == 0 else float(_FAMILY_RNG.uniform(0.3, 0.9)),
+     int(_FAMILY_RNG.choice([2, 3, 4, 5, 65])), float(_FAMILY_RNG.uniform(1e-4, 1e-3)))
+    for i in range(300)
+]
+
+
+def test_numeric_coverage_keeps_the_reference_bits():
+    # the scan leaves pairs under the floor at -inf and the refiner takes
+    # its few angles straight to the kernel; neither may change a bit
+    kinds = set()
+    for n, b, psi0, ratio, xi_points, step in SEEDED_FAMILY:
+        args = psi0, BandSpec(b), n, GainThreshold(ratio), step, xi_points
+        expected, cov = reference_numeric_coverage(*args), numeric_coverage(*args)
+        if expected is None:
+            assert cov is None
+            kinds.add("none")
+            continue
+        assert (cov.lo.hex(), cov.hi.hex()) == (expected.lo.hex(), expected.hi.hex())
+        kinds.update({"few subcarriers"} if xi_points < 5 else set(), {"b = 0"} if b == 0.0 else set())
+    assert kinds == {"none", "few subcarriers", "b = 0"}
+    assert any(ratio == 1.0 for *_, ratio, _, _ in SEEDED_FAMILY)
+
+
+def test_numeric_coverage_scan_leaves_failing_pairs_unevaluated(monkeypatch):
+    # The scan's bar sits just under the floor, so a pair whose band-edge
+    # bound already fails goes to no other subcarrier. Without the bar the
+    # scan of each of these beams sent 325 rows to all 65.
+    rows = []
+
+    def recording(x, n):
+        if np.shape(x)[1:] == (65,):
+            rows.append(len(x))
+        return gain_kernel_magnitude(x, n)
+
+    monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
+    band = BandSpec(0.0179)
+    foci = design_with_squint(64, band, 1.0).codebook.foci
+    for target in (0.9, -0.9):
+        rows.clear()
+        assert numeric_coverage(min(foci, key=lambda f: abs(f - target)), band, 64) is not None
+        assert sum(rows) <= 4
 
 
 def test_coverage_interval_helpers():

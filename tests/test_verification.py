@@ -103,6 +103,15 @@ class TestVerifyCodebook:
         with pytest.raises(ValueError):
             verify_codebook(book16, slack_db=-0.1)
 
+    def test_xi_points_refused_before_any_grid(self, book16):
+        # the worst-xi search holds beams x xi_points at once: without the
+        # limit, a verify at 1e5 points peaked at 64 MB on an N=16 codebook
+        def refused():
+            with pytest.raises(ValueError, match="xi grid needs 2 to 16384 points, got 100000"):
+                verify_codebook(book16, xi_points=10**5)
+
+        assert _peak_bytes(refused) < 1e6
+
     def test_psi_step_bounded_by_psi_m(self):
         # a step above psi_m leaves fewer than 3 points on [-psi_m, psi_m]
         book = design_no_squint(16, 0.5)
@@ -302,11 +311,13 @@ class TestRefinementCalls:
         assert report.passed
         assert calls == 0
 
-    def test_numeric_coverage_refines_both_edges_together(self, primitive_calls, book16):
+    def test_numeric_coverage_refines_both_edges_together(self, refinement_blocks, book16):
         for beam in book16.beams[::5]:
-            primitive_calls.clear()
+            refinement_blocks.clear()
             assert numeric_coverage(beam.psi0, BAND, 16) is not None
-            assert len(primitive_calls) <= 8  # 11 with one edge after the other
+            # one block for both ends of both edges, then one per Brent round;
+            # 10 with one edge after the other
+            assert len(refinement_blocks) <= 4
 
 
 def _peak_bytes(fn) -> int:
