@@ -137,18 +137,21 @@ def array_gain_sum(weights: np.ndarray, geom: ArrayGeometry, psi, xi: float = 1.
     w = np.asarray(weights, dtype=float)
     if w.shape != (geom.n_antennas,):
         raise ValueError(f"weights must have shape ({geom.n_antennas},), got {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("weights must be finite phases in radians")
-    angles = np.asarray(psi, dtype=float)
-    _check_psi(float(np.abs(angles).max(initial=0.0)))  # NaN propagates
+    angles, k = np.asarray(psi, dtype=float), np.arange(geom.n_antennas)
+    _check_psi(abs(float(angles)) if angles.ndim == 0 else float(np.abs(angles).max(initial=0.0)))  # NaN propagates
     _check_xi(xi)
-    flat, k = angles.reshape(-1), np.arange(geom.n_antennas)
+    if angles.ndim == 0:  # one angle: the loop's float operations on its one row, without its set-up
+        phase = 2.0 * math.pi * xi * geom.spacing_ratio * (float(angles) * k) - w
+        return complex((np.exp(1j * phase).sum(keepdims=True) / math.sqrt(geom.n_antennas))[0])
+    flat = angles.reshape(-1)
     total = np.empty(len(flat), dtype=complex)
     rows = max(1, _GAIN_CHUNK // geom.n_antennas)  # the angle x element phases of a chunk
     for i in range(0, len(flat), rows):
         phase = 2.0 * math.pi * xi * geom.spacing_ratio * np.multiply.outer(flat[i : i + rows], k) - w
         total[i : i + rows] = np.exp(1j * phase).sum(axis=-1) / math.sqrt(geom.n_antennas)
-    return complex(total[0]) if angles.ndim == 0 else total.reshape(angles.shape)
+    return total.reshape(angles.shape)
 
 
 def _kernel_factor(x: np.ndarray, n: int) -> np.ndarray:
@@ -175,6 +178,17 @@ def _kernel_factor(x: np.ndarray, n: int) -> np.ndarray:
     return ratio
 
 
+def _kernel_factor_at(x: float, n: int) -> float:
+    """:func:`_kernel_factor` of one float, by the same float operations
+    (and numpy's sin, which may round unlike math.sin)."""
+    import numpy as np
+    half = 0.5 * math.pi * x
+    den = float(np.sin(half))
+    if abs(den) < _SINGULARITY_TOL:
+        return (1.0 - 2.0 * (float(round(0.5 * x)) * (n - 1) % 2.0)) * math.sqrt(n)
+    return float(np.sin(n * half)) / den / math.sqrt(n)
+
+
 def gain_kernel(x, n_antennas: int):
     """Closed-form fine-beam gain ``g(x)`` for half-wavelength spacing.
 
@@ -187,9 +201,10 @@ def gain_kernel(x, n_antennas: int):
     """
     import numpy as np
     n = _check_n(n_antennas)
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _kernel_factor(arr, n) * np.exp(1j * (n - 1) * (0.5 * math.pi * arr))
-    return complex(out[0]) if np.ndim(x) == 0 else out
+    if np.ndim(x) == 0:  # one value, without the array set-up
+        return complex(_kernel_factor_at(float(x), n) * np.exp(1j * (n - 1) * (0.5 * math.pi * float(x))))
+    arr = np.asarray(x, dtype=float)
+    return _kernel_factor(arr, n) * np.exp(1j * (n - 1) * (0.5 * math.pi * arr))
 
 
 def gain_kernel_magnitude(x, n_antennas: int):

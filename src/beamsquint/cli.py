@@ -19,13 +19,7 @@ import sys
 from pathlib import Path
 
 from .array_model import _GAIN_CHUNK, ArrayGeometry, _check_xi, array_gain_sum, fine_beam_weights
-from .codebook import (
-    Codebook,
-    CodebookFormatError,
-    design_with_squint,
-    max_antennas,
-    max_fractional_bandwidth,
-)
+from .codebook import Codebook, CodebookFormatError, design_with_squint, max_antennas, max_fractional_bandwidth
 from .squint import _MAX_GRID_POINTS, BandSpec, GainThreshold
 from .verification import sweep_size_vs_b, sweep_size_vs_n, verify_codebook
 

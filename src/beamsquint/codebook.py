@@ -13,15 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from .array_model import ArrayGeometry, _check_n, _fine_phases
-from .squint import (
-    HALF_POWER_CONSTANT,
-    BandSpec,
-    CoverageInterval,
-    GainThreshold,
-    focus_from_left_edge,
-    half_power_beamwidth,
-    squinted_coverage,
-)
+from .squint import HALF_POWER_CONSTANT, BandSpec, CoverageInterval, GainThreshold, half_power_beamwidth, squinted_coverage
 
 __all__ = [
     "Beam",
@@ -333,7 +325,7 @@ def design_no_squint(n_antennas: int, psi_m: float) -> Codebook:
     n = _check_n(n_antennas)
     psi_m = _check_psi_m(psi_m)
     band = BandSpec(0.0)
-    return Codebook(_plan(n, band, psi_m), psi_m, band, n, GainThreshold())
+    return Codebook(_foci(n, band, psi_m), psi_m, band, n, GainThreshold())
 
 
 def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> tuple[float, ...] | None:
@@ -344,50 +336,48 @@ def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> tuple[f
     defense against float collapse right at the bound).
     """
     positive: list[float] = []
+    half, b = 0.5 * half_power_beamwidth(n), band.fractional_bandwidth
     # the odd procedure seeds a beam at broadside, the even one an edge
-    psi_cr = squinted_coverage(0.0, band, n).hi if odd else 0.0
+    psi_cr = half / (1.0 + 0.5 * b) if odd else 0.0
     while psi_cr < psi_m - _EDGE_TOL:
+        # focus_from_left_edge(psi_cl), then squinted_coverage(psi0).hi by the
+        # same float operations: psi_cl >= 0, so the right edge psi0 + half > 0
         psi_cl = psi_cr
-        psi0 = focus_from_left_edge(psi_cl, band, n)
-        psi_cr = squinted_coverage(psi0, band, n).hi
+        psi0 = (1.0 - 0.5 * b) * psi_cl + half
+        psi_cr = (psi0 + half) / (1.0 + 0.5 * b)
         if psi_cl >= psi_cr:
             return None
         positive.append(psi0)
     return tuple([-f for f in reversed(positive)] + ([0.0] if odd else []) + positive)
 
 
-def _plan(n: int, band: BandSpec, psi_m: float) -> tuple[float, ...] | Infeasibility:
+def _foci(n: int, band: BandSpec, psi_m: float) -> tuple[float, ...] | None:
     """The ascending, mirror-symmetric foci of the minimum codebook (one at
-    broadside when their count is odd), or the Infeasibility that rules the
-    design out. The only place that decides a codebook's foci; raises
-    ValueError on an invalid n or psi_m."""
+    broadside when their count is odd), or None when no codebook exists.
+    The only place that decides a codebook's foci; raises ValueError on an
+    invalid n or psi_m."""
     b = band.fractional_bandwidth
     if b == 0.0:
-        size = min_size_no_squint(n, psi_m)
-        width = half_power_beamwidth(n)
+        size, width = min_size_no_squint(n, psi_m), half_power_beamwidth(n)
         return tuple((i - (size - 1) / 2) * width for i in range(size))
-    bound = max_fractional_bandwidth(n, psi_m)
-    if b >= bound:
-        reason = (
-            f"fractional bandwidth {b:.6f} is not below the bound "
-            f"{bound:.6f} = 1.772/(psi_m*N) for N={n}, psi_m={psi_m:g}"
-        )
-    else:
-        tilings = [_tile_right_half(n, band, psi_m, odd) for odd in (True, False)]
-        if None not in tilings:
-            return min(tilings, key=len)
-        reason = (
-            f"beam tiling stalled before reaching psi_m={psi_m:g} "
-            f"(fractional bandwidth {b:.6f} at the feasibility bound {bound:.6f})"
-        )
-    return Infeasibility(
-        reason=reason,
-        n_antennas=n,
-        psi_m=psi_m,
-        fractional_bandwidth=b,
-        max_fractional_bandwidth=bound,
-        max_antennas=max_antennas(band, psi_m),
+    if b >= max_fractional_bandwidth(n, psi_m):
+        return None
+    tilings = [_tile_right_half(n, band, psi_m, odd) for odd in (True, False)]
+    return None if None in tilings else min(tilings, key=len)
+
+
+def _plan(n: int, band: BandSpec, psi_m: float) -> tuple[float, ...] | Infeasibility:
+    """:func:`_foci`, or the Infeasibility that rules the design out."""
+    foci = _foci(n, band, psi_m)
+    if foci is not None:
+        return foci
+    b, bound = band.fractional_bandwidth, max_fractional_bandwidth(n, psi_m)
+    reason = (
+        f"fractional bandwidth {b:.6f} is not below the bound {bound:.6f} = 1.772/(psi_m*N) for N={n}, psi_m={psi_m:g}"
+        if b >= bound  # else the tiling stalled right at the bound
+        else f"beam tiling stalled before reaching psi_m={psi_m:g} (fractional bandwidth {b:.6f} at the feasibility bound {bound:.6f})"
     )
+    return Infeasibility(reason, n, psi_m, b, bound, max_antennas(band, psi_m))
 
 
 def design_with_squint(n_antennas: int, band: BandSpec, psi_m: float) -> DesignOutcome:

@@ -12,8 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .array_model import _raise_to_window_mins, _ranges, gain_kernel_magnitude, worst_subcarrier_gain
-from .codebook import Codebook, Infeasibility, _plan, max_antennas, max_fractional_bandwidth
+from .array_model import _GAIN_CHUNK, _raise_to_window_mins, _ranges, gain_kernel_magnitude, worst_subcarrier_gain
+from .codebook import Codebook, _foci, max_antennas, max_fractional_bandwidth, min_size_no_squint
 from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps
 
 __all__ = [
@@ -115,15 +115,13 @@ def verify_codebook(
 
     worst_idx = int(np.argmin(best))
     worst_psi = float(grid[worst_idx])
-    # xi achieving the minimum for the beam that wins at the worst angle
-    at_worst = gain_kernel_magnitude(worst_psi * xis - psi0s[:, None], n)
-    winner = at_worst[int(np.argmax(at_worst.min(axis=1)))]
+    # xi of the min of the (first) beam that wins at the worst angle; mins in blocks of beams
+    rows = _GAIN_CHUNK // len(xis)
+    mins = [gain_kernel_magnitude(worst_psi * xis - psi0s[i : i + rows, None], n).min(axis=1) for i in range(0, len(psi0s), rows)]
+    winner = gain_kernel_magnitude(worst_psi * xis - psi0s[int(np.argmax(np.concatenate(mins)))], n)
     worst_xi = float(xis[int(np.argmin(winner))])
 
-    def margin(psi: np.ndarray) -> np.ndarray:
-        return worst_subcarrier_gain(psi, psi0s, xis, n) - pass_level
-
-    gaps = _failure_gaps(grid, best < pass_level, margin)
+    gaps = _failure_gaps(grid, best < pass_level, lambda psi: worst_subcarrier_gain(psi, psi0s, xis, n) - pass_level)
 
     return CoverageReport(
         passed=not gaps,
@@ -228,9 +226,11 @@ class SweepTable:
 
 def _size(n: int, band: BandSpec, psi_m: float) -> int | None:
     """Minimum codebook size from the design plan, None when infeasible;
-    builds no codebook."""
-    plan = _plan(n, band, psi_m)
-    return None if isinstance(plan, Infeasibility) else len(plan)
+    builds no codebook, no infeasibility report, nor at b = 0 any foci."""
+    if band.fractional_bandwidth == 0.0:
+        return min_size_no_squint(n, psi_m)
+    foci = _foci(n, band, psi_m)
+    return None if foci is None else len(foci)
 
 
 def sweep_size_vs_b(

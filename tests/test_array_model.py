@@ -229,6 +229,54 @@ class TestKernelBits:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+class TestScalarPath:
+    """One value takes a short path past the array set-up, with the same
+    float operations: its result is the array path's element, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 64, 1024])
+    def test_kernel_scalar_is_the_array_element(self, n):
+        rng = np.random.default_rng(n)
+        lobes = [2.0 * k for k in range(-6, 7)]
+        near = [f(x) for x in lobes for f in (
+            lambda x: math.nextafter(x, math.inf), lambda x: math.nextafter(x, -math.inf),
+            lambda x: x + 1e-14, lambda x: x - 1e-14, lambda x: x + 1.1e-12, lambda x: x - 1.1e-12,
+        )]
+        extremes = [-0.0, 1e-300, 2e17 + 4, -1e17, 1e300, math.inf, math.nan]
+        values = lobes + near + extremes + rng.uniform(-4.2, 4.2, 500).tolist()
+        with np.errstate(invalid="ignore"):
+            array = gain_kernel(np.array(values), n)
+            for x, want in zip(values, array.tolist()):
+                got = gain_kernel(x, n)
+                assert type(got) is complex
+                assert _bits(got) == _bits(want), x
+
+    def test_gain_sum_scalar_is_the_array_element(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(2000):
+            geom = ArrayGeometry(int(rng.integers(2, 65)))
+            weights = fine_beam_weights(geom, float(rng.uniform(-1, 1)))
+            psi, xi = float(rng.choice([rng.uniform(-1, 1), 0.0, -1.0, 1.0])), float(rng.uniform(0.9, 1.1))
+            got = array_gain_sum(weights, geom, psi, xi)
+            assert type(got) is complex
+            assert _bits(got) == _bits(complex(array_gain_sum(weights, geom, np.array([psi]), xi)[0]))
+
+    def test_scalar_checks_unchanged(self):
+        w = fine_beam_weights(HALF, 0.5)
+        for psi in (1.5, -1.5, math.nan, np.float64(-2.0), np.array(1.2)):
+            with pytest.raises(ValueError, match="psi must be a sine value"):
+                array_gain_sum(w, HALF, psi)
+        with pytest.raises(ValueError, match="psi must be a sine value in \\[-1, 1\\], got 1.5"):
+            array_gain_sum(w, HALF, -1.5)
+        with pytest.raises(ValueError, match="frequency ratio"):
+            array_gain_sum(w, HALF, 0.2, 0.0)
+        assert type(array_gain_sum(w, HALF, np.float64(0.2))) is complex
+        assert array_gain_sum(w, HALF, np.array([0.2])).shape == (1,)
+
+
 class TestEquivalentAoa:
     def test_identity_at_carrier(self):
         assert equivalent_aoa(math.pi / 6, 1.0) == pytest.approx(math.pi / 6, abs=1e-15)

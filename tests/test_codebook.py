@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamsquint import codebook
 from beamsquint.array_model import ArrayGeometry, fine_beam_weights
 from beamsquint.codebook import (
     Beam,
@@ -18,7 +20,15 @@ from beamsquint.codebook import (
     max_fractional_bandwidth,
     min_size_no_squint,
 )
-from beamsquint.squint import BandSpec, CoverageInterval, GainThreshold, half_power_beamwidth, squinted_coverage
+from beamsquint.squint import (
+    BandSpec,
+    CoverageInterval,
+    GainThreshold,
+    focus_from_left_edge,
+    half_power_beamwidth,
+    squinted_coverage,
+)
+from beamsquint.verification import sweep_size_vs_b, sweep_size_vs_n
 
 from recurrence_oracle import oracle_min_size, oracle_sizes
 
@@ -443,3 +453,86 @@ class TestFromDictFuzz:
         else:
             node[path[-1]] = data.draw(JSON_VALUES)
         _parse_or_format_error(doc)
+
+
+def reference_tile_right_half(n, band, psi_m, odd):
+    """The tiling loop as it was when each step called the validated public
+    functions, kept verbatim as the reference for the inlined step."""
+    positive: list[float] = []
+    # the odd procedure seeds a beam at broadside, the even one an edge
+    psi_cr = squinted_coverage(0.0, band, n).hi if odd else 0.0
+    while psi_cr < psi_m - codebook._EDGE_TOL:
+        psi_cl = psi_cr
+        psi0 = focus_from_left_edge(psi_cl, band, n)
+        psi_cr = squinted_coverage(psi0, band, n).hi
+        if psi_cl >= psi_cr:
+            return None
+        positive.append(psi0)
+    return tuple([-f for f in reversed(positive)] + ([0.0] if odd else []) + positive)
+
+
+def _plan_cases(draws):
+    """Seeded (N, b, psi_m): N from 2 to 1024 (``draws`` of them at random),
+    b at 0, 1e-9 and shares of the bound on both sides of it, psi_m 1, 0.77
+    and 0.3."""
+    rng = random.Random(20261018)
+    sizes = sorted({2, 3, 4, 16, 64, 1024} | set(rng.sample(range(5, 1024), draws)))
+    shares = (0.01, 0.3, 0.7, 0.99, 0.999999, 1.0, 1.01)
+    for psi_m in (1.0, 0.77, 0.3):
+        for n in sizes:
+            bound = max_fractional_bandwidth(n, psi_m)
+            for b in (0.0, 1e-9) + tuple(s * bound for s in shares):
+                if b < 2.0:
+                    yield n, BandSpec(b), psi_m
+
+
+class TestTilingStep:
+    """The tiling loop inlines focus_from_left_edge and squinted_coverage;
+    every focus, size and infeasibility report keeps its bits."""
+
+    def test_plan_matches_the_reference_loop(self, monkeypatch):
+        cases = list(_plan_cases(16))
+        plans = [repr(codebook._plan(*case)) for case in cases]
+        monkeypatch.setattr(codebook, "_tile_right_half", reference_tile_right_half)
+        assert plans == [repr(codebook._plan(*case)) for case in cases]
+        kinds = {p.split("(")[0] for p in plans}
+        assert "Infeasibility" in kinds and any(p.startswith("(") for p in plans)
+
+    def test_each_step_is_the_public_calls(self):
+        steps = 0
+        for n, band, psi_m in _plan_cases(4):
+            for odd in (True, False):
+                foci = codebook._tile_right_half(n, band, psi_m, odd)
+                if foci is None:
+                    continue
+                # replay the loop from the foci: each is the focus of the left
+                # edge the one before it covers up to, bit for bit
+                psi_cl = squinted_coverage(0.0, band, n).hi if odd else 0.0
+                for psi0 in foci[len(foci) // 2 + odd :]:
+                    assert psi_cl < psi_m - codebook._EDGE_TOL
+                    assert psi0.hex() == focus_from_left_edge(psi_cl, band, n).hex()
+                    psi_cl = squinted_coverage(psi0, band, n).hi
+                    steps += 1
+                assert psi_cl >= psi_m - codebook._EDGE_TOL
+        assert steps > 10_000
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            (lambda: sweep_size_vs_n([0.0], [1]), "n_antennas must be an integer >= 2, got 1"),
+            (lambda: sweep_size_vs_n([0.05], [1]), "n_antennas must be an integer >= 2, got 1"),
+            (lambda: sweep_size_vs_b([1], [0.0]), "n_antennas must be an integer >= 2, got 1"),
+            (lambda: sweep_size_vs_n([0.0], [16], 0.0), r"psi_m must lie in \(0, 1\], got 0.0"),
+            (lambda: sweep_size_vs_n([0.05], [16], 0.0), r"psi_m must lie in \(0, 1\], got 0.0"),
+            (lambda: sweep_size_vs_b([16], [0.0], 0.0), r"psi_m must lie in \(0, 1\], got 0.0"),
+            (lambda: sweep_size_vs_n([0.0], [16], math.nan), r"psi_m must lie in \(0, 1\], got nan"),
+            (lambda: sweep_size_vs_b([16], [0.05], math.nan), r"psi_m must lie in \(0, 1\], got nan"),
+            (lambda: sweep_size_vs_n([math.nan], [16]), "fractional_bandwidth must satisfy 0 <= b < 2, got nan"),
+            (lambda: sweep_size_vs_b([16], [math.nan]), "fractional_bandwidth must satisfy 0 <= b < 2, got nan"),
+            (lambda: sweep_size_vs_n([0.0], [math.nan]), "cannot convert float NaN to integer"),
+            (lambda: sweep_size_vs_b([math.nan], [0.0]), "cannot convert float NaN to integer"),
+        ],
+    )
+    def test_sweeps_refuse_bad_input_as_before(self, sweep, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep()

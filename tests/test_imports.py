@@ -33,14 +33,19 @@ def test_public_names():
     assert all(hasattr(beamsquint, name) for name in beamsquint.__all__)
 
 
-def _run(code, *argv):
-    """Run ``code`` in a fresh interpreter with this checkout's package;
-    returns its last line of stderr."""
+def _env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
     src = str(Path(beamsquint.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run(code, *argv):
+    """Run ``code`` in a fresh interpreter with this checkout's package;
+    returns its last line of stderr."""
     result = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_env(), check=True
     )
     return result.stderr.splitlines()[-1]
 
@@ -102,6 +107,30 @@ def _main_loads_numpy(*argv):
 )
 def test_design_commands_leave_numpy_unloaded(argv, exit_code):
     assert _main_loads_numpy(*argv, "--out", os.devnull) == (exit_code, False)
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["bounds", "--antennas", "16", "--carrier-ghz", "73", "--bandwidth-ghz", "2.5"], False),
+        (["design", "--antennas", "64", "--fractional-bandwidth", "0.0179"], False),
+        (["sweep-b", "--antennas", "8", "16", "--b-min", "0", "--b-max", "0.2", "--b-points", "9"], False),
+        (["sweep-n", "--b-list", "0,0.0342", "--n-min", "4", "--n-max", "64"], False),
+        (["pattern", "--antennas", "4", "--psi0", "0", "--xi", "1", "--psi-step", "0.5"], True),
+    ],
+    ids=["bounds", "design", "sweep-b", "sweep-n", "pattern"],
+)
+def test_module_entry_point_loads_numpy_only_for_the_kernel(argv, loads_numpy):
+    # the command as a user runs it; -X importtime names every module the
+    # interpreter imports on stderr, one "import time: ... | <name>" line each
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "beamsquint", *argv, "--out", os.devnull],
+        capture_output=True, text=True, env=_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+    assert "beamsquint.cli" in imported
+    assert ("numpy" in imported) == loads_numpy
 
 
 def test_kernel_commands_load_numpy(tmp_path):

@@ -346,6 +346,17 @@ def test_memory_of_a_fine_verify_stays_with_the_grid():
     assert _peak_bytes(lambda: verify_codebook(book, psi_step=2e-6)) < 45e6
 
 
+@pytest.mark.parametrize("n", [64, 256])
+def test_memory_of_the_worst_subcarrier_search_stays_bounded(n):
+    # narrowband codebooks (73 and 289 beams) under b = 0.5/N at the most
+    # subcarriers a grid may have: every beam's row at the worst angle at
+    # once peaked at 38 and 149 MB; in blocks of beams, then the winner's
+    # row alone, about 1.2 MB
+    book = dataclasses.replace(design_no_squint(n, 1.0), band=BandSpec(0.5 / n))
+    verify_codebook(book, psi_step=1e-3, xi_points=65)  # numpy's first-call set-up is not the search
+    assert _peak_bytes(lambda: verify_codebook(book, psi_step=1e-3, xi_points=16384)) < 4e6
+
+
 def test_memory_bounded_when_many_pairs_need_every_subcarrier(monkeypatch):
     # A band this wide carries every subcarrier range through nulls, so
     # few (angle, beam) pairs pass the band-edge screen and most go to
@@ -446,6 +457,19 @@ class TestWindowedSweepIsExact:
             step = psi_m / float(rng.integers(150, 400))
             args = dict(psi_step=step, xi_points=xi_points, slack_db=float(rng.uniform(0, 1)))
             assert verify_codebook(book, **args) == reference_verify_codebook(book, **args)
+
+    @pytest.mark.parametrize("chunk", [65, 130, 455])  # 1, 2 or 7 beams per block at 65 subcarriers
+    def test_worst_subcarrier_search_in_blocks(self, monkeypatch, chunk):
+        # the winner at the worst angle is the first beam with the largest
+        # min, whichever block holds it; duplicated foci tie exactly
+        monkeypatch.setattr(verification, "_GAIN_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for n in (3, 8, 16, 64):
+            foci = np.concatenate([rng.uniform(-1.2, 1.2, int(rng.integers(2, 2 * n))), [1.0 - 1.0 / n]])
+            b = float(rng.uniform(0.0, 0.5))
+            for book in (_book(n, b, 1.0, np.concatenate([foci, foci[:3]])), _book(n, b, 1.0, -foci)):
+                for args in (dict(psi_step=0.01), dict(psi_step=0.01, xi_points=2)):
+                    assert verify_codebook(book, **args) == reference_verify_codebook(book, **args)
 
     @pytest.mark.parametrize("chunk", [1 << 14, 40])  # one block of angles, or dozens
     @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
