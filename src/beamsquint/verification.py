@@ -88,14 +88,14 @@ def verify_codebook(
     beamwidth approximation when certifying constant-width designs (use 0
     for exact-width designs).
 
-    Each beam is evaluated only on its main-lobe windows, where
-    ``|xis[0]*psi - psi0 - 2k| < 2/N`` for some k (k != 0: grating lobes).
-    Outside them ``|g| <= S_N = 1/(sqrt(N)*sin(pi/N))``, and a beam's min
-    over subcarriers is at most its gain at ``xis[0]``; so every angle
-    whose windowed best stays at or below S_N (the ``floor`` of the windows'
-    per-angle bar) is re-evaluated with all beams. The kernel is
-    element-wise and max/min are exact, so the report is bit for bit that
-    of evaluating every beam at every angle.
+    Each beam is evaluated only on windows that widen round by round, h =
+    1/N, 2/N, 4/N, ..., 1: the angles where ``x = xi*psi - psi0 - 2k`` at
+    the mid-band ``xi`` is within h of a lobe image (k != 0: grating lobes).
+    Outside them ``|g(x)| <= 1/(sqrt(N)*|sin(pi*x/2)|) <= E(h) = 1/(sqrt(N)*
+    sin(pi*h/2))``, which bounds the beam's min over subcarriers; so an angle
+    whose best beats E(h) is final, and only the others go on. At h = 1 all
+    beams are in a window. The kernel is element-wise and max/min are exact,
+    so the report is bit for bit that of every beam at every angle.
     """
     import numpy as np
     psi_m = codebook.psi_m
@@ -117,8 +117,8 @@ def verify_codebook(
     worst_psi = float(grid[worst_idx])
     # xi of the min of the (first) beam that wins at the worst angle; mins in blocks of beams
     rows = _GAIN_CHUNK // len(xis)
-    mins = [gain_kernel_magnitude(worst_psi * xis - psi0s[i : i + rows, None], n).min(axis=1) for i in range(0, len(psi0s), rows)]
-    winner = gain_kernel_magnitude(worst_psi * xis - psi0s[int(np.argmax(np.concatenate(mins)))], n)
+    blocks = (gain_kernel_magnitude(worst_psi * xis - psi0s[i : i + rows, None], n) for i in range(0, len(psi0s), rows))
+    winner = max((g[int(np.argmax(g.min(axis=1)))].copy() for g in blocks), key=np.min)  # max keeps the first of equals
     worst_xi = float(xis[int(np.argmin(winner))])
 
     gaps = _failure_gaps(grid, best < pass_level, lambda psi: worst_subcarrier_gain(psi, psi0s, xis, n) - pass_level)
@@ -139,26 +139,26 @@ def verify_codebook(
 
 
 def _windowed_worst_gain(grid, psi0s, xis, n):
-    """``worst_subcarrier_gain(grid, psi0s, xis, n)`` on an evenly spaced
-    grid, each beam evaluated on its main-lobe windows only (see
-    :func:`verify_codebook`), all windows in one pass over the grid."""
+    """``worst_subcarrier_gain(grid, psi0s, xis, n)`` on an evenly spaced grid by
+    the window cascade of :func:`verify_codebook`, each round on the angles left."""
     import numpy as np
-    step, lobe = grid[1] - grid[0], 2.0 / n
-    # S_N, raised by a relative margin that covers the kernel's rounding
-    sidelobe = (1.0 + 1e-9) / (math.sqrt(n) * math.sin(math.pi / n))
-    # one window per beam and lobe image k that reaches the grid
-    k_lo = np.ceil((xis[0] * grid[0] - psi0s - lobe) / 2)
-    count = (np.floor((xis[0] * grid[-1] - psi0s + lobe) / 2) - k_lo + 1).astype(int)
-    beams = np.repeat(np.arange(len(psi0s)), count)
-    centre = psi0s[beams] + 2 * _ranges(k_lo, count)
-    # grid indices of each window, padded by two steps against rounding
-    lo = np.maximum(np.floor(((centre - lobe) / xis[0] - grid[0]) / step) - 2, 0).astype(int)
-    hi = np.minimum(np.ceil(((centre + lobe) / xis[0] - grid[0]) / step) + 3, len(grid)).astype(int)
-    best = np.full(len(grid), -1.0)  # below any gain: uncovered angles fall back
-    _raise_to_window_mins(grid, psi0s, xis, n, lo, hi, beams, best, sidelobe)
-    low = best <= sidelobe
-    best[low] = worst_subcarrier_gain(grid[low], psi0s, xis, n)
-    return best
+    step, xi, h = grid[1] - grid[0], xis[len(xis) // 2], 1.0 / n
+    best, todo = np.full(len(grid), -1.0), slice(None)  # the first round on the grid itself
+    while True:
+        # E(h), raised by a relative margin that covers the kernel's rounding; at h = 1 every beam is in
+        floor = (1.0 + 1e-9) / (math.sqrt(n) * math.sin(0.5 * math.pi * h)) if h < 1 else -math.inf
+        angles, part = grid[todo], best[todo]
+        k_lo = np.ceil((xi * grid[0] - psi0s - h) / 2)  # one window per beam and lobe image k that reaches the grid
+        count = (np.floor((xi * grid[-1] - psi0s + h) / 2) - k_lo + 1).astype(int)
+        beams = np.repeat(np.arange(len(psi0s)), count)
+        centre = psi0s[beams] + 2 * _ranges(k_lo, count)
+        # the angles of each window, padded by two steps against rounding
+        lo, hi = np.searchsorted(angles, [(centre - h) / xi - 2 * step, (centre + h) / xi + 2 * step])
+        _raise_to_window_mins(angles, psi0s, xis, n, lo, hi, beams, part, floor)
+        best[todo] = part
+        todo, h = np.flatnonzero(best <= floor), min(2 * h, 1.0)
+        if not len(todo):
+            return best
 
 
 @dataclass(frozen=True, slots=True)

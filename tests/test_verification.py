@@ -382,7 +382,7 @@ def reference_verify_codebook(
     slack_db: float = 0.2,
 ) -> CoverageReport:
     """The dense certifier, every beam at every grid angle, kept verbatim
-    as the reference for the windowed sweep."""
+    as the reference for the window cascade."""
     psi_m = codebook.psi_m
     # also rejects NaN; a step up to psi_m leaves at least 3 grid points
     if not 0 < psi_step <= psi_m:
@@ -430,8 +430,21 @@ def _book(n, b, psi_m, foci, threshold=GainThreshold()):
     return Codebook(tuple(float(f) for f in sorted(foci)), psi_m, BandSpec(b), n, threshold)
 
 
+def _record_rounds(monkeypatch):
+    """Angles per round of the window cascade, as verification runs it."""
+    rounds = []
+    primitive = verification._raise_to_window_mins
+
+    def recording(angles, *args):
+        rounds.append(len(angles))
+        return primitive(angles, *args)
+
+    monkeypatch.setattr(verification, "_raise_to_window_mins", recording)
+    return rounds
+
+
 class TestWindowedSweepIsExact:
-    """The windowed sweep against the dense reference: reports must be
+    """The window cascade against the dense reference: reports must be
     equal, float for float."""
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -500,22 +513,47 @@ class TestWindowedSweepIsExact:
                 # angle's windows: at most two per beam
                 assert max(batches) * min(len(xis), 4) <= max(chunk, 8 * len(foci))
 
-    def test_designed_codebook_leaves_no_angle_to_the_fallback(self, monkeypatch, book16):
-        # the windows, over several blocks of angles at the default step,
-        # lift every angle of a covering codebook above the sidelobe bound
-        fallback = []
-
-        def recording(psi, *args, **kwargs):
-            fallback.append(np.size(psi))
-            return worst_subcarrier_gain(psi, *args, **kwargs)
-
-        monkeypatch.setattr(verification, "worst_subcarrier_gain", recording)
+    def test_designed_codebook_final_after_first_round(self, monkeypatch, book16):
+        # the first round's windows (h = 1/N), over several blocks of angles
+        # at the default step, lift every angle of a covering codebook above
+        # E(1/N) = |g(1/N)|: no angle goes on to a second round
+        rounds = _record_rounds(monkeypatch)
         assert verify_codebook(book16).passed
-        assert fallback == [0]
+        assert rounds == [20001]
+
+    def test_deep_gaps_shrink_round_by_round(self, monkeypatch):
+        # a narrowband N=64 codebook under b = 0.0342 has 60 gaps; the angles
+        # whose best is still at or under E(h) shrink with every doubling of
+        # h, and the last round (h = 1, every beam) takes the 2 left
+        rounds = _record_rounds(monkeypatch)
+        book = dataclasses.replace(design_no_squint(64, 1.0), band=BAND)
+        report = verify_codebook(book)
+        assert rounds == [20001, 9824, 2622, 694, 166, 32, 2]
+        assert len(report.gaps) == 60
+        assert report == reference_verify_codebook(book)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cascade_equals_dense_on_seeded_families(self, seed):
+        # 30 codebooks per seed: b from 0 (one subcarrier) to 1.999, foci out
+        # to +-1.6 (grating lobes), any threshold, slack and subcarrier count
+        rng = np.random.default_rng([seed, 15])
+        for case in range(30):
+            n = int(rng.choice([2, 3, 4, 7, 16, 17, 33, 64]))
+            b = float(rng.choice([0.0, 1.999, rng.uniform(0.0, 0.2), rng.uniform(0.0, 1.999)]))
+            psi_m = float(rng.uniform(0.2, 1.0))
+            foci = rng.uniform(-1.6, 1.6, int(rng.integers(1, n + 3)))
+            book = _book(n, b, psi_m, foci, GainThreshold(float(rng.uniform(0.3, 1.0))))
+            args = dict(
+                psi_step=psi_m / float(rng.integers(100, 300)),
+                xi_points=int(rng.choice([2, 3, 4, 5, 9, 65])),
+                slack_db=float(rng.uniform(0.0, 1.0)),
+            )
+            assert verify_codebook(book, **args) == reference_verify_codebook(book, **args), (seed, case)
 
     @pytest.mark.parametrize("n, b", [(2, 0.0), (5, 0.3), (16, 0.0342), (64, 1.5)])
     def test_one_beam(self, n, b):
-        # no window covers most of the grid, so most angles fall back
+        # no narrow window covers most of the grid, so most angles go on to
+        # the wider rounds
         book = _book(n, b, 1.0, [0.3])
         assert verify_codebook(book, psi_step=2e-3) == reference_verify_codebook(
             book, psi_step=2e-3
