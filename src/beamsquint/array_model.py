@@ -10,24 +10,10 @@ so importing this module does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
-
-__all__ = [
-    "ArrayGeometry",
-    "steering_vector",
-    "fine_beam_weights",
-    "array_gain_sum",
-    "gain_kernel",
-    "gain_kernel_magnitude",
-    "worst_subcarrier_gain",
-    "equivalent_aoa",
-    "psi_from_theta",
-    "theta_from_psi",
-]
 
 # |sin(pi x / 2)| below this is treated as a removable singularity of the
 # closed-form kernel (the points x = 2k, where naive division is unstable).
@@ -46,8 +32,70 @@ _SCREEN_TOL = 1e-9
 _PSI_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class ArrayGeometry:
+def _public(namespace: dict) -> list[str]:
+    """A module's ``__all__``: the public names that it defines itself."""
+    return [k for k, v in namespace.items() if not k.startswith("_") and getattr(v, "__module__", None) == namespace["__name__"]]
+
+
+class _Record:
+    """Base of the frozen records, without generated code: the fields are the
+    class's own annotations, in order, with class attributes as defaults. As
+    a frozen dataclass, a record runs its ``__post_init__`` once built, equals
+    only its own type, hashes and prints by its fields, pickles, and refuses
+    assignment and deletion."""
+
+    def __init_subclass__(cls) -> None:
+        fields = cls._fields = tuple(vars(cls).get("__annotations__", {}))
+        check, size, store = vars(cls).get("__post_init__"), len(fields), object.__setattr__
+        defaults = tuple(vars(cls)[f] for f in fields if f in vars(cls))  # of the trailing fields, as in a signature
+
+        def __init__(self, *args, **kwargs) -> None:
+            if kwargs or not size - len(defaults) <= len(args) <= size:
+                args = self._bind(args, kwargs)
+            elif len(args) < size:
+                args += defaults[len(args) - size :]
+            for name, value in zip(fields, args):
+                store(self, name, value)
+            if check is not None:
+                check(self)
+
+        if "__init__" not in vars(cls):  # a record built in bulk may spell its own out
+            cls.__init__ = __init__
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """The fields' values from a call with keywords or defaults, bound as
+        a signature binds them: TypeError for an argument too many, unknown,
+        repeated or missing."""
+        from inspect import Parameter, Signature  # loaded already, by dataclasses
+
+        defaults, kind = vars(type(self)), Parameter.POSITIONAL_OR_KEYWORD
+        params = [Parameter(f, kind, default=defaults.get(f, Parameter.empty)) for f in self._fields]
+        try:
+            bound = Signature(params).bind(*args, **kwargs)
+        except TypeError as exc:
+            raise TypeError(f"{type(self).__name__}() {exc}") from None
+        bound.apply_defaults()
+        return tuple(bound.arguments.values())
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        return self._asdict() == other._asdict() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self._asdict().items())})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ArrayGeometry(_Record):
     """ULA with ``n_antennas`` identical isotropic elements spaced
     ``spacing_ratio`` carrier wavelengths apart.
 
@@ -329,3 +377,6 @@ def theta_from_psi(psi: float) -> float:
     """Inverse of :func:`psi_from_theta`; exact round trip up to float tolerance."""
     _check_psi(psi)
     return math.asin(min(1.0, max(-1.0, psi)))
+
+
+__all__ = _public(globals())

@@ -16,7 +16,6 @@ import dataclasses
 import json
 import math
 import sys
-from pathlib import Path
 
 from .array_model import _GAIN_CHUNK, ArrayGeometry, _check_xi, array_gain_sum, fine_beam_weights
 from .codebook import Codebook, CodebookFormatError, design_with_squint, max_antennas, max_fractional_bandwidth
@@ -157,7 +156,8 @@ def _cmd_design(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        text = Path(args.codebook).read_text()
+        with open(args.codebook) as stream:  # the locale's encoding, as Path.read_text
+            text = stream.read()
     except OSError as exc:
         raise ValueError(f"cannot read codebook file: {exc}") from exc
     try:

@@ -7,26 +7,12 @@ codebook JSON wire format.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 
-from .array_model import ArrayGeometry, _check_n, _fine_phases
+from .array_model import ArrayGeometry, _Record, _check_n, _fine_phases, _public
 from .squint import HALF_POWER_CONSTANT, BandSpec, CoverageInterval, GainThreshold, half_power_beamwidth, squinted_coverage
-
-__all__ = [
-    "Beam",
-    "Codebook",
-    "DesignOutcome",
-    "Infeasibility",
-    "CodebookFormatError",
-    "min_size_no_squint",
-    "design_no_squint",
-    "design_with_squint",
-    "max_fractional_bandwidth",
-    "max_antennas",
-]
 
 # Absolute slack on tiling comparisons; stops roundoff at an exact tiling
 # boundary from adding a spurious extra beam.
@@ -49,8 +35,7 @@ def _is_number(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
-@dataclass(frozen=True, slots=True)
-class Beam:
+class Beam(_Record):
     """One codebook entry: position, focus angle and analytic coverage,
     all derived from the codebook's foci. Its phases are
     ``fine_beam_weights(ArrayGeometry(N), psi0)``, derived when needed."""
@@ -68,6 +53,7 @@ class Beam:
         return math.degrees(math.asin(self.psi0))
 
 
+# a dataclass, unlike the other records: callers derive codebooks with dataclasses.replace
 @dataclass(frozen=True, slots=True)
 class Codebook:
     """Ascending beam foci, jointly covering [-psi_m, psi_m], for the
@@ -81,6 +67,8 @@ class Codebook:
     threshold: GainThreshold
 
     def __post_init__(self) -> None:
+        if not self.foci:
+            raise ValueError("a codebook needs at least one beam, got empty foci")
         object.__setattr__(self, "n_antennas", _check_n(self.n_antennas))
 
     @property
@@ -139,6 +127,7 @@ class Codebook:
         }
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
@@ -241,6 +230,7 @@ class Codebook:
 
     @classmethod
     def from_json(cls, text: str) -> "Codebook":
+        import json
         try:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
@@ -248,8 +238,7 @@ class Codebook:
         return cls.from_dict(data)
 
 
-@dataclass(frozen=True, slots=True)
-class Infeasibility:
+class Infeasibility(_Record):
     """Why no codebook exists, with the violated bound values attached."""
 
     reason: str
@@ -260,8 +249,7 @@ class Infeasibility:
     max_antennas: int | None
 
 
-@dataclass(frozen=True, slots=True)
-class DesignOutcome:
+class DesignOutcome(_Record):
     """Either a codebook or an infeasibility report."""
 
     codebook: Codebook | None = None
@@ -394,3 +382,6 @@ def design_with_squint(n_antennas: int, band: BandSpec, psi_m: float) -> DesignO
     if isinstance(plan, Infeasibility):
         return DesignOutcome(infeasibility=plan)
     return DesignOutcome(codebook=Codebook(plan, psi_m, band, n, GainThreshold()))
+
+
+__all__ = _public(globals())

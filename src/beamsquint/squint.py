@@ -10,26 +10,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .array_model import _GAIN_CHUNK, _check_n, _raise_to_window_mins, gain_kernel_magnitude
+from .array_model import _GAIN_CHUNK, _Record, _check_n, _public, _raise_to_window_mins, gain_kernel_magnitude
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
-
-__all__ = [
-    "HALF_POWER_CONSTANT",
-    "BandSpec",
-    "GainThreshold",
-    "CoverageInterval",
-    "half_power_beamwidth",
-    "exact_half_power_beamwidth",
-    "squinted_coverage",
-    "effective_beamwidth",
-    "focus_from_left_edge",
-    "numeric_coverage",
-]
 
 #: Half-power beamwidth constant for a half-wavelength ULA:
 #: width in psi space is HALF_POWER_CONSTANT / N, independent of the focus.
@@ -43,8 +29,7 @@ _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 
-@dataclass(frozen=True, slots=True)
-class BandSpec:
+class BandSpec(_Record):
     """Band geometry as fractional bandwidth ``b = B / f_c``.
 
     Subcarrier frequencies span ``xi in [1 - b/2, 1 + b/2]`` relative to the
@@ -89,8 +74,7 @@ class BandSpec:
         return np.linspace(self.xi_min, self.xi_max, points)
 
 
-@dataclass(frozen=True, slots=True)
-class GainThreshold:
+class GainThreshold(_Record):
     """Minimum acceptable gain as a fraction of the sqrt(N) maximum.
 
     The default 1/sqrt(2) is the exact half-power (3 dB) amplitude ratio.
@@ -122,8 +106,7 @@ class GainThreshold:
         return self.ratio_to_max * math.sqrt(_check_n(n_antennas))
 
 
-@dataclass(frozen=True, slots=True)
-class CoverageInterval:
+class CoverageInterval(_Record):
     """Carrier-frequency angles [lo, hi] over which a beam meets the gain
     threshold at every subcarrier in the band.
 
@@ -380,3 +363,6 @@ def _brent(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
             xcur += delta if sbis > 0 else -delta
         fcur = yield xcur
     raise RuntimeError(f"root finder did not converge in {_BRENT_MAXITER} iterations")
+
+
+__all__ = ["HALF_POWER_CONSTANT", *_public(globals())]

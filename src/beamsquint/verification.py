@@ -8,23 +8,11 @@ fixed grids, order-independent min/max reductions.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
-from .array_model import _GAIN_CHUNK, _raise_to_window_mins, _ranges, gain_kernel_magnitude, worst_subcarrier_gain
+from .array_model import _GAIN_CHUNK, _Record, _public, _raise_to_window_mins, _ranges, gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, _foci, max_antennas, max_fractional_bandwidth, min_size_no_squint
 from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps
-
-__all__ = [
-    "CoverageReport",
-    "SweepPoint",
-    "SweepSeries",
-    "SweepTable",
-    "verify_codebook",
-    "sweep_size_vs_b",
-    "sweep_size_vs_n",
-]
 
 _DB_FLOOR = 1e-15
 
@@ -33,8 +21,7 @@ def _to_db(amplitude: float) -> float:
     return 20.0 * math.log10(max(amplitude, _DB_FLOOR))
 
 
-@dataclass(frozen=True, slots=True)
-class CoverageReport:
+class CoverageReport(_Record):
     """Outcome of a brute-force codebook certification.
 
     ``worst_gain_db`` is relative to the sqrt(N) maximum; ``gaps`` lists
@@ -56,21 +43,13 @@ class CoverageReport:
     psi_m: float
 
     def to_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "worst_gain_db": self.worst_gain_db,
-            "worst_psi": self.worst_psi,
-            "worst_xi": self.worst_xi,
-            "gaps": [{"lo": g.lo, "hi": g.hi} for g in self.gaps],
-            "threshold_db": self.threshold_db,
-            "slack_db": self.slack_db,
-            "psi_step": self.psi_step,
-            "xi_points": self.xi_points,
-            "n_antennas": self.n_antennas,
-            "psi_m": self.psi_m,
-        }
+        """The fields in order, ``passed`` written as "pass" and each gap as a dict."""
+        doc = {"pass" if k == "passed" else k: v for k, v in self._asdict().items()}
+        doc["gaps"] = [g._asdict() for g in self.gaps]
+        return doc
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
@@ -161,8 +140,7 @@ def _windowed_worst_gain(grid, psi0s, xis, n):
             return best
 
 
-@dataclass(frozen=True, slots=True)
-class SweepPoint:
+class SweepPoint(_Record):
     """One sweep sample: axis value, codebook size (None = infeasible),
     and the feasibility bound annotated for that series."""
 
@@ -170,19 +148,21 @@ class SweepPoint:
     size: int | None
     bound: float
 
+    def __init__(self, axis_value: float, size: int | None, bound: float) -> None:
+        # the generic constructor, unrolled: a sweep builds one point per size
+        object.__setattr__(self, "__dict__", {"axis_value": axis_value, "size": size, "bound": bound})
+
     @property
     def feasible(self) -> bool:
         return self.size is not None
 
 
-@dataclass(frozen=True, slots=True)
-class SweepSeries:
+class SweepSeries(_Record):
     label: str
     points: tuple[SweepPoint, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SweepTable:
+class SweepTable(_Record):
     """Sweep results, one series per fixed parameter.
 
     ``to_csv`` emits ``axis,value_or_status,bound`` rows; multiple series
@@ -204,24 +184,13 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "series": [
-                {
-                    "label": s.label,
-                    "points": [
-                        {
-                            "axis_value": p.axis_value,
-                            "size": p.size,
-                            # JSON has no infinity: an unbounded series writes null
-                            "bound": None if math.isinf(p.bound) else p.bound,
-                        }
-                        for p in s.points
-                    ],
-                }
-                for s in self.series
-            ],
-        }
+        """The table as JSON values: an unbounded series writes its bound as
+        null, as JSON has no infinity."""
+        def point(p: SweepPoint) -> dict:
+            return {**p._asdict(), "bound": None if math.isinf(p.bound) else p.bound}
+
+        series = [{"label": s.label, "points": [point(p) for p in s.points]} for s in self.series]
+        return {"axis": self.axis, "series": series}
 
 
 def _size(n: int, band: BandSpec, psi_m: float) -> int | None:
@@ -240,10 +209,10 @@ def sweep_size_vs_b(
     per array size; the bound column is the per-N vertical asymptote."""
     if not n_antennas_list or not len(b_grid):
         raise ValueError("sweep grids must be non-empty")
-    series = []
+    series, bands = [], [BandSpec(float(b)) for b in b_grid]  # one band per b, shared by the series
     for n in n_antennas_list:
         bound = max_fractional_bandwidth(n, psi_m)
-        points = [SweepPoint(float(b), _size(n, BandSpec(float(b)), psi_m), bound) for b in b_grid]
+        points = [SweepPoint(band.fractional_bandwidth, _size(n, band, psi_m), bound) for band in bands]
         series.append(SweepSeries(f"N={n}", tuple(points)))
     return SweepTable("fractional_bandwidth", tuple(series))
 
@@ -263,3 +232,6 @@ def sweep_size_vs_n(
         points = [SweepPoint(float(n), _size(int(n), band, psi_m), bound) for n in n_range]
         series.append(SweepSeries(f"b={b:g}", tuple(points)))
     return SweepTable("n_antennas", tuple(series))
+
+
+__all__ = _public(globals())

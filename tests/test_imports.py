@@ -2,6 +2,7 @@
 the code that evaluates the gain kernel or builds a grid, so the design
 criterion (bounds, design, the sweeps) runs without it."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -58,6 +59,39 @@ def test_import_loads_every_layer_but_not_numpy():
     assert _run("import sys, beamsquint; " + loaded) == repr(LAYERS)
     # perfbench's tracer patches the layers that importing the CLI loads
     assert _run("import sys, beamsquint.cli; " + loaded) == repr(LAYERS)
+
+
+def test_start_up_loads_no_json_typing_or_pathlib():
+    # -S: no site hook, so nothing the interpreter's .pth files import hides a load
+    def loaded(module, names):
+        code = "import sys, %s; print(sorted(m for m in %r if m in sys.modules), file=sys.stderr)" % (module, names)
+        return subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_env(), check=True
+        ).stderr.splitlines()[-1]
+
+    assert loaded("beamsquint", ["json", "numpy", "typing"]) == "[]"
+    assert loaded("beamsquint.cli", ["pathlib", "typing"]) == "[]"
+
+
+SUBMODULE_NAMES = {
+    "array_model": ["ArrayGeometry", "array_gain_sum", "equivalent_aoa", "fine_beam_weights", "gain_kernel",
+                    "gain_kernel_magnitude", "psi_from_theta", "steering_vector", "theta_from_psi",
+                    "worst_subcarrier_gain"],
+    "codebook": ["Beam", "Codebook", "CodebookFormatError", "DesignOutcome", "Infeasibility", "design_no_squint",
+                 "design_with_squint", "max_antennas", "max_fractional_bandwidth", "min_size_no_squint"],
+    "squint": ["BandSpec", "CoverageInterval", "GainThreshold", "HALF_POWER_CONSTANT", "effective_beamwidth",
+               "exact_half_power_beamwidth", "focus_from_left_edge", "half_power_beamwidth", "numeric_coverage",
+               "squinted_coverage"],
+    "verification": ["CoverageReport", "SweepPoint", "SweepSeries", "SweepTable", "sweep_size_vs_b",
+                     "sweep_size_vs_n", "verify_codebook"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBMODULE_NAMES))
+def test_submodule_all_is_what_the_module_defines(name):
+    module = importlib.import_module(f"beamsquint.{name}")
+    assert sorted(module.__all__) == SUBMODULE_NAMES[name]
+    assert all(getattr(module, n).__module__ == module.__name__ for n in module.__all__ if n != "HALF_POWER_CONSTANT")
 
 
 def test_design_library_leaves_numpy_unloaded():
