@@ -40,42 +40,40 @@ def _public(namespace: dict) -> list[str]:
 class _Record:
     """Base of the frozen records, without generated code: the fields are the
     class's own annotations, in order, with class attributes as defaults. As
-    a frozen dataclass, a record runs its ``__post_init__`` once built, equals
-    only its own type, hashes and prints by its fields, pickles, and refuses
-    assignment and deletion."""
+    a frozen dataclass, a record is built by position, keyword or default,
+    runs its ``__post_init__`` once built, equals only its own type, hashes
+    and prints by its fields, pickles, and refuses assignment and deletion."""
 
     def __init_subclass__(cls) -> None:
         fields = cls._fields = tuple(vars(cls).get("__annotations__", {}))
-        check, size, store = vars(cls).get("__post_init__"), len(fields), object.__setattr__
-        defaults = tuple(vars(cls)[f] for f in fields if f in vars(cls))  # of the trailing fields, as in a signature
+        defaults = {f: vars(cls)[f] for f in fields if f in vars(cls)}
+        check, name, size, store = vars(cls).get("__post_init__"), cls.__name__, len(fields), object.__setattr__
 
-        def __init__(self, *args, **kwargs) -> None:
-            if kwargs or not size - len(defaults) <= len(args) <= size:
-                args = self._bind(args, kwargs)
-            elif len(args) < size:
-                args += defaults[len(args) - size :]
-            for name, value in zip(fields, args):
-                store(self, name, value)
+        def __init__(self, /, *args, **kwargs) -> None:
+            if kwargs or len(args) != size:
+                # bound as inspect.Signature.bind binds the fields, with its TypeError
+                # for an argument repeated, too many, missing or unknown, in that order
+                values = dict(zip(fields, args))
+                if not kwargs.keys().isdisjoint(values):
+                    raise TypeError(f"{name}() multiple values for argument {next(f for f in values if f in kwargs)!r}")
+                if len(args) > size:
+                    raise TypeError(f"{name}() too many positional arguments")
+                for f in fields[len(args) :]:
+                    if f in kwargs:
+                        values[f] = kwargs[f]
+                    elif f in defaults:
+                        values[f] = defaults[f]
+                    else:
+                        raise TypeError(f"{name}() missing a required argument: {f!r}")
+                if not kwargs.keys() <= values.keys():
+                    raise TypeError(f"{name}() got an unexpected keyword argument {next(k for k in kwargs if k not in values)!r}")
+                args = values.values()
+            for f, value in zip(fields, args):  # one by one, which keeps the compact key-sharing instance layout
+                store(self, f, value)
             if check is not None:
                 check(self)
 
-        if "__init__" not in vars(cls):  # a record built in bulk may spell its own out
-            cls.__init__ = __init__
-
-    def _bind(self, args: tuple, kwargs: dict) -> tuple:
-        """The fields' values from a call with keywords or defaults, bound as
-        a signature binds them: TypeError for an argument too many, unknown,
-        repeated or missing."""
-        from inspect import Parameter, Signature  # loaded already, by dataclasses
-
-        defaults, kind = vars(type(self)), Parameter.POSITIONAL_OR_KEYWORD
-        params = [Parameter(f, kind, default=defaults.get(f, Parameter.empty)) for f in self._fields]
-        try:
-            bound = Signature(params).bind(*args, **kwargs)
-        except TypeError as exc:
-            raise TypeError(f"{type(self).__name__}() {exc}") from None
-        bound.apply_defaults()
-        return tuple(bound.arguments.values())
+        cls.__init__ = __init__
 
     def _asdict(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}

@@ -53,8 +53,9 @@ class Beam(_Record):
         return math.degrees(math.asin(self.psi0))
 
 
-# a dataclass, unlike the other records: callers derive codebooks with dataclasses.replace
-@dataclass(frozen=True, slots=True)
+# a dataclass, unlike the other records: callers derive codebooks with dataclasses.replace;
+# not slotted, as a slotted frozen one raises TypeError for a new attribute before Python 3.12
+@dataclass(frozen=True)
 class Codebook:
     """Ascending beam foci, jointly covering [-psi_m, psi_m], for the
     half-wavelength ULA of ``n_antennas`` elements. A beam is its focus: its

@@ -148,10 +148,6 @@ class SweepPoint(_Record):
     size: int | None
     bound: float
 
-    def __init__(self, axis_value: float, size: int | None, bound: float) -> None:
-        # the generic constructor, unrolled: a sweep builds one point per size
-        object.__setattr__(self, "__dict__", {"axis_value": axis_value, "size": size, "bound": bound})
-
     @property
     def feasible(self) -> bool:
         return self.size is not None
@@ -229,7 +225,7 @@ def sweep_size_vs_n(
         band = BandSpec(float(b))
         n_cap = max_antennas(band, psi_m)
         bound = math.inf if n_cap is None else float(n_cap)
-        points = [SweepPoint(float(n), _size(int(n), band, psi_m), bound) for n in n_range]
+        points = [SweepPoint(float(n), _size(n, band, psi_m), bound) for n in n_range]
         series.append(SweepSeries(f"b={b:g}", tuple(points)))
     return SweepTable("n_antennas", tuple(series))
 

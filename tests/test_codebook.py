@@ -522,6 +522,9 @@ class TestTilingStep:
             (lambda: sweep_size_vs_n([0.0], [1]), "n_antennas must be an integer >= 2, got 1"),
             (lambda: sweep_size_vs_n([0.05], [1]), "n_antennas must be an integer >= 2, got 1"),
             (lambda: sweep_size_vs_b([1], [0.0]), "n_antennas must be an integer >= 2, got 1"),
+            (lambda: sweep_size_vs_n([0.0342], [16, 16.5]), "n_antennas must be an integer >= 2, got 16.5"),
+            (lambda: sweep_size_vs_n([0.0], [16.9]), "n_antennas must be an integer >= 2, got 16.9"),
+            (lambda: sweep_size_vs_b([16.5], [0.0342]), "n_antennas must be an integer >= 2, got 16.5"),
             (lambda: sweep_size_vs_n([0.0], [16], 0.0), r"psi_m must lie in \(0, 1\], got 0.0"),
             (lambda: sweep_size_vs_n([0.05], [16], 0.0), r"psi_m must lie in \(0, 1\], got 0.0"),
             (lambda: sweep_size_vs_b([16], [0.0], 0.0), r"psi_m must lie in \(0, 1\], got 0.0"),

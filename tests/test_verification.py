@@ -169,6 +169,10 @@ class TestSweeps:
         assert by_label["b=0.0179"][0] == 20  # between the 19 and 22 brackets
         assert 19 <= by_label["b=0.0179"][0] <= 22
 
+    def test_size_vs_n_takes_integral_floats(self):
+        ints = sweep_size_vs_n([0.0, 0.0342], [16, 32], 1.0)
+        assert sweep_size_vs_n([0.0, 0.0342], [16.0, np.int64(32)], 1.0) == ints
+
     def test_infeasible_markers_match_bound(self):
         bound = 0.110750
         grid = [0.100, 0.105, 0.110, 0.1105, 0.1108, 0.112, 0.115]
@@ -484,12 +488,12 @@ class TestWindowedSweepIsExact:
                 for args in (dict(psi_step=0.01), dict(psi_step=0.01, xi_points=2)):
                     assert verify_codebook(book, **args) == reference_verify_codebook(book, **args)
 
-    @pytest.mark.parametrize("chunk", [1 << 14, 40])  # one block of angles, or dozens
+    @pytest.mark.parametrize("chunk", [1 << 14, 160])  # one block of angles, or dozens
     @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
     def test_pair_batches_equal_dense_bits(self, monkeypatch, n, chunk):
         # seeded codebooks with foci out to +-1.5 reach the grating lobes;
-        # b runs from 0 up to near the bound
-        monkeypatch.setattr(array_model, "_GAIN_CHUNK", chunk)
+        # b runs from 0 up to near the bound; the dense reference is taken
+        # at the default chunk
         batches = []
         primitive = array_model._raise_to_pair_mins
 
@@ -507,7 +511,9 @@ class TestWindowedSweepIsExact:
                 xis = BandSpec(b).xi_grid(m)
                 dense = worst_subcarrier_gain(grid, foci, xis, n)
                 batches.clear()
-                windowed = _windowed_worst_gain(grid, foci, xis, n)
+                with monkeypatch.context() as patch:
+                    patch.setattr(array_model, "_GAIN_CHUNK", chunk)
+                    windowed = _windowed_worst_gain(grid, foci, xis, n)
                 assert np.array_equal(windowed.view(np.int64), dense.view(np.int64)), (b, m)
                 # a block holds at most a chunk of probe values, or one
                 # angle's windows: at most two per beam
