@@ -269,13 +269,47 @@ def gain_kernel_magnitude(x, n_antennas: int):
 def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):
     """The best beam's gain at its worst subcarrier, per carrier angle:
     ``max over psi0s of min over xis of |g(xi*psi - psi0)|`` for ascending
-    ``xis``, bit for bit, every beam's window being all of ``psi``. Scalar
-    ``psi`` in, float out; ndarray in, ndarray of the same shape out."""
+    ``xis``, bit for bit. Scalar ``psi`` in, float out; ndarray in, ndarray
+    of the same shape out. Every value must be finite.
+
+    A window cascade: round by round, h = 1/N, 2/N, 4/N, ..., 1, each beam
+    meets the angles whose ``x = xi*psi - psi0`` at the mid-band ``xi`` lies
+    within h of a lobe image 2k, in five windows on the angles sorted by
+    ``xi*psi`` (taken modulo 2 when it leaves [-3, 3]). Outside them ``|g(x)|
+    <= 1/(sqrt(N)*|sin(pi*x/2)|) <= E(h) = 1/(sqrt(N)*sin(pi*h/2))``, which
+    bounds the beam's min over subcarriers; so an angle whose best beats E(h)
+    is final, and only the others go on. At h = 1 every beam is in a window.
+    The kernel is element-wise and max/min are exact, so no bit moves.
+    """
     import numpy as np
-    angles, offsets = np.asarray(psi, dtype=float), np.asarray(psi0s, dtype=float).reshape(-1)
-    flat, beams, best = angles.reshape(-1), np.arange(offsets.size), np.full(angles.size, -math.inf)
-    whole = np.zeros_like(beams), np.full_like(beams, len(flat)), beams  # every beam on every angle
-    _raise_to_window_mins(flat, offsets, np.asarray(xis, dtype=float), n_antennas, *whole, best, -math.inf)
+    n = _check_n(n_antennas)
+    angles, offsets, xis = (np.asarray(v, dtype=float) for v in (psi, psi0s, xis))
+    flat, offsets = angles.reshape(-1), offsets.reshape(-1)
+    for name, values in (("psi", flat), ("psi0s", offsets), ("xis", xis)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, got {float(values[~np.isfinite(values)][0])!r}")
+    phase = flat * xis[len(xis) // 2]  # the kernel's own product at the mid-band subcarrier
+    # Windows are padded by 1e-12, far above the rounding of their edges, all
+    # in [-6, 6], so they overlap at h = 1; phases and foci taken modulo 2
+    # are exact. The floor's relative 1e-9 on E(h) covers the rest at a
+    # window's edge: x and the kernel's sin(pi*x/2) are off by a few ulps of
+    # |x| <= reach, which at h >= 1/N from 2k moves |g| by a relative few ulps
+    # times reach*N, under 2e-10 while reach*N <= 1e5; beyond, h starts at 1.
+    top = max(-phase.min(initial=0.0), phase.max(initial=0.0))
+    h = 1.0 / n if n * (top + np.abs(offsets).max(initial=0.0)) <= 1e5 else 1.0
+    if top > 3:
+        phase -= 2.0 * np.rint(0.5 * phase)  # modulo 2, into [-1, 1]
+    order = slice(None) if (phase[1:] >= phase[:-1]).all() else np.argsort(phase, kind="stable")
+    phase, flat = phase[order], flat[order]
+    beams, centre = np.repeat(np.arange(offsets.size), 5), ((offsets - 2.0 * np.rint(0.5 * offsets))[:, None] + [-4.0, -2.0, 0.0, 2.0, 4.0]).reshape(-1)
+    best, todo = np.full(flat.size, -math.inf), slice(None)  # the first round on every angle, in place
+    while len(part := best[todo]):
+        floor = (1.0 + 1e-9) / (math.sqrt(n) * math.sin(0.5 * math.pi * h)) if h < 1 else -math.inf
+        lo, hi = np.searchsorted(phase[todo], [centre - (h + 1e-12), centre + (h + 1e-12)])
+        _raise_to_window_mins(flat[todo], offsets, xis, n, lo, hi, beams, part, floor)
+        best[todo] = part
+        todo, h = np.flatnonzero(best < floor), min(2 * h, 1.0)
+    best[order] = best  # back in input order; numpy copies the overlapping right-hand side
     return float(best[0]) if angles.ndim == 0 else best.reshape(angles.shape)
 
 
@@ -291,14 +325,8 @@ def _raise_to_window_mins(angles, offsets, xis, n, lo, hi, beams, best, floor):
     for a in range(0, len(angles), block):
         start = np.maximum(lo, a)
         length = np.maximum(np.minimum(hi, a + block) - start, 0)
-        pairs = _ranges(start - a, length), np.repeat(beams, length)  # rows within the block
-        _raise_to_pair_mins(angles[a : a + block], offsets, xis, n, *pairs, best[a : a + block], floor)
-
-
-def _ranges(starts, lengths):
-    """``concatenate([arange(s, s + m) for s, m in zip(starts, lengths)])``."""
-    import numpy as np
-    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        rows = np.repeat(start - a - np.cumsum(length) + length, length) + np.arange(length.sum())  # each window's rows in the block
+        _raise_to_pair_mins(angles[a : a + block], offsets, xis, n, rows, np.repeat(beams, length), best[a : a + block], floor)
 
 
 def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best, floor):

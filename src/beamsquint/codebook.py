@@ -70,6 +70,8 @@ class Codebook:
     def __post_init__(self) -> None:
         if not self.foci:
             raise ValueError("a codebook needs at least one beam, got empty foci")
+        if not all(map(math.isfinite, self.foci)):
+            raise ValueError(f"foci must be finite, got {next(f for f in self.foci if not math.isfinite(f))!r}")
         object.__setattr__(self, "n_antennas", _check_n(self.n_antennas))
 
     @property

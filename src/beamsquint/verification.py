@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .array_model import _GAIN_CHUNK, _Record, _public, _raise_to_window_mins, _ranges, gain_kernel_magnitude, worst_subcarrier_gain
+from .array_model import _GAIN_CHUNK, _Record, _public, gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, _foci, max_antennas, max_fractional_bandwidth, min_size_no_squint
 from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps
 
@@ -65,16 +65,8 @@ def verify_codebook(
     grid of |g(xi*psi - psi0)|). Failures are data, not exceptions; gap
     edges are refined to 1e-9. ``slack_db`` absorbs the 1.772/N
     beamwidth approximation when certifying constant-width designs (use 0
-    for exact-width designs).
-
-    Each beam is evaluated only on windows that widen round by round, h =
-    1/N, 2/N, 4/N, ..., 1: the angles where ``x = xi*psi - psi0 - 2k`` at
-    the mid-band ``xi`` is within h of a lobe image (k != 0: grating lobes).
-    Outside them ``|g(x)| <= 1/(sqrt(N)*|sin(pi*x/2)|) <= E(h) = 1/(sqrt(N)*
-    sin(pi*h/2))``, which bounds the beam's min over subcarriers; so an angle
-    whose best beats E(h) is final, and only the others go on. At h = 1 all
-    beams are in a window. The kernel is element-wise and max/min are exact,
-    so the report is bit for bit that of every beam at every angle.
+    for exact-width designs). The grid's gains and the refinement margin
+    both come from the window cascade of :func:`worst_subcarrier_gain`.
     """
     import numpy as np
     psi_m = codebook.psi_m
@@ -90,7 +82,7 @@ def verify_codebook(
 
     steps = int(round(2.0 * psi_m / psi_step))
     grid = np.linspace(-psi_m, psi_m, steps + 1)
-    best = _windowed_worst_gain(grid, psi0s, xis, n)
+    best = worst_subcarrier_gain(grid, psi0s, xis, n)
 
     worst_idx = int(np.argmin(best))
     worst_psi = float(grid[worst_idx])
@@ -115,29 +107,6 @@ def verify_codebook(
         n_antennas=n,
         psi_m=psi_m,
     )
-
-
-def _windowed_worst_gain(grid, psi0s, xis, n):
-    """``worst_subcarrier_gain(grid, psi0s, xis, n)`` on an evenly spaced grid by
-    the window cascade of :func:`verify_codebook`, each round on the angles left."""
-    import numpy as np
-    step, xi, h = grid[1] - grid[0], xis[len(xis) // 2], 1.0 / n
-    best, todo = np.full(len(grid), -1.0), slice(None)  # the first round on the grid itself
-    while True:
-        # E(h), raised by a relative margin that covers the kernel's rounding; at h = 1 every beam is in
-        floor = (1.0 + 1e-9) / (math.sqrt(n) * math.sin(0.5 * math.pi * h)) if h < 1 else -math.inf
-        angles, part = grid[todo], best[todo]
-        k_lo = np.ceil((xi * grid[0] - psi0s - h) / 2)  # one window per beam and lobe image k that reaches the grid
-        count = (np.floor((xi * grid[-1] - psi0s + h) / 2) - k_lo + 1).astype(int)
-        beams = np.repeat(np.arange(len(psi0s)), count)
-        centre = psi0s[beams] + 2 * _ranges(k_lo, count)
-        # the angles of each window, padded by two steps against rounding
-        lo, hi = np.searchsorted(angles, [(centre - h) / xi - 2 * step, (centre + h) / xi + 2 * step])
-        _raise_to_window_mins(angles, psi0s, xis, n, lo, hi, beams, part, floor)
-        best[todo] = part
-        todo, h = np.flatnonzero(best <= floor), min(2 * h, 1.0)
-        if not len(todo):
-            return best
 
 
 class SweepPoint(_Record):

@@ -19,6 +19,8 @@ from beamsquint.array_model import (
     worst_subcarrier_gain,
 )
 
+from dense_oracle import dense_worst_gain, every_beam_windows
+
 HALF = ArrayGeometry(16, 0.5)
 
 
@@ -338,15 +340,6 @@ class TestWorstSubcarrierGain:
     XIS = np.linspace(0.98, 1.02, 9)  # 5 beams x 9 subcarriers = 45 values per angle
     GRID = np.linspace(-1.0, 1.0, 23)
 
-    def reference(self, psi):
-        # one beam at a time over the whole grid, no chunks
-        best = np.zeros(psi.shape)
-        for psi0 in self.PSI0S:
-            x = psi[:, None] * self.XIS[None, :]
-            x -= psi0
-            np.maximum(best, gain_kernel_magnitude(x, self.N).min(axis=1), out=best)
-        return best
-
     @pytest.mark.parametrize(
         "chunk, rows",
         [
@@ -357,6 +350,7 @@ class TestWorstSubcarrierGain:
         ],
     )
     def test_matches_per_beam_loop(self, monkeypatch, chunk, rows):
+        # the pair primitive with every beam on every angle, in blocks of angles
         monkeypatch.setattr(array_model, "_GAIN_CHUNK", chunk)
         blocks = []
 
@@ -365,8 +359,8 @@ class TestWorstSubcarrierGain:
             return gain_kernel_magnitude(x, n)
 
         monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
-        got = worst_subcarrier_gain(self.GRID, self.PSI0S, self.XIS, self.N)
-        assert np.array_equal(got, self.reference(self.GRID))
+        got = every_beam_windows(self.GRID, self.PSI0S, self.XIS, self.N)
+        assert np.array_equal(got, dense_worst_gain(self.GRID, self.PSI0S, self.XIS, self.N))
         # probe blocks: the (angle, beam) pairs of a chunk x the 4 subcarriers xis[[0, 1, -2, -1]]
         assert all(len(shape) == 2 for shape in blocks)
         probes = [shape for shape in blocks if shape[1] == 4]
@@ -378,13 +372,62 @@ class TestWorstSubcarrierGain:
         assert all(shape[0] <= max(1, chunk // 9) for shape in pairs)
 
     def test_scalar_and_shape(self):
-        want = self.reference(self.GRID)
+        want = dense_worst_gain(self.GRID, self.PSI0S, self.XIS, self.N)
         got = worst_subcarrier_gain(self.GRID[7], list(self.PSI0S), self.XIS, self.N)
         assert isinstance(got, float)
         assert got == want[7]
         grid2d = self.GRID[:22].reshape(2, 11)
         got2d = worst_subcarrier_gain(grid2d, self.PSI0S, self.XIS, self.N)
         assert np.array_equal(got2d, want[:22].reshape(2, 11))
+
+    def test_no_angles(self):
+        for empty in (np.array([]), np.empty((0, 3))):
+            got = worst_subcarrier_gain(empty, self.PSI0S, self.XIS, self.N)
+            assert got.shape == empty.shape
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        # a NaN or infinite angle silently gave -inf before the check
+        for psi in (bad, np.array([0.1, bad, 0.3])):
+            with pytest.raises(ValueError, match=f"psi must be finite, got {bad!r}"):
+                worst_subcarrier_gain(psi, self.PSI0S, self.XIS, self.N)
+        with pytest.raises(ValueError, match="psi0s must be finite"):
+            worst_subcarrier_gain(self.GRID, [0.0, bad], self.XIS, self.N)
+
+    def test_windows_overlap_at_the_last_round(self):
+        # at h = 1 the windows about the images psi0 - 2 and psi0 meet at
+        # psi0 - 1, where rounding leaves a gap of one float between their
+        # edges; only the windows' padding puts that angle in one of them
+        psi0, xis = -0.9180529521276106, np.array([1.0])
+        psi = np.array([-1.9180529521276108, -1.9180529521276106])
+        got = worst_subcarrier_gain(psi, [psi0], xis, 3)
+        assert np.array_equal(got, dense_worst_gain(psi, [psi0], xis, 3))
+
+    @pytest.mark.parametrize("n, span", [(2, 1.0), (16, 1.0), (17, 40.0), (64, 3.0), (4096, 30.0)])
+    def test_any_angles_in_input_order(self, monkeypatch, n, span):
+        # unsorted angles with repeats, out to several kernel periods; at
+        # N = 4096 the rounding bound reach*N exceeds 1e5, so the one round
+        # is h = 1, every beam on every angle
+        floors = []  # the bar of each round, -inf at h = 1
+        primitive = array_model._raise_to_window_mins
+
+        def recording(*args):
+            floors.append(args[-1])
+            return primitive(*args)
+
+        monkeypatch.setattr(array_model, "_raise_to_window_mins", recording)
+        rng = np.random.default_rng([n, 18])
+        psi = rng.uniform(-span, span, 500)
+        psi = np.concatenate([psi, psi[::5]])
+        foci = rng.uniform(-1.6, 1.6, min(2 * n + 1, 40))
+        for b in (0.0, 1e-9, float(rng.uniform(0.0, 0.3)), 1.9):
+            for m in (2, 5, 65):
+                xis = np.linspace(1 - b / 2, 1 + b / 2, m)
+                floors.clear()
+                got = worst_subcarrier_gain(psi, foci, xis, n)
+                want = dense_worst_gain(psi, foci, xis, n)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (b, m)
+                assert (floors == [-math.inf]) == (n == 4096)
 
 
 class TestPairBatch:
@@ -408,11 +451,11 @@ class TestPairBatch:
         blocks = self.record(monkeypatch)
         # at psi = 0.01 the beam focused on 0 is screened near its peak; the
         # beam focused on 0.5 is on a sidelobe, unscreened, and far below it
-        got = worst_subcarrier_gain(0.01, [0.0, 0.5], self.XIS, 16)
+        (got,) = every_beam_windows([0.01], [0.0, 0.5], self.XIS, 16)
         assert blocks == [(2, 4)]
         assert got == gain_kernel_magnitude(0.01 * self.XIS, 16).min()
         blocks.clear()
-        alone = worst_subcarrier_gain(0.01, [0.5], self.XIS, 16)
+        (alone,) = every_beam_windows([0.01], [0.5], self.XIS, 16)
         assert blocks == [(1, 4), (1, 65)]
         assert alone == gain_kernel_magnitude(0.01 * self.XIS - 0.5, 16).min()
 
@@ -421,7 +464,7 @@ class TestPairBatch:
         # most pairs pass neither the screen nor the bar
         blocks = self.record(monkeypatch)
         grid, foci = np.linspace(-1, 1, 2001), np.linspace(-0.9, 0.9, 10)
-        worst_subcarrier_gain(grid, foci, np.linspace(0.05, 1.95, 65), 4)
+        every_beam_windows(grid, foci, np.linspace(0.05, 1.95, 65), 4)
         full = [rows for rows, columns in blocks if columns == 65]
         assert sum(full) > 0.5 * grid.size * foci.size
         assert max(full) <= array_model._GAIN_CHUNK // 65
@@ -434,16 +477,10 @@ class TestPairBatch:
         blocks = self.record(monkeypatch)
         grid, foci = np.linspace(-1, 1, 401), np.linspace(-0.01, 0.01, 200)
         xis = np.linspace(0.995, 1.005, 65)
-        got = worst_subcarrier_gain(grid, foci, xis, 64)
+        got = every_beam_windows(grid, foci, xis, 64)
         assert sum(rows for rows, columns in blocks if columns == 65) <= grid.size
-        want = np.max([gain_kernel_magnitude(grid[:, None] * xis - f, 64).min(axis=1) for f in foci], axis=0)
+        want = dense_worst_gain(grid, foci, xis, 64)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def dense_worst_gain(psi, psi0s, xis, n):
-    """Every beam at every subcarrier in one block, no screen."""
-    x = psi[:, None, None] * xis - np.asarray(psi0s)[:, None]
-    return gain_kernel_magnitude(x, n).min(axis=2).max(axis=1)
 
 
 class TestBandEdgeScreen:

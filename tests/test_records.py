@@ -190,6 +190,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="empty foci"):
             dataclasses.replace(BOOK, foci=())
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_codebook_needs_finite_foci(self, bad):
+        # a non-finite focus got as far as verify_codebook, which died with
+        # numpy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match="foci must be finite"):
+            Codebook((bad,), 1.0, BandSpec(0.01), 8, GainThreshold())
+        with pytest.raises(ValueError, match="foci must be finite"):
+            dataclasses.replace(BOOK, foci=(-0.5, bad))
+
     def test_replace_on_a_codebook_rechecks_and_normalises(self):
         with pytest.raises(ValueError, match="n_antennas must be an integer >= 2, got 1"):
             dataclasses.replace(BOOK, n_antennas=1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamsquint import array_model
-from beamsquint.array_model import _check_n, gain_kernel_magnitude, worst_subcarrier_gain
+from beamsquint.array_model import _check_n, gain_kernel_magnitude
 from beamsquint.codebook import design_with_squint
 from beamsquint.squint import (
     _MAX_GRID_POINTS,
@@ -21,6 +21,8 @@ from beamsquint.squint import (
     numeric_coverage,
     squinted_coverage,
 )
+
+from dense_oracle import dense_worst_gain
 
 BAND = BandSpec(0.0342)
 
@@ -308,7 +310,7 @@ def reference_numeric_coverage(
     grid = np.linspace(lo_w, hi_w, n_pts + 1)
 
     psi0s = np.array([psi0])
-    q = worst_subcarrier_gain(grid, psi0s, xis, n)
+    q = dense_worst_gain(grid, psi0s, xis, n)
     peak = int(np.argmax(q))
     if q[peak] < floor:
         return None
@@ -316,7 +318,7 @@ def reference_numeric_coverage(
     left, right = next((i, j) for i, j in _runs(q >= floor) if i <= peak <= j)
 
     def margin(psi_c: np.ndarray) -> np.ndarray:
-        return worst_subcarrier_gain(psi_c, psi0s, xis, n) - floor
+        return dense_worst_gain(psi_c, psi0s, xis, n) - floor
 
     # both edges refined together; a window end pairs with itself and stays
     pairs = [(grid[left], grid[max(left - 1, 0)]), (grid[right], grid[min(right + 1, len(grid) - 1)])]

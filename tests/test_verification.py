@@ -25,11 +25,12 @@ from beamsquint.verification import (
     CoverageReport,
     _failure_gaps,
     _to_db,
-    _windowed_worst_gain,
     sweep_size_vs_b,
     sweep_size_vs_n,
     verify_codebook,
 )
+
+from dense_oracle import dense_worst_gain, every_beam_windows
 
 BAND = BandSpec(0.0342)
 
@@ -365,6 +366,7 @@ def test_memory_bounded_when_many_pairs_need_every_subcarrier(monkeypatch):
     # A band this wide carries every subcarrier range through nulls, so
     # few (angle, beam) pairs pass the band-edge screen and most go to
     # full evaluation: about 117k of 200k pairs, 60 MB if evaluated at once.
+    # Every beam is on every angle, without the cascade's narrower windows.
     pairs = []
 
     def recording(x, n):
@@ -375,7 +377,7 @@ def test_memory_bounded_when_many_pairs_need_every_subcarrier(monkeypatch):
     monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
     grid, foci = np.linspace(-1, 1, 20001), np.linspace(-0.9, 0.9, 10)
     xis = np.linspace(0.05, 1.95, 65)
-    assert _peak_bytes(lambda: worst_subcarrier_gain(grid, foci, xis, 4)) < 16e6
+    assert _peak_bytes(lambda: every_beam_windows(grid, foci, xis, 4)) < 16e6
     assert sum(pairs) > 0.5 * grid.size * foci.size
 
 
@@ -385,8 +387,9 @@ def reference_verify_codebook(
     xi_points: int = 65,
     slack_db: float = 0.2,
 ) -> CoverageReport:
-    """The dense certifier, every beam at every grid angle, kept verbatim
-    as the reference for the window cascade."""
+    """The dense certifier: every beam at every grid angle and refinement
+    angle, through the tests' own dense oracle, as the reference for the
+    window cascade."""
     psi_m = codebook.psi_m
     # also rejects NaN; a step up to psi_m leaves at least 3 grid points
     if not 0 < psi_step <= psi_m:
@@ -400,7 +403,7 @@ def reference_verify_codebook(
 
     steps = int(round(2.0 * psi_m / psi_step))
     grid = np.linspace(-psi_m, psi_m, steps + 1)
-    best = worst_subcarrier_gain(grid, psi0s, xis, n)
+    best = dense_worst_gain(grid, psi0s, xis, n)
 
     worst_idx = int(np.argmin(best))
     worst_psi = float(grid[worst_idx])
@@ -409,8 +412,8 @@ def reference_verify_codebook(
     winner = at_worst[int(np.argmax(at_worst.min(axis=1)))]
     worst_xi = float(xis[int(np.argmin(winner))])
 
-    def margin(psi: float) -> float:
-        return worst_subcarrier_gain(psi, psi0s, xis, n) - pass_level
+    def margin(psi: np.ndarray) -> np.ndarray:
+        return dense_worst_gain(psi, psi0s, xis, n) - pass_level
 
     gaps = _failure_gaps(grid, best < pass_level, margin)
 
@@ -435,16 +438,23 @@ def _book(n, b, psi_m, foci, threshold=GainThreshold()):
 
 
 def _record_rounds(monkeypatch):
-    """Angles per round of the window cascade, as verification runs it."""
-    rounds = []
-    primitive = verification._raise_to_window_mins
+    """Angles per round of the window cascade, one list per call of
+    worst_subcarrier_gain that verification makes: its grid first, then
+    each refinement round of its gap edges."""
+    calls = []
+    primitive, cascade = array_model._raise_to_window_mins, verification.worst_subcarrier_gain
 
     def recording(angles, *args):
-        rounds.append(len(angles))
+        calls[-1].append(len(angles))
         return primitive(angles, *args)
 
-    monkeypatch.setattr(verification, "_raise_to_window_mins", recording)
-    return rounds
+    def counting(*args):
+        calls.append([])
+        return cascade(*args)
+
+    monkeypatch.setattr(array_model, "_raise_to_window_mins", recording)
+    monkeypatch.setattr(verification, "worst_subcarrier_gain", counting)
+    return calls
 
 
 class TestWindowedSweepIsExact:
@@ -492,8 +502,8 @@ class TestWindowedSweepIsExact:
     @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
     def test_pair_batches_equal_dense_bits(self, monkeypatch, n, chunk):
         # seeded codebooks with foci out to +-1.5 reach the grating lobes;
-        # b runs from 0 up to near the bound; the dense reference is taken
-        # at the default chunk
+        # b runs from 0 up to near the bound; the dense oracle takes one beam
+        # at a time, in no chunks
         batches = []
         primitive = array_model._raise_to_pair_mins
 
@@ -509,11 +519,11 @@ class TestWindowedSweepIsExact:
             foci = np.sort(rng.uniform(-1.5, 1.5, int(rng.integers(1, 2 * n + 2))))
             for m in (2, 3, 4, 5, 65):
                 xis = BandSpec(b).xi_grid(m)
-                dense = worst_subcarrier_gain(grid, foci, xis, n)
+                dense = dense_worst_gain(grid, foci, xis, n)
                 batches.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(array_model, "_GAIN_CHUNK", chunk)
-                    windowed = _windowed_worst_gain(grid, foci, xis, n)
+                    windowed = worst_subcarrier_gain(grid, foci, xis, n)
                 assert np.array_equal(windowed.view(np.int64), dense.view(np.int64)), (b, m)
                 # a block holds at most a chunk of probe values, or one
                 # angle's windows: at most two per beam
@@ -523,18 +533,23 @@ class TestWindowedSweepIsExact:
         # the first round's windows (h = 1/N), over several blocks of angles
         # at the default step, lift every angle of a covering codebook above
         # E(1/N) = |g(1/N)|: no angle goes on to a second round
-        rounds = _record_rounds(monkeypatch)
+        calls = _record_rounds(monkeypatch)
         assert verify_codebook(book16).passed
-        assert rounds == [20001]
+        assert calls == [[20001]]
 
     def test_deep_gaps_shrink_round_by_round(self, monkeypatch):
         # a narrowband N=64 codebook under b = 0.0342 has 60 gaps; the angles
         # whose best is still at or under E(h) shrink with every doubling of
-        # h, and the last round (h = 1, every beam) takes the 2 left
-        rounds = _record_rounds(monkeypatch)
+        # h, and the last round (h = 1, every beam) takes the 2 left. Each
+        # refinement round's angles sit at a threshold crossing, above E(1/N),
+        # so they are final after the cascade's first round
+        calls = _record_rounds(monkeypatch)
         book = dataclasses.replace(design_no_squint(64, 1.0), band=BAND)
         report = verify_codebook(book)
-        assert rounds == [20001, 9824, 2622, 694, 166, 32, 2]
+        grid, *refinement = calls
+        assert grid == [20001, 9824, 2622, 694, 166, 32, 2]
+        assert len(refinement) == 5 and refinement[0] == [236]
+        assert all(len(rounds) == 1 for rounds in refinement)
         assert len(report.gaps) == 60
         assert report == reference_verify_codebook(book)
 
@@ -572,11 +587,11 @@ class TestWindowedSweepIsExact:
         # is only exact with the lobe images k != 0 in the windows
         n, b = 17, 0.05
         xis = BandSpec(b).xi_grid(65)
-        near, far = (worst_subcarrier_gain(-1.0, [f], xis, n) for f in (-edge, edge))
+        near, far = (dense_worst_gain(-1.0, [f], xis, n) for f in (-edge, edge))
         assert near < far
         grid = np.linspace(-1.0, 1.0, 2001)
-        dense = worst_subcarrier_gain(grid, [-edge, edge], xis, n)
-        windowed = _windowed_worst_gain(grid, np.array([-edge, edge]), xis, n)
+        dense = dense_worst_gain(grid, [-edge, edge], xis, n)
+        windowed = worst_subcarrier_gain(grid, [-edge, edge], xis, n)
         assert windowed[0] == far
         assert np.array_equal(windowed.view(np.int64), dense.view(np.int64))
 
