@@ -131,13 +131,7 @@ def _cmd_design(args) -> int:
     band = _band_from_args(args)
     outcome = design_with_squint(args.antennas, band, args.psi_max)
     if not outcome.feasible:
-        inf = outcome.infeasibility
-        print(
-            f"codebook does not exist: b={inf.fractional_bandwidth:.6f} >= "
-            f"bound {inf.max_fractional_bandwidth:.6f} "
-            f"(N={inf.n_antennas}, psi_m={inf.psi_m:g})",
-            file=sys.stderr,
-        )
+        print(f"codebook does not exist: {outcome.infeasibility.reason}", file=sys.stderr)
         return _EXIT_INFEASIBLE
     book = outcome.codebook
 
@@ -183,11 +177,19 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------- sweeps
 
 
+def _check_table(series: int, values: int) -> None:
+    """Refuses, before it is built, a sweep table of more than _MAX_GRID_POINTS points."""
+    if series * values > _MAX_GRID_POINTS:
+        raise ValueError(f"a sweep table holds at most {_MAX_GRID_POINTS} points, got {series} series x {values} values")
+
+
 def _b_grid_from_args(args) -> list[float]:
     if args.b_list is not None:
         if args.b_min is not None or args.b_max is not None:
             raise ValueError("give either --b-list or --b-min/--b-max/--b-points, not both")
-        return _parse_float_list(args.b_list, "--b-list")
+        grid = _parse_float_list(args.b_list, "--b-list")
+        _check_table(len(args.antennas), len(grid))
+        return grid
     if args.b_min is None or args.b_max is None:
         raise ValueError("give a bandwidth grid via --b-list or --b-min/--b-max/--b-points")
     if args.b_points < 2:
@@ -195,6 +197,7 @@ def _b_grid_from_args(args) -> list[float]:
     # also rejects NaN and an infinite --b-max, which linspace would turn into NaN
     if not 0.0 <= args.b_min <= args.b_max < math.inf:
         raise ValueError(f"need 0 <= --b-min <= --b-max < inf, got {args.b_min} and {args.b_max}")
+    _check_table(len(args.antennas), args.b_points)
     return _linspace(args.b_min, args.b_max, args.b_points)
 
 
@@ -219,6 +222,7 @@ def _cmd_sweep_n(args) -> int:
     b_values = _parse_float_list(args.b_list, "--b-list")
     if args.n_min < 2 or args.n_max < args.n_min or args.n_step < 1:
         raise ValueError("need 2 <= --n-min <= --n-max and --n-step >= 1")
+    _check_table(len(b_values), (args.n_max - args.n_min) // args.n_step + 1)
     n_values = list(range(args.n_min, args.n_max + 1, args.n_step))
     table = sweep_size_vs_n(b_values, n_values, args.psi_max)
     _emit(table.to_csv() if args.format == "csv" else json.dumps(table.to_dict(), indent=2) + "\n", args.out)

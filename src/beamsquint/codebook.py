@@ -57,9 +57,9 @@ class Beam(_Record):
 # not slotted, as a slotted frozen one raises TypeError for a new attribute before Python 3.12
 @dataclass(frozen=True)
 class Codebook:
-    """Ascending beam foci, jointly covering [-psi_m, psi_m], for the
-    half-wavelength ULA of ``n_antennas`` elements. A beam is its focus: its
-    index and analytic coverage follow from the foci, N and b."""
+    """Ascending beam foci, jointly covering [-psi_m, psi_m] with psi_m in
+    (0, 1], for the half-wavelength ULA of ``n_antennas`` elements. A beam is
+    its focus: its index and analytic coverage follow from the foci, N and b."""
 
     foci: tuple[float, ...]
     psi_m: float
@@ -73,6 +73,7 @@ class Codebook:
         if not all(map(math.isfinite, self.foci)):
             raise ValueError(f"foci must be finite, got {next(f for f in self.foci if not math.isfinite(f))!r}")
         object.__setattr__(self, "n_antennas", _check_n(self.n_antennas))
+        object.__setattr__(self, "psi_m", _check_psi_m(self.psi_m))
 
     @property
     def beams(self) -> tuple[Beam, ...]:
@@ -136,7 +137,8 @@ class Codebook:
     @classmethod
     def from_dict(cls, data: dict) -> "Codebook":
         """Parse and validate the wire format; raises CodebookFormatError
-        naming the violated invariant."""
+        naming the violated invariant. The records check the ranges of N, b,
+        psi_m and the threshold; this checks only what the format adds."""
         if not isinstance(data, dict):
             raise CodebookFormatError("codebook document must be a JSON object")
         for key in (
@@ -153,35 +155,19 @@ class Codebook:
                 raise CodebookFormatError(f"missing required key {key!r}")
 
         n = data["n_antennas"]
-        if not _is_int(n) or n < 2:
-            raise CodebookFormatError(f"n_antennas must be an integer >= 2, got {n!r}")
+        if not _is_int(n):
+            raise CodebookFormatError(f"n_antennas must be an integer, got {n!r}")
+        for key in ("fractional_bandwidth", "psi_m", "threshold_ratio"):
+            if not _is_number(data[key]):
+                raise CodebookFormatError(f"{key} must be a finite number, got {data[key]!r}")
         if data["spacing_ratio"] != 0.5:
             raise CodebookFormatError(
                 f"spacing_ratio must be 0.5 (half-wavelength), got {data['spacing_ratio']!r}"
             )
-        b = data["fractional_bandwidth"]
-        if not _is_number(b) or not (0.0 <= b < 2.0):
-            raise CodebookFormatError(f"fractional_bandwidth must lie in [0, 2), got {b!r}")
-        psi_m = data["psi_m"]
-        if not _is_number(psi_m) or not (0.0 < psi_m <= 1.0):
-            raise CodebookFormatError(f"psi_m must lie in (0, 1], got {psi_m!r}")
-        ratio = data["threshold_ratio"]
-        if not _is_number(ratio) or not (0.0 < ratio <= 1.0):
-            raise CodebookFormatError(f"threshold_ratio must lie in (0, 1], got {ratio!r}")
         raw_beams = data["beams"]
-        if not isinstance(raw_beams, list) or not raw_beams:
-            raise CodebookFormatError("beams must be a non-empty list")
-        if not _is_int(data["size"]) or data["size"] != len(raw_beams):
-            raise CodebookFormatError(
-                f"size {data['size']!r} does not match the number of beams {len(raw_beams)}"
-            )
-        parity = "odd" if len(raw_beams) % 2 else "even"
-        if data["parity"] != parity:
-            raise CodebookFormatError(
-                f"parity must be {parity!r} for {len(raw_beams)} beams, got {data['parity']!r}"
-            )
+        if not isinstance(raw_beams, list):
+            raise CodebookFormatError("beams must be a list")
 
-        geom = ArrayGeometry(n, 0.5)
         foci = []
         prev_psi0 = -math.inf
         for pos, entry in enumerate(raw_beams):
@@ -190,15 +176,24 @@ class Codebook:
             for key in ("index", "psi0", "phases_rad", "coverage"):
                 if key not in entry:
                     raise CodebookFormatError(f"beam {pos} is missing key {key!r}")
-            index = entry["index"]
-            if not _is_int(index):
-                raise CodebookFormatError(f"beam {pos} index must be an integer, got {index!r}")
             psi0 = entry["psi0"]
             if not _is_number(psi0) or abs(psi0) > 1.5:
                 raise CodebookFormatError(f"beam {pos} psi0 out of range, got {psi0!r}")
             if psi0 <= prev_psi0:
                 raise CodebookFormatError("beams must be strictly sorted by psi0")
             prev_psi0 = psi0
+            foci.append(float(psi0))
+        try:
+            band, threshold = BandSpec(float(data["fractional_bandwidth"])), GainThreshold(float(data["threshold_ratio"]))
+            book = cls(tuple(foci), data["psi_m"], band, n, threshold)
+        except ValueError as exc:
+            raise CodebookFormatError(str(exc)) from exc
+
+        # after the sort order and the records, so that an unsorted document or a bad N is reported as such
+        geom = ArrayGeometry(n)
+        for pos, (entry, psi0) in enumerate(zip(raw_beams, book.foci)):
+            if not _is_int(entry["index"]) or entry["index"] != pos:
+                raise CodebookFormatError(f"beam {pos} index must be its position {pos}, got {entry['index']!r}")
             phases = entry["phases_rad"]
             if not isinstance(phases, list) or len(phases) != n:
                 raise CodebookFormatError(
@@ -217,19 +212,11 @@ class Codebook:
             lo, hi = cov["lo"], cov["hi"]
             if not (_is_number(lo) and _is_number(hi) and lo < hi):
                 raise CodebookFormatError(f"beam {pos} coverage [{lo!r}, {hi!r}] is not a valid interval")
-            foci.append(float(psi0))
-        # after the sort order, so that an unsorted document is reported as such
-        for pos, entry in enumerate(raw_beams):
-            if entry["index"] != pos:
-                raise CodebookFormatError(f"beam {pos} index must be its position {pos}, got {entry['index']!r}")
-
-        return cls(
-            foci=tuple(foci),
-            psi_m=float(psi_m),
-            band=BandSpec(float(b)),
-            n_antennas=n,
-            threshold=GainThreshold(float(ratio)),
-        )
+        if not _is_int(data["size"]) or data["size"] != book.size:
+            raise CodebookFormatError(f"size {data['size']!r} does not match the number of beams {book.size}")
+        if data["parity"] != book.parity:
+            raise CodebookFormatError(f"parity must be {book.parity!r} for {book.size} beams, got {data['parity']!r}")
+        return book
 
     @classmethod
     def from_json(cls, text: str) -> "Codebook":
@@ -313,10 +300,8 @@ def design_no_squint(n_antennas: int, psi_m: float) -> Codebook:
     pairs at +-(k - 1/2)*width. Exactly ``min_size_no_squint`` beams; the
     outermost coverage may overshoot psi_m.
     """
-    n = _check_n(n_antennas)
-    psi_m = _check_psi_m(psi_m)
     band = BandSpec(0.0)
-    return Codebook(_foci(n, band, psi_m), psi_m, band, n, GainThreshold())
+    return Codebook(_foci(n_antennas, band, psi_m), psi_m, band, n_antennas, GainThreshold())
 
 
 def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> tuple[float, ...] | None:

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from beamsquint import cli
 from beamsquint.cli import _linspace, build_parser, main
-from beamsquint.codebook import design_no_squint, design_with_squint
-from beamsquint.squint import BandSpec
+from beamsquint.codebook import design_no_squint, design_with_squint, max_fractional_bandwidth
+from beamsquint.squint import _MAX_GRID_POINTS, BandSpec
 from beamsquint.verification import sweep_size_vs_b
 
 
@@ -61,6 +62,20 @@ class TestDesignCommand:
         err = capsys.readouterr().err
         assert "0.110750" in err
         assert "does not exist" in err
+
+    def test_infeasible_message_is_the_library_reason(self, capsys):
+        code = run_cli("design", "--antennas", "64", "--fractional-bandwidth", "0.0342")
+        assert code == 3
+        reason = design_with_squint(64, BandSpec(0.0342), 1.0).infeasibility.reason
+        assert capsys.readouterr() == ("", f"codebook does not exist: {reason}\n")
+
+    def test_stalled_tiling_is_not_reported_as_beyond_the_bound(self, capsys):
+        b = 8.859999999999999e-05  # just below the bound 1.772/20000
+        assert b < max_fractional_bandwidth(20000, 1.0)
+        assert run_cli("design", "--antennas", "20000", "--fractional-bandwidth", repr(b)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("codebook does not exist: beam tiling stalled")
+        assert ">= bound" not in err
 
     def test_band_required(self):
         assert run_cli("design", "--antennas", "16") == 2
@@ -415,6 +430,44 @@ class TestSweepCommands:
         assert captured.err.startswith("error: ")
         assert "--b-max" in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep-b", "--antennas", "8", "--b-min", "0", "--b-max", "0.1", "--b-points", str(_MAX_GRID_POINTS + 1)),
+            ("sweep-b", "--antennas", "8", "16", "--b-min", "0", "--b-max", "0.1", "--b-points", str(_MAX_GRID_POINTS // 2 + 1)),
+            ("sweep-n", "--b-list", "0.01", "--n-min", "2", "--n-max", str(_MAX_GRID_POINTS + 2)),
+            ("sweep-n", "--b-list", "0.01 0.02", "--n-min", "2", "--n-max", str(10**40)),
+        ],
+    )
+    def test_table_beyond_the_cap_exits_2_before_it_is_built(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: a sweep table holds at most {_MAX_GRID_POINTS} points")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("sweep-b", "--antennas", "8", "16", "--b-list", "0,0.01,0.02"), 0),
+            (("sweep-b", "--antennas", "8", "16", "--b-list", "0,0.01,0.02,0.03"), 2),
+            (("sweep-b", "--antennas", "8", "16", "--b-min", "0", "--b-max", "0.1", "--b-points", "3"), 0),
+            (("sweep-b", "--antennas", "8", "16", "--b-min", "0", "--b-max", "0.1", "--b-points", "4"), 2),
+            (("sweep-n", "--b-list", "0 0.01", "--n-min", "4", "--n-max", "9", "--n-step", "2"), 0),
+            (("sweep-n", "--b-list", "0 0.01", "--n-min", "4", "--n-max", "10", "--n-step", "2"), 2),
+        ],
+    )
+    def test_table_cap_counts_series_times_values(self, monkeypatch, argv, code):
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 6)
+        assert run_cli(*argv, "--format", "json") == code
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -278,6 +278,38 @@ class TestSerialization:
         ]
         assert list(doc["beams"][0]) == ["index", "psi0", "theta0_deg", "phases_rad", "coverage"]
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+    def test_every_design_round_trips(self, n):
+        books = [design_no_squint(n, 1.0)]
+        for psi_m in (1.0, 0.77, 0.3):
+            bound = max_fractional_bandwidth(n, psi_m)
+            for b in (0.0, 0.01 * bound, 0.5 * bound, 0.99 * bound, 0.999999 * bound):
+                if b < 2.0:
+                    books.append(design_with_squint(n, BandSpec(b), psi_m).codebook)
+        assert len(books) > 10 and None not in books
+        for book in books:
+            assert Codebook.from_json(book.to_json()) == book
+
+    @pytest.mark.parametrize(
+        "key, value, record",
+        [
+            ("fractional_bandwidth", 2.5, lambda: BandSpec(2.5)),
+            ("threshold_ratio", 2.0, lambda: GainThreshold(2.0)),
+            ("n_antennas", 1, lambda: ArrayGeometry(1)),
+            ("psi_m", 2.0, lambda: Codebook((0.0,), 2.0, BAND, 16, GainThreshold())),
+            ("beams", [], lambda: Codebook((), 1.0, BAND, 16, GainThreshold())),
+        ],
+    )
+    def test_range_rules_are_the_records(self, key, value, record):
+        # the document states the value; the record states the rule and its message
+        with pytest.raises(ValueError) as refused:
+            record()
+        doc = design_no_squint(16, 1.0).to_dict()
+        doc[key] = value
+        with pytest.raises(CodebookFormatError) as rejected:
+            Codebook.from_dict(doc)
+        assert str(rejected.value) == str(refused.value)
+
     def test_missing_key_rejected(self):
         doc = design_no_squint(16, 1.0).to_dict()
         del doc["psi_m"]

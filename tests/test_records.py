@@ -199,11 +199,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="foci must be finite"):
             dataclasses.replace(BOOK, foci=(-0.5, bad))
 
+    @pytest.mark.parametrize("psi_m", [2.0, 0, -1, math.nan])
+    def test_a_codebook_needs_psi_m_in_the_unit_range(self, psi_m):
+        # else verify certifies beyond the visible region and to_json writes what from_json refuses
+        with pytest.raises(ValueError, match=r"^psi_m must lie in \(0, 1\], got "):
+            Codebook((0.0,), psi_m, BandSpec(0.0), 8, GainThreshold())
+        with pytest.raises(ValueError, match=r"^psi_m must lie in \(0, 1\], got "):
+            dataclasses.replace(BOOK, psi_m=psi_m)
+
     def test_replace_on_a_codebook_rechecks_and_normalises(self):
         with pytest.raises(ValueError, match="n_antennas must be an integer >= 2, got 1"):
             dataclasses.replace(BOOK, n_antennas=1)
         wider = dataclasses.replace(BOOK, n_antennas=16.0)
         assert type(wider.n_antennas) is int and wider.n_antennas == 16
+        assert type(dataclasses.replace(BOOK, psi_m=1).psi_m) is float
+        assert dataclasses.replace(BOOK, psi_m=1) == BOOK
         assert wider.foci == BOOK.foci and wider.band == BOOK.band
         narrowed = dataclasses.replace(BOOK, band=BandSpec(0.0))
         assert narrowed == Codebook(BOOK.foci, 1.0, BandSpec(0.0), 8, GainThreshold())
