@@ -19,13 +19,9 @@ if TYPE_CHECKING:
 # closed-form kernel (the points x = 2k, where naive division is unstable).
 _SINGULARITY_TOL = 1e-12
 
-# Values per chunk (kernel values, probe values of a pair batch, or phases),
+# Values per chunk (kernel values, band-edge values of a pair batch, or phases),
 # at least one carrier angle's worth; bounds the size of every temporary.
 _GAIN_CHUNK = 1 << 14
-
-# Band-edge screen margin of worst_subcarrier_gain, in units of sqrt(N);
-# absolute, as a relative one is too loose next to the first null.
-_SCREEN_TOL = 1e-9
 
 # Slack for "psi must be a sine" range checks, absorbs round trips through
 # sin/arcsin.
@@ -269,8 +265,11 @@ def gain_kernel_magnitude(x, n_antennas: int):
 def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):
     """The best beam's gain at its worst subcarrier, per carrier angle:
     ``max over psi0s of min over xis of |g(xi*psi - psi0)|`` for ascending
-    ``xis``, bit for bit. Scalar ``psi`` in, float out; ndarray in, ndarray
-    of the same shape out. Every value must be finite.
+    ``xis``. A beam with no null between its band edges takes its smaller
+    edge value, the exact-arithmetic min (:func:`_raise_to_pair_mins`): in
+    bands of about 1e-6 or less, a few ulps above the computed min, never
+    below. Scalar ``psi`` in, float out; ndarray in, ndarray of the same
+    shape out. Every value must be finite.
 
     A window cascade: round by round, h = 1/N, 2/N, 4/N, ..., 1, each beam
     meets the angles whose ``x = xi*psi - psi0`` at the mid-band ``xi`` lies
@@ -316,12 +315,12 @@ def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):
 def _raise_to_window_mins(angles, offsets, xis, n, lo, hi, beams, best, floor):
     """:func:`_raise_to_pair_mins` on the pairs ``(r, beams[w])``, ``lo[w] <=
     r < hi[w]``, one batch per block of angles of at most ``_GAIN_CHUNK``
-    probe values: memory is bounded at any number of angles and overlap."""
+    band-edge values: memory is bounded at any number of angles and overlap."""
     import numpy as np
     # the most windows over one angle: an end 2*hi sorts before a start 2*lo+1 at one index
     edges = np.sort(np.concatenate([2 * lo + 1, 2 * hi]))
     overlap = np.cumsum(edges % 2 * 2 - 1).max(initial=1)
-    block = max(1, _GAIN_CHUNK // (overlap * min(len(xis), 4)))
+    block = max(1, _GAIN_CHUNK // (overlap * 2))
     for a in range(0, len(angles), block):
         start = np.maximum(lo, a)
         length = np.maximum(np.minimum(hi, a + block) - start, 0)
@@ -334,37 +333,29 @@ def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best, floor):
     offsets[b])|`` for each pair ``(r, b)`` of ``(rows, beams)``, wherever
     that min can exceed ``max(best[r], floor)``.
 
-    With five or more subcarriers each pair is first probed at
-    ``xis[[0, 1, -2, -1]]``. Its band-edge min ``U`` is two of its values,
-    so at least its min, and it *is* its min when both edge offsets lie in
-    the main lobe ``|x| < 2/N`` and both neighbours exceed ``U`` by
-    ``_SCREEN_TOL*sqrt(N)``:
+    The lobe rule: each pair is evaluated at ``xis[0]`` and ``xis[-1]``, and
+    its band-edge min ``U`` is its min unless a null ``2j/N`` (j not a
+    multiple of N) lies in ``(lo, hi]`` of its two edge offsets. The computed
+    ``x_j = xi_j*psi - psi0`` are weakly monotone in j, as rounding is, and
+    between two nulls ``|g|`` rises once and falls once (a peak 2k lies
+    inside such a lobe), so the exact min is at an edge. Where an interior
+    value rounds below both edges (tiny bands), ``U`` is a few ulps above
+    the dense computed min, never below it.
 
-    - the computed ``x_j = xi_j*psi - psi0`` are weakly monotone in j, as
-      rounding is monotone, so all lie between the two edge offsets;
-    - on the main lobe ``|g|`` is even and decreasing in ``|x|``, so
-      unimodal along j, and the exact interior min is at j = 1 or j = -2;
-    - the kernel's absolute error there, about ``1e-15*sqrt(N)``, is far
-      below the margin, so every computed interior value exceeds ``U``.
-
-    The screened mins go into ``best`` first. The unscreened pairs go to
-    every subcarrier while their ``U`` exceeds the bar ``max(best[r],
-    floor)``, which rises as they go: each angle's largest ``U`` first,
-    then the rest. A skipped pair's min is at most ``U``, so at most the
-    bar, and every max keeps its bits.
+    Null-spanning pairs go to every subcarrier while their ``U`` exceeds
+    the bar ``max(best[r], floor)``, which rises as they go: each angle's
+    largest ``U`` first, then the rest. A skipped pair's min is at most
+    ``U``, so at most the bar, and every max keeps its bits.
     """
     import numpy as np
-    probe = [0, 1, -2, -1] if len(xis) >= 5 else slice(None)
-    x = angles[rows, None] * xis[probe] - offsets[beams, None]  # pairs x probe
+    m, angle, focus = len(rows), angles[rows], offsets[beams]
+    x = np.concatenate((angle * xis[0] - focus, angle * xis[-1] - focus))
     g = gain_kernel_magnitude(x, n)
-    if len(xis) < 5:  # every subcarrier is probed, and that is the whole min
-        np.maximum.at(best, rows, g.min(axis=1))
-        return
-    upper = np.minimum(g[:, 0], g[:, 3])
-    screened = np.all(np.abs(x[:, [0, 3]]) < 2.0 / n, axis=1)
-    screened &= np.minimum(g[:, 1], g[:, 2]) - upper >= _SCREEN_TOL * math.sqrt(n)
-    np.maximum.at(best, rows[screened], upper[screened])
-    todo, peak = np.flatnonzero(~screened), np.full(len(angles), -math.inf)
+    upper = np.minimum(g[:m], g[m:])
+    lobe = np.floor((0.5 * n) * x) - np.floor(0.5 * x)  # nulls up to x, less the peaks 2k
+    spans = lobe[:m] != lobe[m:]
+    np.maximum.at(best, rows[~spans], upper[~spans])
+    todo, peak = np.flatnonzero(spans), np.full(len(angles), -math.inf)
     np.maximum.at(peak, rows[todo], upper[todo])  # each angle's largest U
     top = upper[todo] == peak[rows[todo]]
     step = max(1, _GAIN_CHUNK // len(xis))

@@ -234,10 +234,11 @@ def _cmd_sweep_n(args) -> int:
 
 def _cmd_bounds(args) -> int:
     band = _band_from_args(args, required=False)
+    bound = max_fractional_bandwidth(args.antennas, args.psi_max)
     doc = {
         "n_antennas": args.antennas,
         "psi_m": args.psi_max,
-        "max_fractional_bandwidth": max_fractional_bandwidth(args.antennas, args.psi_max),
+        "max_fractional_bandwidth": None if math.isinf(bound) else bound,  # JSON has no infinity
         "fractional_bandwidth": None if band is None else band.fractional_bandwidth,
         "max_antennas": None if band is None else max_antennas(band, args.psi_max),
     }

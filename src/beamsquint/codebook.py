@@ -35,6 +35,17 @@ def _is_number(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
+def _wire_foci(foci) -> tuple[float, ...]:
+    """The foci as floats if the wire format holds them (numbers within +-1.5,
+    strictly ascending), else CodebookFormatError naming the first beam that does not."""
+    for pos, psi0 in enumerate(foci):
+        if not _is_number(psi0) or abs(psi0) > 1.5:
+            raise CodebookFormatError(f"beam {pos} psi0 out of range, got {psi0!r}")
+        if pos and psi0 <= foci[pos - 1]:
+            raise CodebookFormatError("beams must be strictly sorted by psi0")
+    return tuple(map(float, foci))
+
+
 class Beam(_Record):
     """One codebook entry: position, focus angle and analytic coverage,
     all derived from the codebook's foci. Its phases are
@@ -109,6 +120,8 @@ class Codebook:
         return gaps
 
     def to_dict(self) -> dict:
+        """The wire format; foci it cannot hold raise :meth:`from_dict`'s CodebookFormatError."""
+        _wire_foci(self.foci)
         geom = ArrayGeometry(self.n_antennas)
         return {
             "n_antennas": self.n_antennas,
@@ -168,24 +181,16 @@ class Codebook:
         if not isinstance(raw_beams, list):
             raise CodebookFormatError("beams must be a list")
 
-        foci = []
-        prev_psi0 = -math.inf
         for pos, entry in enumerate(raw_beams):
             if not isinstance(entry, dict):
                 raise CodebookFormatError(f"beam {pos} must be a JSON object")
             for key in ("index", "psi0", "phases_rad", "coverage"):
                 if key not in entry:
                     raise CodebookFormatError(f"beam {pos} is missing key {key!r}")
-            psi0 = entry["psi0"]
-            if not _is_number(psi0) or abs(psi0) > 1.5:
-                raise CodebookFormatError(f"beam {pos} psi0 out of range, got {psi0!r}")
-            if psi0 <= prev_psi0:
-                raise CodebookFormatError("beams must be strictly sorted by psi0")
-            prev_psi0 = psi0
-            foci.append(float(psi0))
+        foci = _wire_foci([entry["psi0"] for entry in raw_beams])
         try:
             band, threshold = BandSpec(float(data["fractional_bandwidth"])), GainThreshold(float(data["threshold_ratio"]))
-            book = cls(tuple(foci), data["psi_m"], band, n, threshold)
+            book = cls(foci, data["psi_m"], band, n, threshold)
         except ValueError as exc:
             raise CodebookFormatError(str(exc)) from exc
 
@@ -268,9 +273,9 @@ def _check_psi_m(psi_m: float) -> float:
 
 def min_size_no_squint(n_antennas: int, psi_m: float) -> int:
     """Beams needed to tile [-psi_m, psi_m] with constant-width beams:
-    ceil(2*psi_m / (1.772/N))."""
+    ceil(2*psi_m / (1.772/N)), and at least one."""
     width = half_power_beamwidth(n_antennas)
-    return int(math.ceil(2.0 * _check_psi_m(psi_m) / width - _EDGE_TOL))
+    return max(1, int(math.ceil(2.0 * _check_psi_m(psi_m) / width - _EDGE_TOL)))
 
 
 def max_fractional_bandwidth(n_antennas: int, psi_m: float) -> float:
@@ -283,13 +288,11 @@ def max_fractional_bandwidth(n_antennas: int, psi_m: float) -> float:
 
 
 def max_antennas(band: BandSpec, psi_m: float) -> int | None:
-    """Largest usable array size, floor(1.772/(psi_m*b)); None when b = 0
-    (no bound)."""
-    _check_psi_m(psi_m)
-    b = band.fractional_bandwidth
-    if b == 0.0:
-        return None
-    return int(math.floor(HALF_POWER_CONSTANT / (psi_m * b) + _EDGE_TOL))
+    """Largest usable array size, floor(1.772/(psi_m*b)); None when no float
+    holds it: b = 0 (no bound), or psi_m*b so small that the quotient overflows."""
+    scale = _check_psi_m(psi_m) * band.fractional_bandwidth
+    cap = HALF_POWER_CONSTANT / scale + _EDGE_TOL if scale else math.inf
+    return None if math.isinf(cap) else int(math.floor(cap))
 
 
 def design_no_squint(n_antennas: int, psi_m: float) -> Codebook:
@@ -313,9 +316,9 @@ def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> tuple[f
     """
     positive: list[float] = []
     half, b = 0.5 * half_power_beamwidth(n), band.fractional_bandwidth
-    # the odd procedure seeds a beam at broadside, the even one an edge
+    # the odd procedure seeds a beam at broadside, the even one an edge: at least one pair
     psi_cr = half / (1.0 + 0.5 * b) if odd else 0.0
-    while psi_cr < psi_m - _EDGE_TOL:
+    while psi_cr < psi_m - _EDGE_TOL or not (odd or positive):
         # focus_from_left_edge(psi_cl), then squinted_coverage(psi0).hi by the
         # same float operations: psi_cl >= 0, so the right edge psi0 + half > 0
         psi_cl = psi_cr

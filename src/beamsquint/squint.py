@@ -238,9 +238,11 @@ def numeric_coverage(
     has consumed the beam). Independent of the analytic edge formulas,
     which it exists to check.
 
+    Each angle's min is its smaller band-edge value unless a null lies
+    between the band edges (the lobe rule of ``worst_subcarrier_gain``).
     The scan's bar is the float just under g_t. An angle whose band-edge
     bound (at least its exact min) does not beat it fails either way and
-    stays at -inf, unevaluated; passing values are exact, so no bit moves.
+    stays at -inf, unevaluated.
     """
     import numpy as np
     n = _check_n(n_antennas)

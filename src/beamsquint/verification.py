@@ -66,7 +66,9 @@ def verify_codebook(
     edges are refined to 1e-9. ``slack_db`` absorbs the 1.772/N
     beamwidth approximation when certifying constant-width designs (use 0
     for exact-width designs). The grid's gains and the refinement margin
-    both come from the window cascade of :func:`worst_subcarrier_gain`.
+    both come from the window cascade of :func:`worst_subcarrier_gain`, so
+    a beam with no null between its band edges counts at its smaller edge
+    value, the exact min over the xi grid.
     """
     import numpy as np
     psi_m = codebook.psi_m

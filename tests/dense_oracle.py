@@ -9,7 +9,7 @@ from beamsquint.array_model import gain_kernel_magnitude
 
 def dense_worst_gain(psi, psi0s, xis, n):
     """``max over psi0s of min over xis of |g(xi*psi - psi0)|``, one beam at
-    a time over every angle: no screen and no windows, and one beam's
+    a time over every angle: no lobe rule and no windows, and one beam's
     angles x subcarriers block in memory. Same shape as ``psi``."""
     best = np.full(np.shape(psi), -np.inf)
     for psi0 in np.asarray(psi0s, dtype=float).reshape(-1):

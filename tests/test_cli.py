@@ -406,6 +406,21 @@ class TestSweepCommands:
         assert [p["bound"] for p in unbounded["points"]] == [None, None]
         assert [p["bound"] for p in bounded["points"]] == [24.0, 24.0]
 
+    def test_sweep_n_bound_beyond_the_float_range(self, capsys):
+        # floor(1.772/b) at b = 1e-320 overflowed, a traceback with exit 1
+        assert run_cli("sweep-n", "--b-list", "1e-320,0", "--n-min", "8", "--n-max", "9", "--format", "json") == 0
+        tiny, zero = json.loads(capsys.readouterr().out)["series"]
+        assert [p["bound"] for p in tiny["points"]] == [None, None]
+        assert [p["size"] for p in tiny["points"]] == [p["size"] for p in zero["points"]] == [10, 11]
+
+    def test_tiny_psi_max_takes_one_beam(self, capsys):
+        # psi_m under the tiling tolerance gave size 0, and design exit 2
+        assert run_cli("sweep-n", "--b-list", "0,0.1", "--n-min", "8", "--n-max", "8", "--psi-max", "1e-13") == 0
+        _, *rows = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[1] for row in rows if not row.startswith("#")] == ["1", "1"]
+        assert run_cli("design", "--antennas", "8", "--fractional-bandwidth", "0", "--psi-max", "1e-13") == 0
+        assert json.loads(capsys.readouterr().out)["size"] == 1
+
     def test_sweep_n_csv_keeps_inf_bound(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep-n", "--b-list", "0", "--n-min", "20", "--n-max", "20",
@@ -514,6 +529,23 @@ class TestBoundsCommand:
         assert doc["max_fractional_bandwidth"] == pytest.approx(0.055375, abs=1e-12)
         assert doc["max_antennas"] is None
         assert doc["fractional_bandwidth"] is None
+
+    @pytest.mark.parametrize(
+        "options, key",
+        [
+            (["--fractional-bandwidth", "1e-320"], "max_antennas"),  # was an OverflowError traceback
+            (["--fractional-bandwidth", "1e-10", "--psi-max", "1e-320"], "max_antennas"),  # was a ZeroDivisionError
+            (["--psi-max", "1e-320"], "max_fractional_bandwidth"),  # was "Infinity"
+        ],
+    )
+    def test_bound_beyond_the_float_range_is_null(self, capsys, options, key):
+        assert run_cli("bounds", "--antennas", "8", *options) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc[key] is None
 
 
 @pytest.mark.parametrize("value", ["0", "1.5", "nan"])

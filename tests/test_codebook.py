@@ -49,6 +49,16 @@ class TestMinSizeNoSquint:
         # psi_m an exact multiple of the width must not add a beam
         assert min_size_no_squint(4, 0.443) == 2
 
+    @pytest.mark.parametrize("b", [0.0, 0.1])
+    def test_tiny_psi_m_takes_one_beam(self, b):
+        # at psi_m <= 1e-12, the tiling tolerance, the plan gave no beam: the
+        # size rounded to 0 at b = 0, and at b > 0 the even tiling, with no
+        # pair, beat the odd one's broadside beam
+        assert min_size_no_squint(8, 1e-13) == 1
+        assert design_with_squint(8, BandSpec(b), 1e-13).codebook.foci == (0.0,)
+        assert sweep_size_vs_n([b], [8], 1e-13).series[0].points[0].size == 1
+        assert sweep_size_vs_b([8], [b], 1e-13).series[0].points[0].size == 1
+
 
 class TestDesignNoSquint:
     def test_19_beam_layout(self):
@@ -190,6 +200,13 @@ class TestFeasibility:
     def test_zero_bandwidth_unbounded(self):
         assert max_antennas(BandSpec(0.0), 1.0) is None
 
+    @pytest.mark.parametrize("b, psi_m", [(1e-320, 1.0), (1e-10, 1e-320)])
+    def test_bound_beyond_the_float_range_is_none(self, b, psi_m):
+        # 1.772/(psi_m*b) overflows, or psi_m*b underflows to 0: they raised
+        # OverflowError and ZeroDivisionError
+        assert max_antennas(BandSpec(b), psi_m) is None
+        assert max_antennas(BandSpec(1e-300), 1.0) == math.floor(1.772e300)
+
     def test_feasible_just_below_bound(self):
         outcome = design_with_squint(16, BandSpec(0.1107), 1.0)
         assert outcome.feasible
@@ -250,14 +267,15 @@ class TestSerialization:
 
     @pytest.mark.parametrize("n", [2, 17, 64])
     def test_phases_are_fine_beam_weights_bit_for_bit(self, n):
-        foci = (-0.93, -0.25, -0.0, 0.0, 1e-300, 0.4, 1.02)
-        book = Codebook(foci, 1.0, BAND, n, GainThreshold())
-        for beam, psi0 in zip(book.to_dict()["beams"], foci):
-            # the array product fine_beam_weights made with numpy alone
-            product = (2.0 * math.pi * 0.5 * psi0 * np.arange(n)).tolist()
-            # repr tells -0.0 (element 0 of a negative focus) from 0.0
-            assert list(map(repr, beam["phases_rad"])) == list(map(repr, product))
-            assert list(map(repr, fine_beam_weights(ArrayGeometry(n), psi0).tolist())) == list(map(repr, product))
+        # -0.0 and 0.0 in two codebooks, as the wire format holds no repeated focus
+        for foci in ((-0.93, -0.25, -0.0, 1e-300, 0.4, 1.02), (-0.25, 0.0, 0.4)):
+            book = Codebook(foci, 1.0, BAND, n, GainThreshold())
+            for beam, psi0 in zip(book.to_dict()["beams"], foci):
+                # the array product fine_beam_weights made with numpy alone
+                product = (2.0 * math.pi * 0.5 * psi0 * np.arange(n)).tolist()
+                # repr tells -0.0 (element 0 of a negative focus) from 0.0
+                assert list(map(repr, beam["phases_rad"])) == list(map(repr, product))
+                assert list(map(repr, fine_beam_weights(ArrayGeometry(n), psi0).tolist())) == list(map(repr, product))
 
     def test_array_size_checked(self):
         for n in (1, 2.5):
@@ -339,6 +357,29 @@ class TestSerialization:
         doc["size"] = 5
         with pytest.raises(CodebookFormatError, match="size"):
             Codebook.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "foci, message",
+        [
+            ((0.5, -0.5), "beams must be strictly sorted by psi0"),
+            ((0.0, 0.0), "beams must be strictly sorted by psi0"),
+            ((1.6,), "beam 0 psi0 out of range, got 1.6"),
+        ],
+    )
+    def test_foci_the_format_cannot_hold_are_not_written(self, monkeypatch, foci, message):
+        # such a codebook builds, but to_json wrote a document that its own
+        # from_json refused; to_dict now raises from_dict's error first
+        book = Codebook(foci, 1.0, BandSpec(0.0), 8, GainThreshold())
+        for write in (book.to_dict, book.to_json):
+            with pytest.raises(CodebookFormatError) as written:
+                write()
+            assert str(written.value) == message
+        with monkeypatch.context() as patch:
+            patch.setattr(codebook, "_wire_foci", tuple)
+            text = book.to_json()  # the document written without the check
+        with pytest.raises(CodebookFormatError) as read:
+            Codebook.from_json(text)
+        assert str(read.value) == message
 
     def test_unsorted_beams_rejected(self):
         doc = design_no_squint(16, 1.0).to_dict()

@@ -364,8 +364,8 @@ def test_memory_of_the_worst_subcarrier_search_stays_bounded(n):
 
 def test_memory_bounded_when_many_pairs_need_every_subcarrier(monkeypatch):
     # A band this wide carries every subcarrier range through nulls, so
-    # few (angle, beam) pairs pass the band-edge screen and most go to
-    # full evaluation: about 117k of 200k pairs, 60 MB if evaluated at once.
+    # most (angle, beam) pairs span a null between their band edges and go
+    # to full evaluation: about 115k of 200k pairs, 60 MB if evaluated at once.
     # Every beam is on every angle, without the cascade's narrower windows.
     pairs = []
 
@@ -435,6 +435,15 @@ def reference_verify_codebook(
 def _book(n, b, psi_m, foci, threshold=GainThreshold()):
     # built directly, so foci may lie anywhere (from_dict caps them at 1.5)
     return Codebook(tuple(float(f) for f in sorted(foci)), psi_m, BandSpec(b), n, threshold)
+
+
+@pytest.mark.parametrize("foci", [(0.0, 0.0), (1.6,), (-1.6, 0.0)])
+def test_verify_takes_foci_the_wire_format_cannot_hold(foci):
+    # repeated or beyond +-1.5: to_dict refuses them, verify does not
+    book = _book(8, 0.05, 1.0, foci)
+    with pytest.raises(ValueError):
+        book.to_dict()
+    assert verify_codebook(book, psi_step=1e-3) == reference_verify_codebook(book, psi_step=1e-3)
 
 
 def _record_rounds(monkeypatch):
@@ -525,9 +534,9 @@ class TestWindowedSweepIsExact:
                     patch.setattr(array_model, "_GAIN_CHUNK", chunk)
                     windowed = worst_subcarrier_gain(grid, foci, xis, n)
                 assert np.array_equal(windowed.view(np.int64), dense.view(np.int64)), (b, m)
-                # a block holds at most a chunk of probe values, or one
-                # angle's windows: at most two per beam
-                assert max(batches) * min(len(xis), 4) <= max(chunk, 8 * len(foci))
+                # a block holds at most a chunk of band-edge values (two per
+                # pair), or one angle's windows: at most two per beam
+                assert max(batches) * 2 <= max(chunk, 4 * len(foci))
 
     def test_designed_codebook_final_after_first_round(self, monkeypatch, book16):
         # the first round's windows (h = 1/N), over several blocks of angles
