@@ -102,7 +102,7 @@ class ArrayGeometry(_Record):
     spacing_ratio: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_n(self.n_antennas)
+        object.__setattr__(self, "n_antennas", _check_n(self.n_antennas))
         d = self.spacing_ratio
         if not (math.isfinite(d) and d > 0):
             raise ValueError(f"spacing_ratio must be positive and finite, got {d!r}")
@@ -173,7 +173,8 @@ def array_gain_sum(weights: np.ndarray, geom: ArrayGeometry, psi, xi: float = 1.
     Returns ``(1/sqrt(N)) * sum_n exp(j*(2*pi*xi*spacing_ratio*(n-1)*psi
     - beta_n))``. Valid for arbitrary spacing and arbitrary weights, not
     only fine beams. Scalar ``psi`` in, complex out; an ndarray of angles
-    in, a complex ndarray of the same shape out.
+    in, a complex ndarray of the same shape out. An ``xi`` at which that
+    phase overflows raises ValueError.
     """
     import numpy as np
     w = np.asarray(weights, dtype=float)
@@ -182,8 +183,11 @@ def array_gain_sum(weights: np.ndarray, geom: ArrayGeometry, psi, xi: float = 1.
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite phases in radians")
     angles, k = np.asarray(psi, dtype=float), np.arange(geom.n_antennas)
-    _check_psi(abs(float(angles)) if angles.ndim == 0 else float(np.abs(angles).max(initial=0.0)))  # NaN propagates
+    top = abs(float(angles)) if angles.ndim == 0 else float(np.abs(angles).max(initial=0.0))
+    _check_psi(top)  # NaN propagates
     _check_xi(xi)
+    if not math.isfinite(2.0 * math.pi * xi * geom.spacing_ratio * (top * (geom.n_antennas - 1))):  # the largest phase
+        raise ValueError(f"frequency ratio xi = {xi!r} overflows the phase 2*pi*xi*spacing_ratio*(N-1)*psi at N={geom.n_antennas}")
     if angles.ndim == 0:  # one angle: the loop's float operations on its one row, without its set-up
         phase = 2.0 * math.pi * xi * geom.spacing_ratio * (float(angles) * k) - w
         return complex((np.exp(1j * phase).sum(keepdims=True) / math.sqrt(geom.n_antennas))[0])

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from .array_model import _GAIN_CHUNK, ArrayGeometry, _check_xi, array_gain_sum, fine_beam_weights
+from .array_model import _GAIN_CHUNK, ArrayGeometry, array_gain_sum, fine_beam_weights
 from .codebook import Codebook, CodebookFormatError, design_with_squint, max_antennas, max_fractional_bandwidth
 from .squint import _MAX_GRID_POINTS, BandSpec, GainThreshold
 from .verification import sweep_size_vs_b, sweep_size_vs_n, verify_codebook
@@ -108,8 +108,8 @@ def _cmd_pattern(args) -> int:
     grid = np.round(np.linspace(-1.0, 1.0, int(round(2.0 / args.psi_step)) + 1), 12)
     weights = fine_beam_weights(geom, psi0)
     thetas = [math.degrees(math.asin(psi)) for psi in grid.tolist()]
-    for xi in xis:  # before the first byte: rows are written as they are made
-        _check_xi(xi)
+    for xi in xis:  # its checks at the grid's widest angle, before the first byte: rows are written as they are made
+        array_gain_sum(weights, geom, 1.0, xi)
     # %r writes a float as json.dumps and str do; the first rows go out after the header
     row, sep, prefix, tail = ("%r,%r,%r,%r,%r", "\n", "psi,theta_deg,xi,gain_abs,gain_db\n", "\n") if args.format == "csv" else (_JSON_ROW, ",\n", "[\n", "\n]\n")
     with _output(args.out) as stream:

@@ -35,15 +35,14 @@ def _is_number(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
-def _wire_foci(foci) -> tuple[float, ...]:
-    """The foci as floats if the wire format holds them (numbers within +-1.5,
-    strictly ascending), else CodebookFormatError naming the first beam that does not."""
+def _wire_foci(foci) -> None:
+    """Raises CodebookFormatError naming the first beam the wire format cannot
+    hold, unless the foci are numbers within +-1.5, strictly ascending."""
     for pos, psi0 in enumerate(foci):
         if not _is_number(psi0) or abs(psi0) > 1.5:
             raise CodebookFormatError(f"beam {pos} psi0 out of range, got {psi0!r}")
         if pos and psi0 <= foci[pos - 1]:
             raise CodebookFormatError("beams must be strictly sorted by psi0")
-    return tuple(map(float, foci))
 
 
 class Beam(_Record):
@@ -83,6 +82,7 @@ class Codebook:
             raise ValueError("a codebook needs at least one beam, got empty foci")
         if not all(map(math.isfinite, self.foci)):
             raise ValueError(f"foci must be finite, got {next(f for f in self.foci if not math.isfinite(f))!r}")
+        object.__setattr__(self, "foci", tuple(map(float, self.foci)))
         object.__setattr__(self, "n_antennas", _check_n(self.n_antennas))
         object.__setattr__(self, "psi_m", _check_psi_m(self.psi_m))
 
@@ -187,10 +187,9 @@ class Codebook:
             for key in ("index", "psi0", "phases_rad", "coverage"):
                 if key not in entry:
                     raise CodebookFormatError(f"beam {pos} is missing key {key!r}")
-        foci = _wire_foci([entry["psi0"] for entry in raw_beams])
+        _wire_foci(foci := [entry["psi0"] for entry in raw_beams])
         try:
-            band, threshold = BandSpec(float(data["fractional_bandwidth"])), GainThreshold(float(data["threshold_ratio"]))
-            book = cls(foci, data["psi_m"], band, n, threshold)
+            book = cls(foci, data["psi_m"], BandSpec(data["fractional_bandwidth"]), n, GainThreshold(data["threshold_ratio"]))
         except ValueError as exc:
             raise CodebookFormatError(str(exc)) from exc
 
@@ -310,9 +309,9 @@ def design_no_squint(n_antennas: int, psi_m: float) -> Codebook:
 def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> tuple[float, ...] | None:
     """Abutting squinted beams rightward from broadside, mirrored.
 
-    Returns the ascending foci or None if the tiling stalls (the in-loop
-    guard; unreachable once the bound precheck has passed, kept as a
-    defense against float collapse right at the bound).
+    Returns the ascending foci or None if the tiling stalls: just below
+    the bound a step can round to no progress, as at N=20000 with
+    b = 8.859999999999999e-05, which passes the bound precheck.
     """
     positive: list[float] = []
     half, b = 0.5 * half_power_beamwidth(n), band.fractional_bandwidth
@@ -345,20 +344,6 @@ def _foci(n: int, band: BandSpec, psi_m: float) -> tuple[float, ...] | None:
     return None if None in tilings else min(tilings, key=len)
 
 
-def _plan(n: int, band: BandSpec, psi_m: float) -> tuple[float, ...] | Infeasibility:
-    """:func:`_foci`, or the Infeasibility that rules the design out."""
-    foci = _foci(n, band, psi_m)
-    if foci is not None:
-        return foci
-    b, bound = band.fractional_bandwidth, max_fractional_bandwidth(n, psi_m)
-    reason = (
-        f"fractional bandwidth {b:.6f} is not below the bound {bound:.6f} = 1.772/(psi_m*N) for N={n}, psi_m={psi_m:g}"
-        if b >= bound  # else the tiling stalled right at the bound
-        else f"beam tiling stalled before reaching psi_m={psi_m:g} (fractional bandwidth {b:.6f} at the feasibility bound {bound:.6f})"
-    )
-    return Infeasibility(reason, n, psi_m, b, bound, max_antennas(band, psi_m))
-
-
 def design_with_squint(n_antennas: int, band: BandSpec, psi_m: float) -> DesignOutcome:
     """Squint-compensated minimum codebook: run the odd procedure (seed
     beam at broadside) and the even procedure (seed edge at broadside),
@@ -369,10 +354,16 @@ def design_with_squint(n_antennas: int, band: BandSpec, psi_m: float) -> DesignO
     """
     n = _check_n(n_antennas)
     psi_m = _check_psi_m(psi_m)
-    plan = _plan(n, band, psi_m)
-    if isinstance(plan, Infeasibility):
-        return DesignOutcome(infeasibility=plan)
-    return DesignOutcome(codebook=Codebook(plan, psi_m, band, n, GainThreshold()))
+    foci = _foci(n, band, psi_m)
+    if foci is not None:
+        return DesignOutcome(codebook=Codebook(foci, psi_m, band, n, GainThreshold()))
+    b, bound = band.fractional_bandwidth, max_fractional_bandwidth(n, psi_m)
+    reason = (
+        f"fractional bandwidth {b:.6f} is not below the bound {bound:.6f} = 1.772/(psi_m*N) for N={n}, psi_m={psi_m:g}"
+        if b >= bound  # else the tiling stalled right at the bound
+        else f"beam tiling stalled before reaching psi_m={psi_m:g} (fractional bandwidth {b:.6f} at the feasibility bound {bound:.6f})"
+    )
+    return DesignOutcome(infeasibility=Infeasibility(reason, n, psi_m, b, bound, max_antennas(band, psi_m)))
 
 
 __all__ = _public(globals())

@@ -42,6 +42,7 @@ class BandSpec(_Record):
         b = self.fractional_bandwidth
         if not (math.isfinite(b) and 0.0 <= b < 2.0):
             raise ValueError(f"fractional_bandwidth must satisfy 0 <= b < 2, got {b!r}")
+        object.__setattr__(self, "fractional_bandwidth", float(b))
 
     @classmethod
     def from_carrier(cls, carrier_freq_hz: float, bandwidth_hz: float) -> "BandSpec":
@@ -86,6 +87,7 @@ class GainThreshold(_Record):
         r = self.ratio_to_max
         if not (math.isfinite(r) and 0.0 < r <= 1.0):
             raise ValueError(f"ratio_to_max must lie in (0, 1], got {r!r}")
+        object.__setattr__(self, "ratio_to_max", float(r))
 
     @classmethod
     def from_db(cls, db_below_max: float) -> "GainThreshold":

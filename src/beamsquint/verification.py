@@ -176,7 +176,7 @@ def sweep_size_vs_b(
     per array size; the bound column is the per-N vertical asymptote."""
     if not n_antennas_list or not len(b_grid):
         raise ValueError("sweep grids must be non-empty")
-    series, bands = [], [BandSpec(float(b)) for b in b_grid]  # one band per b, shared by the series
+    series, bands = [], [BandSpec(b) for b in b_grid]  # one band per b, shared by the series
     for n in n_antennas_list:
         bound = max_fractional_bandwidth(n, psi_m)
         points = [SweepPoint(band.fractional_bandwidth, _size(n, band, psi_m), bound) for band in bands]
@@ -193,7 +193,7 @@ def sweep_size_vs_n(
         raise ValueError("sweep grids must be non-empty")
     series = []
     for b in b_list:
-        band = BandSpec(float(b))
+        band = BandSpec(b)
         n_cap = max_antennas(band, psi_m)
         bound = math.inf if n_cap is None else float(n_cap)
         points = [SweepPoint(float(n), _size(n, band, psi_m), bound) for n in n_range]

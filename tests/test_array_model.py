@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,16 @@ class TestScalarPath:
             array_gain_sum(w, HALF, 0.2, 0.0)
         assert type(array_gain_sum(w, HALF, np.float64(0.2))) is complex
         assert array_gain_sum(w, HALF, np.array([0.2])).shape == (1,)
+
+    def test_an_overflowing_phase_raises(self):
+        # the largest phase 2*pi*xi*spacing_ratio*(N-1)*psi was inf or NaN,
+        # and the gain NaN with a RuntimeWarning; at psi = 0 an infinite
+        # 2*pi*xi*spacing_ratio times 0 is NaN too
+        w = fine_beam_weights(HALF, 0.5)
+        for psi, xi in ((0.2, 1e308), (0.0, 1e308), (np.array([0.0, -1.0]), 1e307), (np.zeros(3), 1e308)):
+            with pytest.raises(ValueError, match=f"^frequency ratio xi = {re.escape(repr(xi))} overflows the phase "):
+                array_gain_sum(w, HALF, psi, xi)
+        assert np.isfinite(array_gain_sum(w, HALF, np.array([0.0, 1e-300]), 1e307)).all()
 
 
 class TestEquivalentAoa:

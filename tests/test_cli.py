@@ -289,6 +289,19 @@ class TestPatternCommand:
         assert options[-2] in captured.err  # names the option
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_phase_exits_2_before_the_first_byte(self, capsys, fmt):
+        # the phase at xi = 1e308 overflows: the rows of xi = 1 were written,
+        # then gain_abs nan (not strict JSON) with a numpy RuntimeWarning
+        argv = ("pattern", "--antennas", "8", "--psi0", "0", "--xi", "1", "1e308", "--format", fmt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: frequency ratio xi = 1e+308 overflows")
+        assert captured.err.count("\n") == 1
+
     def test_general_spacing_uses_summation_form(self, tmp_path):
         out = tmp_path / "pattern.csv"
         assert run_cli(

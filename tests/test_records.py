@@ -217,6 +217,31 @@ class TestValidation:
         assert wider.foci == BOOK.foci and wider.band == BOOK.band
         narrowed = dataclasses.replace(BOOK, band=BandSpec(0.0))
         assert narrowed == Codebook(BOOK.foci, 1.0, BandSpec(0.0), 8, GainThreshold())
+        # foci are stored as a tuple of float, however given
+        for foci in ([-0.5, 0.0, 0.5], (-0.5, 0, 0.5), range(-1, 2)):
+            book = dataclasses.replace(BOOK, foci=foci)
+            assert type(book.foci) is tuple and {type(f) for f in book.foci} == {float}
+            assert book.foci == tuple(map(float, foci))
+        listed = Codebook([-0.5, 0.0, 0.5], 1.0, BandSpec(0.0342), 8, GainThreshold())
+        assert listed == BOOK and hash(listed) == hash(BOOK)
+
+    def test_numbers_are_stored_as_float(self):
+        assert type(BandSpec(0).fractional_bandwidth) is float and BandSpec(0) == BandSpec(0.0)
+        assert type(GainThreshold(1).ratio_to_max) is float and GainThreshold(1) == GainThreshold(1.0)
+        assert hash(BandSpec(0)) == hash(BandSpec(0.0)) and repr(GainThreshold(1)) == "GainThreshold(ratio_to_max=1.0)"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Codebook(("0.5",), 1.0, BandSpec(0.0), 8, GainThreshold()),
+            lambda: BandSpec("0.01"),
+            lambda: GainThreshold("0.5"),
+        ],
+        ids=["focus", "b", "ratio"],
+    )
+    def test_a_string_is_refused_not_converted(self, build):
+        with pytest.raises(TypeError):
+            build()
 
 
 class TestRecordBase:
