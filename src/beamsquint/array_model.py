@@ -131,27 +131,26 @@ def _check_xi(xi: float) -> None:
 
 
 def steering_vector(geom: ArrayGeometry, psi: float, xi: float = 1.0) -> np.ndarray:
-    """Frequency-scaled ULA response phasors for sine-angle ``psi``.
-
-    Element ``n`` (1-based) is the unit-magnitude phasor with phase
-    ``2*pi*xi*spacing_ratio*(n-1)*psi``, wavelength referenced to the
-    carrier; ``xi`` is the evaluated frequency divided by the carrier.
+    """Frequency-scaled ULA response phasors for sine-angle ``psi``: element
+    ``n`` (1-based) has phase ``2*pi*xi*spacing_ratio*(n-1)*psi``, with ``xi``
+    the evaluated frequency over the carrier. These are the phases
+    ``fine_beam_weights(geom, xi*psi)``, as a fine beam's weights are the
+    steering phases of its focus; a phase that overflows raises ValueError.
     """
     import numpy as np
     _check_psi(psi)
     _check_xi(xi)
-    k = np.arange(geom.n_antennas)
-    return np.exp(2j * math.pi * xi * geom.spacing_ratio * psi * k)
+    return np.exp(1j * fine_beam_weights(geom, xi * psi))
 
 
 def fine_beam_weights(geom: ArrayGeometry, psi0: float) -> np.ndarray:
     """Phase-shifter settings focusing the beam on ``psi0`` at the carrier.
 
-    With these phases the gain magnitude reaches sqrt(N) at
-    ``(psi  = psi0, xi = 1)``. Phases come back unreduced (not wrapped to
-    ``[0, 2*pi)``). No range check on ``psi0``: the outermost beams of a
-    squint-compensated codebook can have a nominal focus marginally outside
-    the visible region, and the phase recipe stays well-defined there.
+    With these phases the gain magnitude reaches sqrt(N) at ``(psi = psi0,
+    xi = 1)``. Phases come back unreduced (not wrapped to ``[0, 2*pi)``).
+    No range check on ``psi0``: the outermost beams of a squint-compensated
+    codebook can have a nominal focus marginally outside the visible region,
+    where the phases stay well-defined; a phase that overflows raises ValueError.
     """
     import numpy as np
     return np.array(_fine_phases(geom, psi0))
@@ -164,6 +163,8 @@ def _fine_phases(geom: ArrayGeometry, psi0: float) -> list[float]:
     if not math.isfinite(psi0):
         raise ValueError(f"psi0 must be finite, got {psi0!r}")
     step = 2.0 * math.pi * geom.spacing_ratio * psi0
+    if not math.isfinite(step * (geom.n_antennas - 1)):  # the largest phase
+        raise ValueError(f"the phase 2*pi*spacing_ratio*(N-1)*psi0 overflows at spacing_ratio={geom.spacing_ratio!r}, psi0={psi0!r}, N={geom.n_antennas}")
     return [step * k for k in range(geom.n_antennas)]
 
 
@@ -347,9 +348,9 @@ def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best, floor):
     the dense computed min, never below it.
 
     Null-spanning pairs go to every subcarrier while their ``U`` exceeds
-    the bar ``max(best[r], floor)``, which rises as they go: each angle's
-    largest ``U`` first, then the rest. A skipped pair's min is at most
-    ``U``, so at most the bar, and every max keeps its bits.
+    the bar ``max(best[r], floor)``, which the other pairs' mins have
+    already lifted and which rises as they go. A skipped pair's min is at
+    most ``U``, so at most the bar, and every max keeps its bits.
     """
     import numpy as np
     m, angle, focus = len(rows), angles[rows], offsets[beams]
@@ -359,15 +360,11 @@ def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best, floor):
     lobe = np.floor((0.5 * n) * x) - np.floor(0.5 * x)  # nulls up to x, less the peaks 2k
     spans = lobe[:m] != lobe[m:]
     np.maximum.at(best, rows[~spans], upper[~spans])
-    todo, peak = np.flatnonzero(spans), np.full(len(angles), -math.inf)
-    np.maximum.at(peak, rows[todo], upper[todo])  # each angle's largest U
-    top = upper[todo] == peak[rows[todo]]
-    step = max(1, _GAIN_CHUNK // len(xis))
-    for group in (todo[top], todo[~top]):
-        while len(group := group[upper[group] > np.maximum(best[rows[group]], floor)]):
-            r, b = rows[group[:step]], beams[group[:step]]
-            np.maximum.at(best, r, gain_kernel_magnitude(angles[r, None] * xis - offsets[b, None], n).min(axis=1))
-            group = group[step:]
+    todo, step = np.flatnonzero(spans), max(1, _GAIN_CHUNK // len(xis))
+    while len(todo := todo[upper[todo] > np.maximum(best[rows[todo]], floor)]):
+        r, b = rows[todo[:step]], beams[todo[:step]]
+        np.maximum.at(best, r, gain_kernel_magnitude(angles[r, None] * xis - offsets[b, None], n).min(axis=1))
+        todo = todo[step:]
 
 
 def equivalent_aoa(theta_c: float, xi: float) -> float:

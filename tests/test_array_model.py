@@ -68,6 +68,9 @@ class TestSteeringVector:
             steering_vector(HALF, 1.2)
         with pytest.raises(ValueError):
             steering_vector(HALF, 0.5, xi=0.0)
+        # the phase 2*pi*xi*spacing_ratio*(N-1)*psi overflows: NaN phasors before
+        with pytest.raises(ValueError, match="overflows at spacing_ratio=0.5, psi0=5e[+]307, N=8$"):
+            steering_vector(ArrayGeometry(8), 0.5, 1e308)
 
 
 class TestFineBeamWeights:
@@ -88,6 +91,13 @@ class TestFineBeamWeights:
         w = fine_beam_weights(HALF, 0.5)
         g = array_gain_sum(w, HALF, 0.5, 1.0)
         assert abs(g - 4.0) < 1e-12
+
+    def test_an_overflowing_phase_raises(self):
+        # the phases were [nan, inf, ...]; at psi0 = 0 an infinite step times 0 is NaN
+        for geom, psi0 in ((ArrayGeometry(8, 1e308), 0.5), (ArrayGeometry(8, 1e308), 0.0), (ArrayGeometry(2), 1e308)):
+            with pytest.raises(ValueError, match=re.escape(f"overflows at spacing_ratio={geom.spacing_ratio!r}, psi0={psi0!r}, N={geom.n_antennas}") + "$"):
+                fine_beam_weights(geom, psi0)
+        assert fine_beam_weights(ArrayGeometry(2), 5e307)[1] == math.pi * 5e307  # the largest phase is finite
 
 
 class TestArrayGainSum:
@@ -511,9 +521,8 @@ class TestPairBatch:
 
     def test_crowded_beams_evaluate_about_one_pair_per_angle(self, monkeypatch):
         # 200 beams within +-0.01 at N=64, at angles where some of them span
-        # a null: each angle's pair of largest band-edge bound, taken first,
-        # lifts the bar over the rest; in order of the bound alone, a chunk
-        # of 252 pairs went to full evaluation before the bar rose
+        # a null: the band-edge mins of the pairs that span none lift the
+        # bar first, so few null-spanning pairs still beat it
         blocks = self.record(monkeypatch)
         grid, foci = np.linspace(-1, 1, 401), np.linspace(-0.01, 0.01, 200)
         xis = np.linspace(0.995, 1.005, 65)

@@ -289,17 +289,25 @@ class TestPatternCommand:
         assert options[-2] in captured.err  # names the option
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_overflowing_phase_exits_2_before_the_first_byte(self, capsys, fmt):
-        # the phase at xi = 1e308 overflows: the rows of xi = 1 were written,
-        # then gain_abs nan (not strict JSON) with a numpy RuntimeWarning
-        argv = ("pattern", "--antennas", "8", "--psi0", "0", "--xi", "1", "1e308", "--format", fmt)
+    @pytest.mark.parametrize(
+        "fmt, options, message",
+        [
+            # the phase at xi = 1e308 overflows: the rows of xi = 1 were written,
+            # then gain_abs nan (not strict JSON) with a numpy RuntimeWarning
+            *[(fmt, ("--psi0", "0", "--xi", "1", "1e308"), "error: frequency ratio xi = 1e+308 overflows") for fmt in ("csv", "json")],
+            # the fine beam's phase step overflows: the error named no option
+            # ("weights must be finite phases in radians")
+            *[(fmt, ("--spacing-ratio", "1e308", "--psi0", "0.5", "--xi", "1"), "error: the phase 2*pi*spacing_ratio*(N-1)*psi0 overflows at spacing_ratio=1e+308") for fmt in ("csv", "json")],
+        ],
+        ids=["csv", "json", "spacing-ratio-csv", "spacing-ratio-json"],
+    )
+    def test_overflowing_phase_exits_2_before_the_first_byte(self, capsys, fmt, options, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli(*argv) == 2
+            assert run_cli("pattern", "--antennas", "8", *options, "--format", fmt) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: frequency ratio xi = 1e+308 overflows")
+        assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1
 
     def test_general_spacing_uses_summation_form(self, tmp_path):
