@@ -187,16 +187,17 @@ def array_gain_sum(weights: np.ndarray, geom: ArrayGeometry, psi, xi: float = 1.
     top = abs(float(angles)) if angles.ndim == 0 else float(np.abs(angles).max(initial=0.0))
     _check_psi(top)  # NaN propagates
     _check_xi(xi)
-    if not math.isfinite(2.0 * math.pi * xi * geom.spacing_ratio * (top * (geom.n_antennas - 1))):  # the largest phase
+    scale = 2.0 * math.pi * xi * geom.spacing_ratio if top else 0.0  # at psi = 0 every phase is 0, not inf*0
+    if not math.isfinite(scale * (top * (geom.n_antennas - 1))):  # the largest phase
         raise ValueError(f"frequency ratio xi = {xi!r} overflows the phase 2*pi*xi*spacing_ratio*(N-1)*psi at N={geom.n_antennas}")
     if angles.ndim == 0:  # one angle: the loop's float operations on its one row, without its set-up
-        phase = 2.0 * math.pi * xi * geom.spacing_ratio * (float(angles) * k) - w
+        phase = scale * (float(angles) * k) - w
         return complex((np.exp(1j * phase).sum(keepdims=True) / math.sqrt(geom.n_antennas))[0])
     flat = angles.reshape(-1)
     total = np.empty(len(flat), dtype=complex)
     rows = max(1, _GAIN_CHUNK // geom.n_antennas)  # the angle x element phases of a chunk
     for i in range(0, len(flat), rows):
-        phase = 2.0 * math.pi * xi * geom.spacing_ratio * np.multiply.outer(flat[i : i + rows], k) - w
+        phase = scale * np.multiply.outer(flat[i : i + rows], k) - w
         total[i : i + rows] = np.exp(1j * phase).sum(axis=-1) / math.sqrt(geom.n_antennas)
     return total.reshape(angles.shape)
 
@@ -322,14 +323,14 @@ def _raise_to_window_mins(angles, offsets, xis, n, lo, hi, beams, best, floor):
     r < hi[w]``, one batch per block of angles of at most ``_GAIN_CHUNK``
     band-edge values: memory is bounded at any number of angles and overlap."""
     import numpy as np
-    # the most windows over one angle: an end 2*hi sorts before a start 2*lo+1 at one index
-    edges = np.sort(np.concatenate([2 * lo + 1, 2 * hi]))
-    overlap = np.cumsum(edges % 2 * 2 - 1).max(initial=1)
+    # the most windows over one angle: an end 2*hi sorts before a start 2*lo+1
+    # at one index; one window overlaps only itself, and its rows in a block are a range
+    overlap = 1 if len(lo) == 1 else np.cumsum(np.sort(np.concatenate([2 * lo + 1, 2 * hi])) % 2 * 2 - 1).max(initial=1)
     block = max(1, _GAIN_CHUNK // (overlap * 2))
     for a in range(0, len(angles), block):
         start = np.maximum(lo, a)
         length = np.maximum(np.minimum(hi, a + block) - start, 0)
-        rows = np.repeat(start - a - np.cumsum(length) + length, length) + np.arange(length.sum())  # each window's rows in the block
+        rows = np.arange(length[0]) + (start[0] - a) if len(lo) == 1 else np.repeat(start - a - np.cumsum(length) + length, length) + np.arange(length.sum())
         _raise_to_pair_mins(angles[a : a + block], offsets, xis, n, rows, np.repeat(beams, length), best[a : a + block], floor)
 
 
@@ -359,6 +360,8 @@ def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best, floor):
     upper = np.minimum(g[:m], g[m:])
     lobe = np.floor((0.5 * n) * x) - np.floor(0.5 * x)  # nulls up to x, less the peaks 2k
     spans = lobe[:m] != lobe[m:]
+    if not spans.any():  # every pair's min is its band-edge value
+        return np.maximum.at(best, rows, upper)
     np.maximum.at(best, rows[~spans], upper[~spans])
     todo, step = np.flatnonzero(spans), max(1, _GAIN_CHUNK // len(xis))
     while len(todo := todo[upper[todo] > np.maximum(best[rows[todo]], floor)]):

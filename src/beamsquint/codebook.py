@@ -154,16 +154,7 @@ class Codebook:
         psi_m and the threshold; this checks only what the format adds."""
         if not isinstance(data, dict):
             raise CodebookFormatError("codebook document must be a JSON object")
-        for key in (
-            "n_antennas",
-            "spacing_ratio",
-            "fractional_bandwidth",
-            "psi_m",
-            "threshold_ratio",
-            "parity",
-            "size",
-            "beams",
-        ):
+        for key in ("n_antennas", "spacing_ratio", "fractional_bandwidth", "psi_m", "threshold_ratio", "parity", "size", "beams"):
             if key not in data:
                 raise CodebookFormatError(f"missing required key {key!r}")
 

@@ -283,10 +283,13 @@ def _failure_gaps(grid, failing, margin) -> list[CoverageInterval]:
     """Merge failing grid points into intervals, refining all their edges
     in one batch; an edge at a grid end pairs with itself and stays."""
     import numpy as np
+    if not failing.any():
+        return []
     last = len(grid) - 1
     # a run starts where the mask turns on and ends one point before it turns off
-    flips = np.diff(np.concatenate(([0], failing.astype(np.int8), [0])))
-    starts, ends = np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1
+    padded = np.concatenate(([False], failing, [False]))
+    flips = np.flatnonzero(padded[1:] != padded[:-1])  # on, off, on, off, ...
+    starts, ends = flips[::2], flips[1::2] - 1
     lows = [(grid[max(i - 1, 0)], grid[i]) for i in starts]
     edges = _refine_edges(margin, lows + [(grid[min(j + 1, last)], grid[j]) for j in ends])
     return [CoverageInterval(lo, hi) for lo, hi in zip(edges[: len(starts)], edges[len(starts) :])]
@@ -299,11 +302,10 @@ def _refine_edges(margin, pairs, xtol: float = 1e-9) -> list[float]:
     call for both ends of all pairs (x, y != x), then one per round for the
     edges still refining."""
     import numpy as np
-    ends = np.asarray(pairs, dtype=float).reshape(-1, 2)
-    values = np.zeros_like(ends)  # a pair (x, x) is not evaluated: it returns x
-    moving = ends[:, 0] != ends[:, 1]
-    if moving.any():
-        values[moving] = margin(ends[moving].reshape(-1)).reshape(-1, 2)
+    ends = [(float(a), float(b)) for a, b in pairs]  # Brent's scalar steps run on Python floats
+    moving = [x for a, b in ends if a != b for x in (a, b)]  # a pair (x, x) is not evaluated: it returns x
+    first = iter(margin(np.array(moving)).tolist() if moving else ())
+    values = [(next(first), next(first)) if a != b else (0.0, 0.0) for a, b in ends]
     # no sign change (flat numerics right at the threshold): keep the passing point
     roots = [b if fa != 0.0 and fb == 0.0 else a for (a, b), (fa, fb) in zip(ends, values)]
     asking = [(k, _brent(*ends[k], *f, xtol)) for k, f in enumerate(values) if f[0] > 0.0 > f[1]]
@@ -316,8 +318,8 @@ def _refine_edges(margin, pairs, xtol: float = 1e-9) -> list[float]:
                 still.append((k, steps))
             except StopIteration as done:  # a bracket narrower than xtol returns at once
                 roots[k] = done.value
-        asking, replies = still, margin(np.array(angles)) if still else []
-    return [float(root) for root in roots]
+        asking, replies = still, margin(np.array(angles)).tolist() if still else []
+    return roots
 
 
 def _brent(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
@@ -325,9 +327,9 @@ def _brent(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
     generator that yields each x to evaluate, is sent f(x), and returns the root.
 
     ``fpre`` and ``fcur`` are the nonzero, opposite-signed values of ``f``
-    at the ends. A port of scipy's ``brentq.c`` that performs the same
-    float operations in the same order (rtol = 4*eps, 100 iterations), so
-    it returns the same root bit for bit.
+    at the ends, as Python floats. A port of scipy's ``brentq.c`` that
+    performs the same float operations in the same order (rtol = 4*eps,
+    100 iterations), so it returns the same root bit for bit.
     """
     xblk = fblk = spre = scur = 0.0
     for _ in range(_BRENT_MAXITER):
@@ -344,14 +346,17 @@ def _brent(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
             return xcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:
+                    # secant step
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # in C the step is +-inf or nan, which the test below rejects
+                stry = math.nan
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre, scur = scur, stry

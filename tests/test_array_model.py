@@ -291,13 +291,24 @@ class TestScalarPath:
 
     def test_an_overflowing_phase_raises(self):
         # the largest phase 2*pi*xi*spacing_ratio*(N-1)*psi was inf or NaN,
-        # and the gain NaN with a RuntimeWarning; at psi = 0 an infinite
-        # 2*pi*xi*spacing_ratio times 0 is NaN too
+        # and the gain NaN with a RuntimeWarning
         w = fine_beam_weights(HALF, 0.5)
-        for psi, xi in ((0.2, 1e308), (0.0, 1e308), (np.array([0.0, -1.0]), 1e307), (np.zeros(3), 1e308)):
+        for psi, xi in ((0.2, 1e308), (1e-300, 1e308), (np.array([0.0, -1.0]), 1e307), (np.array([0.0, 5e-324]), 1e308)):
             with pytest.raises(ValueError, match=f"^frequency ratio xi = {re.escape(repr(xi))} overflows the phase "):
                 array_gain_sum(w, HALF, psi, xi)
         assert np.isfinite(array_gain_sum(w, HALF, np.array([0.0, 1e-300]), 1e307)).all()
+
+    def test_zero_angle_has_zero_phases_at_any_xi(self):
+        # at psi = 0 every phase is 0 whatever xi, as steering_vector's law
+        # gives; the check multiplied an infinite 2*pi*xi*spacing_ratio by 0
+        # and raised. Each angle keeps the bits it has at xi = 1
+        w = fine_beam_weights(HALF, 0.3)
+        for psi in (0.0, -0.0):
+            assert np.array_equal(steering_vector(HALF, psi, 1e308), np.ones(16))
+            assert _bits(array_gain_sum(w, HALF, psi, 1e308)) == _bits(array_gain_sum(w, HALF, psi, 1.0))
+        assert array_gain_sum(np.zeros(16), HALF, 0.0, 1e308) == complex(steering_vector(HALF, 0.0, 1e308).sum() / 4.0) == 4.0
+        zeros = array_gain_sum(w, HALF, np.zeros((2, 3)), 1e308)
+        assert zeros.shape == (2, 3) and np.array_equal(zeros, array_gain_sum(w, HALF, np.zeros((2, 3)), 1.0))
 
 
 class TestEquivalentAoa:
@@ -393,6 +404,48 @@ class TestWorstSubcarrierGain:
         assert pairs and len(pairs) + len(edges) == len(blocks)
         assert all(x.shape[0] <= max(1, chunk // 9) and x.shape[1] == 9 for x in pairs)
         assert all(spans_null(row[0], row[-1], self.N) for x in pairs for row in x)
+
+    @pytest.mark.parametrize("chunk", [1 << 14, 30, 4])
+    def test_one_window_over_part_of_the_angles(self, monkeypatch, chunk):
+        # a single window's rows in a block are the range it shares with the
+        # block; the angles outside the window stay as they were
+        monkeypatch.setattr(array_model, "_GAIN_CHUNK", chunk)
+        blocks = []
+
+        def recording(x, n):
+            blocks.append(np.shape(x))
+            return gain_kernel_magnitude(x, n)
+
+        monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
+        xis, best = np.linspace(0.98, 1.02, 9), np.full(len(self.GRID), -np.inf)
+        array_model._raise_to_window_mins(self.GRID, np.array([0.45]), xis, self.N, np.array([5]), np.array([17]), np.array([0]), best, -np.inf)
+        want = dense_worst_gain(self.GRID[5:17], [0.45], xis, self.N)
+        assert np.array_equal(best[5:17].view(np.int64), want.view(np.int64))
+        assert np.isneginf(best[:5]).all() and np.isneginf(best[17:]).all()
+        block = max(1, chunk // 2)
+        rows = [len(range(max(5, a), min(17, a + block))) for a in range(0, len(self.GRID), block)]
+        assert [shape[0] for shape in blocks if len(shape) == 1] == [2 * r for r in rows]
+
+    def test_leaves_the_callers_arrays_as_they_are(self):
+        # the first round raises a fresh array in place, and angles already
+        # in order are a view of the caller's: nothing may write through it
+        rng = np.random.default_rng(24)
+        base = rng.uniform(-1.2, 1.2, 300)
+        foci, xis = rng.uniform(-1.0, 1.0, 12), np.linspace(0.97, 1.03, 65)
+        cases = {
+            "sorted": np.sort(base),
+            "reverse-sorted": np.sort(base)[::-1],
+            "repeated": np.tile(base[:60], 5),
+            "2-D": np.sort(base).reshape(20, 15),
+        }
+        for name, psi in cases.items():
+            before = [v.copy() for v in (psi, foci, xis)]
+            got = worst_subcarrier_gain(psi, foci, xis, self.N)
+            for now, was in zip((psi, foci, xis), before):
+                assert np.array_equal(now.view(np.int64), was.view(np.int64)), name
+            want = dense_worst_gain(psi, foci, xis, self.N)
+            assert got.shape == psi.shape and not np.shares_memory(got, psi), name
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
     def test_scalar_and_shape(self):
         want = dense_worst_gain(self.GRID, self.PSI0S, self.XIS, self.N)

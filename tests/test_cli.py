@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -309,6 +310,16 @@ class TestPatternCommand:
         assert captured.out == ""
         assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1
+
+    def test_psi0_zero_at_a_huge_xi_keeps_exit_2_and_the_golden_bytes(self, capsys):
+        # array_gain_sum now takes psi = 0 at any xi, but `pattern` checks
+        # the xi at psi = 1, so `--psi0 0 --xi 1e308` still exits 2 (above);
+        # the phase law keeps its bits: the SHA-256 of the golden command
+        assert run_cli("pattern", "--antennas", "16", "--psi0", "0", "--xi", "1e308", "--psi-step", "0.5") == 2
+        assert capsys.readouterr().err.startswith("error: frequency ratio xi = 1e+308 overflows")
+        assert run_cli("pattern", "--antennas", "16", "--theta0-deg", "30", "--carrier-ghz", "73", "--freq-ghz", "71.75", "73", "74.25") == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (469051, "73c2c125502c690d11017740e1ae7cb2f1ab00c8c7cb1b472d27646d2c7c23f2")
 
     def test_general_spacing_uses_summation_form(self, tmp_path):
         out = tmp_path / "pattern.csv"

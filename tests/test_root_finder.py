@@ -17,6 +17,7 @@ from beamsquint.codebook import design_no_squint, design_with_squint
 from beamsquint.squint import (
     BandSpec,
     GainThreshold,
+    _brent,
     _refine_edges,
     exact_half_power_beamwidth,
 )
@@ -166,6 +167,51 @@ class TestBatchedRefiner:
         assert _refine_edges(margin, []) == []
         # nor does a batch of pairs (x, x), which return x as they are
         assert _refine_edges(margin, [(0.5, 0.5), (-1.0, -1.0)]) == [0.5, -1.0]
+
+
+def _drive(a, b, f, xtol=1e-9):
+    """The angles that ``_brent`` asks for on ``[a, b]``, each answered
+    with ``f`` of it, and the root it returns."""
+    steps, angles, reply = _brent(a, b, f(a), f(b), xtol), [], None
+    try:
+        while True:
+            angles.append(steps.send(reply))
+            reply = f(angles[-1])
+    except StopIteration as done:
+        return angles, done.value
+
+
+class TestFloatPath:
+    """Brent's steps run on Python floats, which raise ZeroDivisionError
+    where C and numpy divide by zero into +-inf or nan."""
+
+    @staticmethod
+    def tiny(x):
+        # margins near 1e-170: the product of two divided differences in the
+        # inverse quadratic step underflows, so its denominator is 0.0
+        return 1e-170 * (0.3 - x**3)
+
+    def test_zero_denominator_takes_the_bisection_step(self):
+        # numpy scalars divide as C does; the same steps on them are the reference
+        ieee = np.float64(0.0), np.float64(1.0), lambda x: np.float64(self.tiny(x))
+        with np.errstate(divide="raise", invalid="raise"), pytest.raises(FloatingPointError):
+            _drive(*ieee)  # the bracket meets a zero denominator
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = _drive(*ieee)  # C's +-inf or nan step fails the short-step test: bisection
+        got = _drive(0.0, 1.0, self.tiny)
+        assert all(type(x) is float for x in got[0])
+        assert got == want
+
+    def test_zero_denominator_keeps_the_brentq_root(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        assert _drive(0.0, 1.0, self.tiny)[1] == brentq(self.tiny, 0.0, 1.0, xtol=1e-9)
+
+    def test_refine_edges_returns_python_floats(self):
+        margin = _batch_margin()
+        roots = _refine_edges(margin, _mixed_batch(margin, seed=1))
+        assert {type(root) for root in roots} == {float}
+        tiny = lambda p: self.tiny(np.asarray(p))  # noqa: E731
+        assert _refine_edges(tiny, [(0.0, 1.0), (0.5, 0.5), (2.0, 3.0)]) == [_drive(0.0, 1.0, self.tiny)[1], 0.5, 2.0]
 
 
 class TestRefiner:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamsquint import array_model
+from beamsquint import array_model, squint
 from beamsquint.array_model import _check_n, gain_kernel_magnitude
 from beamsquint.codebook import design_with_squint
 from beamsquint.squint import (
@@ -400,6 +400,58 @@ def test_numeric_coverage_scan_leaves_failing_pairs_unevaluated(monkeypatch):
         rows.clear()
         assert numeric_coverage(min(foci, key=lambda f: abs(f - target)), band, 64) is not None
         assert sum(rows) <= 4
+
+
+def _record_scan(monkeypatch):
+    """The number of angles of each numeric_coverage scan, and the shape of
+    each kernel block that array_model evaluates (the scan's, not the
+    refinement's)."""
+    grids, blocks = [], []
+    scan = squint._raise_to_window_mins
+
+    def recording_scan(angles, *args):
+        grids.append(len(angles))
+        return scan(angles, *args)
+
+    def recording_kernel(x, n):
+        blocks.append(np.shape(x))
+        return gain_kernel_magnitude(x, n)
+
+    monkeypatch.setattr(squint, "_raise_to_window_mins", recording_scan)
+    monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording_kernel)
+    return grids, blocks
+
+
+def test_numeric_coverage_scan_in_one_block_is_one_band_edge_call(monkeypatch):
+    # a grid that fits one block: both band-edge values of every angle in one
+    # 1-D kernel call, then only null-spanning pairs at every subcarrier
+    grids, blocks = _record_scan(monkeypatch)
+    for n, b in ((16, 0.0342), (64, 0.0179)):
+        band = BandSpec(b)
+        for psi0 in design_with_squint(n, band, 1.0).codebook.foci[::5]:
+            grids.clear()
+            blocks.clear()
+            assert numeric_coverage(psi0, band, n) is not None
+            (m,) = grids
+            assert 2 * m <= array_model._GAIN_CHUNK
+            assert [shape for shape in blocks if len(shape) == 1] == [(2 * m,)]
+            assert all(shape[1:] == (65,) for shape in blocks if len(shape) != 1)
+
+
+def test_numeric_coverage_scan_keeps_every_block_bounded(monkeypatch):
+    # more than _GAIN_CHUNK // 2 angles: the band-edge values go in blocks of
+    # at most _GAIN_CHUNK, which bounds the scan's memory at any step
+    grids, blocks = _record_scan(monkeypatch)
+    args = 0.2, BAND, 16, GainThreshold(), 1e-5
+    cov = numeric_coverage(*args)
+    (m,) = grids
+    chunk = array_model._GAIN_CHUNK
+    assert m > chunk // 2
+    edges = [shape[0] for shape in blocks if len(shape) == 1]
+    assert len(edges) == -(-m // (chunk // 2)) and sum(edges) == 2 * m
+    assert all(math.prod(shape) <= chunk for shape in blocks)
+    expected = reference_numeric_coverage(*args)
+    assert (cov.lo.hex(), cov.hi.hex()) == (expected.lo.hex(), expected.hi.hex())
 
 
 def test_coverage_interval_helpers():
