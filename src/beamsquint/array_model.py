@@ -323,14 +323,13 @@ def _raise_to_window_mins(angles, offsets, xis, n, lo, hi, beams, best, floor):
     r < hi[w]``, one batch per block of angles of at most ``_GAIN_CHUNK``
     band-edge values: memory is bounded at any number of angles and overlap."""
     import numpy as np
-    # the most windows over one angle: an end 2*hi sorts before a start 2*lo+1
-    # at one index; one window overlaps only itself, and its rows in a block are a range
-    overlap = 1 if len(lo) == 1 else np.cumsum(np.sort(np.concatenate([2 * lo + 1, 2 * hi])) % 2 * 2 - 1).max(initial=1)
+    # the most windows over one angle: an end 2*hi sorts before a start 2*lo+1 at one index
+    overlap = np.cumsum(np.sort(np.concatenate([2 * lo + 1, 2 * hi])) % 2 * 2 - 1).max(initial=1)
     block = max(1, _GAIN_CHUNK // (overlap * 2))
     for a in range(0, len(angles), block):
         start = np.maximum(lo, a)
         length = np.maximum(np.minimum(hi, a + block) - start, 0)
-        rows = np.arange(length[0]) + (start[0] - a) if len(lo) == 1 else np.repeat(start - a - np.cumsum(length) + length, length) + np.arange(length.sum())
+        rows = np.repeat(start - a - np.cumsum(length) + length, length) + np.arange(length.sum())
         _raise_to_pair_mins(angles[a : a + block], offsets, xis, n, rows, np.repeat(beams, length), best[a : a + block], floor)
 
 

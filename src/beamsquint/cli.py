@@ -17,10 +17,10 @@ import json
 import math
 import sys
 
-from .array_model import _GAIN_CHUNK, ArrayGeometry, array_gain_sum, fine_beam_weights
+from .array_model import _GAIN_CHUNK, ArrayGeometry, array_gain_sum, fine_beam_weights, psi_from_theta
 from .codebook import Codebook, CodebookFormatError, design_with_squint, max_antennas, max_fractional_bandwidth
 from .squint import _MAX_GRID_POINTS, BandSpec, GainThreshold
-from .verification import sweep_size_vs_b, sweep_size_vs_n, verify_codebook
+from .verification import _to_db, sweep_size_vs_b, sweep_size_vs_n, verify_codebook
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -85,7 +85,7 @@ def _cmd_pattern(args) -> int:
     geom = ArrayGeometry(args.antennas, args.spacing_ratio)
     if (args.psi0 is None) == (args.theta0_deg is None):
         raise ValueError("give exactly one of --psi0 or --theta0-deg")
-    psi0 = args.psi0 if args.psi0 is not None else math.sin(math.radians(args.theta0_deg))
+    psi0 = args.psi0 if args.psi0 is not None else psi_from_theta(math.radians(args.theta0_deg))
     if abs(psi0) > 1.0:
         raise ValueError(f"focus angle psi0 must lie in [-1, 1], got {psi0!r}")
 
@@ -118,7 +118,7 @@ def _cmd_pattern(args) -> int:
             for lo in range(0, len(grid), _GAIN_CHUNK):  # so the rows held as text are one chunk's
                 hi = lo + _GAIN_CHUNK
                 rows = zip(grid[lo:hi].tolist(), thetas[lo:hi], mags[lo:hi].tolist())
-                stream.write(prefix + sep.join([row % (psi, theta, xi, m, 20.0 * math.log10(max(m, 1e-15))) for psi, theta, m in rows]))
+                stream.write(prefix + sep.join([row % (psi, theta, xi, m, _to_db(m)) for psi, theta, m in rows]))
                 prefix = sep
         stream.write(tail)
     return _EXIT_OK

@@ -293,8 +293,7 @@ def design_no_squint(n_antennas: int, psi_m: float) -> Codebook:
     pairs at +-(k - 1/2)*width. Exactly ``min_size_no_squint`` beams; the
     outermost coverage may overshoot psi_m.
     """
-    band = BandSpec(0.0)
-    return Codebook(_foci(n_antennas, band, psi_m), psi_m, band, n_antennas, GainThreshold())
+    return design_with_squint(n_antennas, BandSpec(0.0), psi_m).codebook
 
 
 def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> tuple[float, ...] | None:

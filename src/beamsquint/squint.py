@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .array_model import _GAIN_CHUNK, _Record, _check_n, _public, _raise_to_window_mins, gain_kernel_magnitude
+from .array_model import _GAIN_CHUNK, _Record, _check_n, _public, _raise_to_pair_mins, gain_kernel_magnitude
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -147,9 +147,7 @@ def half_power_beamwidth(n_antennas: int) -> float:
     return HALF_POWER_CONSTANT / _check_n(n_antennas)
 
 
-def exact_half_power_beamwidth(
-    n_antennas: int, threshold: GainThreshold | None = None
-) -> float:
+def exact_half_power_beamwidth(n_antennas: int, threshold: GainThreshold = GainThreshold()) -> float:
     """Kernel-exact width of the main lobe above the threshold.
 
     Root of ``|g(x)| = ratio*sqrt(N)`` on the main lobe, refined to 1e-12,
@@ -157,10 +155,9 @@ def exact_half_power_beamwidth(
     threshold the two agree within 1% for all N >= 8.
     """
     n = _check_n(n_antennas)
-    thr = threshold if threshold is not None else GainThreshold()
-    if thr.ratio_to_max >= 1.0:
+    if threshold.ratio_to_max >= 1.0:
         return 0.0  # only the peak itself attains the maximum
-    target = thr.absolute(n)
+    target = threshold.absolute(n)
     first_null = 2.0 / n
 
     def gap(x: np.ndarray) -> np.ndarray:
@@ -227,7 +224,7 @@ def numeric_coverage(
     psi0: float,
     band: BandSpec,
     n_antennas: int,
-    threshold: GainThreshold | None = None,
+    threshold: GainThreshold = GainThreshold(),
     psi_step: float = 1e-4,
     xi_points: int = 65,
 ) -> CoverageInterval | None:
@@ -251,7 +248,7 @@ def numeric_coverage(
     if not math.isfinite(psi0):
         raise ValueError(f"psi0 must be finite, got {psi0!r}")
     xis = band.xi_grid(xi_points)
-    floor = (threshold or GainThreshold()).absolute(n)
+    floor = threshold.absolute(n)
 
     # Search window: the main lobe spans |xi*psi_c - psi0| < 2/N (first
     # nulls); take the union of that over the band-edge ratios.
@@ -264,8 +261,10 @@ def numeric_coverage(
         raise ValueError(f"psi_step must lie in (0, {width!r}), the scan window's width (at most {_MAX_GRID_POINTS} points), got {psi_step!r}")
     grid = np.linspace(lo_w, hi_w, int(math.ceil(width / psi_step)) + 1)
 
-    q = np.full(len(grid), -math.inf)  # one window, all of the grid
-    _raise_to_window_mins(grid, np.array([psi0]), xis, n, *np.array([[0], [len(grid)], [0]]), q, math.nextafter(floor, -math.inf))
+    q, bar, block = np.full(len(grid), -math.inf), math.nextafter(floor, -math.inf), _GAIN_CHUNK // 2
+    for a in range(0, len(grid), block):  # two band-edge values per angle fill one kernel chunk
+        rows = np.arange(min(block, len(grid) - a))
+        _raise_to_pair_mins(grid[a : a + block], np.array([psi0]), xis, n, rows, np.zeros_like(rows), q[a : a + block], bar)
     peak = int(np.argmax(q))
     if q[peak] < floor:
         return None

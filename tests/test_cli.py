@@ -266,6 +266,18 @@ class TestPatternCommand:
             "--xi", "1.0",
         ) == 2
 
+    @pytest.mark.parametrize("theta", ["150", "-91", "90.0000001", "inf", "nan"])
+    def test_focus_angle_outside_the_visible_range_exits_2(self, capsys, theta):
+        # the library's range check on theta, with its 1e-12 slack: 150 used
+        # to run as 30 degrees, and inf to fail with "math domain error"
+        assert run_cli("pattern", "--antennas", "8", f"--theta0-deg={theta}", "--xi", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: theta must lie in [-pi/2, pi/2], got ")
+        assert captured.err.count("\n") == 1
+        for edge in ("90", "-90"):
+            assert run_cli("pattern", "--antennas", "8", f"--theta0-deg={edge}", "--xi", "1", "--psi-step", "0.5") == 0
+
     def test_frequencies_required(self):
         assert run_cli("pattern", "--antennas", "16", "--psi0", "0.5") == 2
         assert run_cli(

@@ -403,11 +403,11 @@ def test_numeric_coverage_scan_leaves_failing_pairs_unevaluated(monkeypatch):
 
 
 def _record_scan(monkeypatch):
-    """The number of angles of each numeric_coverage scan, and the shape of
-    each kernel block that array_model evaluates (the scan's, not the
-    refinement's)."""
+    """The number of angles of each block of a numeric_coverage scan, and
+    the shape of each kernel block that array_model evaluates (the scan's,
+    not the refinement's)."""
     grids, blocks = [], []
-    scan = squint._raise_to_window_mins
+    scan = squint._raise_to_pair_mins
 
     def recording_scan(angles, *args):
         grids.append(len(angles))
@@ -417,7 +417,7 @@ def _record_scan(monkeypatch):
         blocks.append(np.shape(x))
         return gain_kernel_magnitude(x, n)
 
-    monkeypatch.setattr(squint, "_raise_to_window_mins", recording_scan)
+    monkeypatch.setattr(squint, "_raise_to_pair_mins", recording_scan)
     monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording_kernel)
     return grids, blocks
 
@@ -444,7 +444,7 @@ def test_numeric_coverage_scan_keeps_every_block_bounded(monkeypatch):
     grids, blocks = _record_scan(monkeypatch)
     args = 0.2, BAND, 16, GainThreshold(), 1e-5
     cov = numeric_coverage(*args)
-    (m,) = grids
+    m = sum(grids)
     chunk = array_model._GAIN_CHUNK
     assert m > chunk // 2
     edges = [shape[0] for shape in blocks if len(shape) == 1]
