@@ -269,20 +269,21 @@ def gain_kernel_magnitude(x, n_antennas: int):
 
 
 def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):
-    """The best beam's gain at its worst subcarrier, per carrier angle:
-    ``max over psi0s of min over xis of |g(xi*psi - psi0)|`` for ascending
-    ``xis``. A beam with no null between its band edges takes its smaller
-    edge value, the exact-arithmetic min (:func:`_raise_to_pair_mins`): in
-    bands of about 1e-6 or less, a few ulps above the computed min, never
-    below. Scalar ``psi`` in, float out; ndarray in, ndarray of the same
-    shape out. Every value must be finite.
+    """The best beam's gain at its worst frequency, per carrier angle:
+    ``max over psi0s of min over the band of |g(xi*psi - psi0)|``, the band
+    being the continuous range ``[xis[0], xis[-1]]`` of ascending ``xis``
+    (a ValueError otherwise). A beam whose band sweeps ``x`` across a null
+    takes 0 there; any other takes its smaller band-edge value, the
+    exact-arithmetic min (:func:`_raise_to_pair_mins`). The value depends on
+    ``xis[0]`` and ``xis[-1]`` alone. Scalar ``psi`` in, float out; ndarray
+    in, ndarray of the same shape out. Every value must be finite.
 
     A window cascade: round by round, h = 1/N, 2/N, 4/N, ..., 1, each beam
     meets the angles whose ``x = xi*psi - psi0`` at the mid-band ``xi`` lies
     within h of a lobe image 2k, in five windows on the angles sorted by
     ``xi*psi`` (taken modulo 2 when it leaves [-3, 3]). Outside them ``|g(x)|
     <= 1/(sqrt(N)*|sin(pi*x/2)|) <= E(h) = 1/(sqrt(N)*sin(pi*h/2))``, which
-    bounds the beam's min over subcarriers; so an angle whose best beats E(h)
+    bounds the beam's min over the band; so an angle whose best beats E(h)
     is final, and only the others go on. At h = 1 every beam is in a window.
     The kernel is element-wise and max/min are exact, so no bit moves.
     """
@@ -293,6 +294,8 @@ def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):
     for name, values in (("psi", flat), ("psi0s", offsets), ("xis", xis)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite, got {float(values[~np.isfinite(values)][0])!r}")
+    if not (xis.ndim == 1 and len(xis) and (xis[1:] >= xis[:-1]).all()):
+        raise ValueError("xis must be a non-empty ascending 1-D array")
     phase = flat * xis[len(xis) // 2]  # the kernel's own product at the mid-band subcarrier
     # Windows are padded by 1e-12, far above the rounding of their edges, all
     # in [-6, 6], so they overlap at h = 1; phases and foci taken modulo 2
@@ -309,16 +312,16 @@ def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):
     beams, centre = np.repeat(np.arange(offsets.size), 5), ((offsets - 2.0 * np.rint(0.5 * offsets))[:, None] + [-4.0, -2.0, 0.0, 2.0, 4.0]).reshape(-1)
     best, todo = np.full(flat.size, -math.inf), slice(None)  # the first round on every angle, in place
     while len(part := best[todo]):
-        floor = (1.0 + 1e-9) / (math.sqrt(n) * math.sin(0.5 * math.pi * h)) if h < 1 else -math.inf
         lo, hi = np.searchsorted(phase[todo], [centre - (h + 1e-12), centre + (h + 1e-12)])
-        _raise_to_window_mins(flat[todo], offsets, xis, n, lo, hi, beams, part, floor)
+        _raise_to_window_mins(flat[todo], offsets, xis, n, lo, hi, beams, part)
         best[todo] = part
+        floor = (1.0 + 1e-9) / (math.sqrt(n) * math.sin(0.5 * math.pi * h)) if h < 1 else -math.inf
         todo, h = np.flatnonzero(best < floor), min(2 * h, 1.0)
     best[order] = best  # back in input order; numpy copies the overlapping right-hand side
     return float(best[0]) if angles.ndim == 0 else best.reshape(angles.shape)
 
 
-def _raise_to_window_mins(angles, offsets, xis, n, lo, hi, beams, best, floor):
+def _raise_to_window_mins(angles, offsets, xis, n, lo, hi, beams, best):
     """:func:`_raise_to_pair_mins` on the pairs ``(r, beams[w])``, ``lo[w] <=
     r < hi[w]``, one batch per block of angles of at most ``_GAIN_CHUNK``
     band-edge values: memory is bounded at any number of angles and overlap."""
@@ -330,43 +333,28 @@ def _raise_to_window_mins(angles, offsets, xis, n, lo, hi, beams, best, floor):
         start = np.maximum(lo, a)
         length = np.maximum(np.minimum(hi, a + block) - start, 0)
         rows = np.repeat(start - a - np.cumsum(length) + length, length) + np.arange(length.sum())
-        _raise_to_pair_mins(angles[a : a + block], offsets, xis, n, rows, np.repeat(beams, length), best[a : a + block], floor)
+        _raise_to_pair_mins(angles[a : a + block], offsets, xis, n, rows, np.repeat(beams, length), best[a : a + block])
 
 
-def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best, floor):
-    """Raise ``best[r]`` to the min over ``xis`` of ``|g(xi*angles[r] -
-    offsets[b])|`` for each pair ``(r, b)`` of ``(rows, beams)``, wherever
-    that min can exceed ``max(best[r], floor)``.
+def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best):
+    """Raise ``best[r]`` to the min over the band ``[xis[0], xis[-1]]`` of
+    ``|g(xi*angles[r] - offsets[b])|`` for each pair ``(r, b)`` of ``(rows,
+    beams)``, from two kernel values per pair.
 
-    The lobe rule: each pair is evaluated at ``xis[0]`` and ``xis[-1]``, and
-    its band-edge min ``U`` is its min unless a null ``2j/N`` (j not a
-    multiple of N) lies in ``(lo, hi]`` of its two edge offsets. The computed
-    ``x_j = xi_j*psi - psi0`` are weakly monotone in j, as rounding is, and
-    between two nulls ``|g|`` rises once and falls once (a peak 2k lies
-    inside such a lobe), so the exact min is at an edge. Where an interior
-    value rounds below both edges (tiny bands), ``U`` is a few ulps above
-    the dense computed min, never below it.
-
-    Null-spanning pairs go to every subcarrier while their ``U`` exceeds
-    the bar ``max(best[r], floor)``, which the other pairs' mins have
-    already lifted and which rises as they go. A skipped pair's min is at
-    most ``U``, so at most the bar, and every max keeps its bits.
+    The lobe rule: a pair whose two band-edge offsets have a null ``2j/N``
+    (j not a multiple of N) in ``(lo, hi]`` between them crosses it inside
+    the band, and takes 0. Any other pair takes its band-edge min: between
+    two nulls ``|g|`` rises once and falls once (a peak 2k lies inside such
+    a lobe), so the exact min is at an edge. Where a subcarrier in between
+    computes a few ulps below both edges (bands of about 1e-6 or less), the
+    edge min stays the exact-arithmetic one, above that sampled value.
     """
     import numpy as np
     m, angle, focus = len(rows), angles[rows], offsets[beams]
     x = np.concatenate((angle * xis[0] - focus, angle * xis[-1] - focus))
     g = gain_kernel_magnitude(x, n)
-    upper = np.minimum(g[:m], g[m:])
     lobe = np.floor((0.5 * n) * x) - np.floor(0.5 * x)  # nulls up to x, less the peaks 2k
-    spans = lobe[:m] != lobe[m:]
-    if not spans.any():  # every pair's min is its band-edge value
-        return np.maximum.at(best, rows, upper)
-    np.maximum.at(best, rows[~spans], upper[~spans])
-    todo, step = np.flatnonzero(spans), max(1, _GAIN_CHUNK // len(xis))
-    while len(todo := todo[upper[todo] > np.maximum(best[rows[todo]], floor)]):
-        r, b = rows[todo[:step]], beams[todo[:step]]
-        np.maximum.at(best, r, gain_kernel_magnitude(angles[r, None] * xis - offsets[b, None], n).min(axis=1))
-        todo = todo[step:]
+    np.maximum.at(best, rows, np.where(lobe[:m] != lobe[m:], 0.0, np.minimum(g[:m], g[m:])))
 
 
 def equivalent_aoa(theta_c: float, xi: float) -> float:

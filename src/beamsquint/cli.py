@@ -85,7 +85,10 @@ def _cmd_pattern(args) -> int:
     geom = ArrayGeometry(args.antennas, args.spacing_ratio)
     if (args.psi0 is None) == (args.theta0_deg is None):
         raise ValueError("give exactly one of --psi0 or --theta0-deg")
-    psi0 = args.psi0 if args.psi0 is not None else psi_from_theta(math.radians(args.theta0_deg))
+    try:
+        psi0 = args.psi0 if args.psi0 is not None else psi_from_theta(math.radians(args.theta0_deg))
+    except ValueError:  # the library's message gives the angle in radians
+        raise ValueError(f"--theta0-deg must lie in [-90, 90], got {args.theta0_deg!r}") from None
     if abs(psi0) > 1.0:
         raise ValueError(f"focus angle psi0 must lie in [-1, 1], got {psi0!r}")
 
@@ -297,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="brute-force certify a codebook JSON file")
     p.add_argument("--codebook", required=True, help="codebook JSON file to check")
     p.add_argument("--psi-step", type=float, default=1e-4)
-    p.add_argument("--xi-points", type=int, default=65)
+    p.add_argument("--xi-points", type=int, default=65, help="subcarriers on which worst_xi is read; gains are over the continuous band")
     p.add_argument("--slack-db", type=float, default=0.2)
     p.add_argument("--threshold-db", type=float, default=None, help="override the file's threshold")
     _add_out(p)

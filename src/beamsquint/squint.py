@@ -3,7 +3,9 @@
 Fractional bandwidth, gain thresholds, analytic squinted beam edges for
 every sign case, the effective beamwidth, and a numeric coverage oracle
 that measures a beam's usable interval by brute force instead of trusting
-the closed-form edges.
+the closed-form edges. A beam's gain at a carrier angle is its min over
+the continuous band ``[xi_min, xi_max]``, which is 0 where the band sweeps
+the beam across a null.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class BandSpec(_Record):
         """Evenly spaced subcarrier ratios including both band edges.
 
         Collapses to the single point 1.0 for a zero-width band. At most
-        16,384 points, so that one pair's subcarriers fit one kernel block.
+        16,384 points, so that one beam's subcarriers fit one kernel block.
         """
         import numpy as np
         if not 2 <= points <= _GAIN_CHUNK:
@@ -110,7 +112,7 @@ class GainThreshold(_Record):
 
 class CoverageInterval(_Record):
     """Carrier-frequency angles [lo, hi] over which a beam meets the gain
-    threshold at every subcarrier in the band.
+    threshold at every frequency of the band.
 
     A degenerate interval (lo >= hi) signals that squint has consumed the
     whole beam; it is reported, not raised, so sweeps can tabulate
@@ -226,28 +228,24 @@ def numeric_coverage(
     n_antennas: int,
     threshold: GainThreshold = GainThreshold(),
     psi_step: float = 1e-4,
-    xi_points: int = 65,
 ) -> CoverageInterval | None:
     """Measure a beam's coverage by brute force.
 
     Scans carrier angles psi_c around the beam and keeps the maximal
-    contiguous interval containing the gain peak on which
-    ``min over the xi grid of |g(xi*psi_c - psi0)| >= g_t``. Edges are
-    refined to 1e-9. Returns None when no grid point qualifies (squint
-    has consumed the beam). Independent of the analytic edge formulas,
-    which it exists to check.
+    contiguous interval containing the gain peak on which the min over the
+    continuous band ``[xi_min, xi_max]`` of ``|g(xi*psi_c - psi0)|`` is at
+    least g_t. Edges are refined to 1e-9. Returns None when no grid point
+    qualifies (squint has consumed the beam). Independent of the analytic
+    edge formulas, which it exists to check.
 
-    Each angle's min is its smaller band-edge value unless a null lies
-    between the band edges (the lobe rule of ``worst_subcarrier_gain``).
-    The scan's bar is the float just under g_t. An angle whose band-edge
-    bound (at least its exact min) does not beat it fails either way and
-    stays at -inf, unevaluated.
+    Each angle's min is 0 where its band sweeps ``x`` across a null, else its
+    smaller band-edge value (the lobe rule of ``worst_subcarrier_gain``):
+    two kernel values per angle, in the scan and in every refinement round.
     """
     import numpy as np
     n = _check_n(n_antennas)
     if not math.isfinite(psi0):
         raise ValueError(f"psi0 must be finite, got {psi0!r}")
-    xis = band.xi_grid(xi_points)
     floor = threshold.absolute(n)
 
     # Search window: the main lobe spans |xi*psi_c - psi0| < 2/N (first
@@ -260,11 +258,16 @@ def numeric_coverage(
     if not (psi_step > 0 and 1 < width / psi_step <= _MAX_GRID_POINTS - 1):
         raise ValueError(f"psi_step must lie in (0, {width!r}), the scan window's width (at most {_MAX_GRID_POINTS} points), got {psi_step!r}")
     grid = np.linspace(lo_w, hi_w, int(math.ceil(width / psi_step)) + 1)
+    edges, focus = np.array([band.xi_min, band.xi_max]), np.array([psi0])
 
-    q, bar, block = np.full(len(grid), -math.inf), math.nextafter(floor, -math.inf), _GAIN_CHUNK // 2
-    for a in range(0, len(grid), block):  # two band-edge values per angle fill one kernel chunk
-        rows = np.arange(min(block, len(grid) - a))
-        _raise_to_pair_mins(grid[a : a + block], np.array([psi0]), xis, n, rows, np.zeros_like(rows), q[a : a + block], bar)
+    def band_mins(angles: np.ndarray) -> np.ndarray:
+        q, block = np.full(len(angles), -math.inf), _GAIN_CHUNK // 2
+        for a in range(0, len(angles), block):  # two band-edge values per angle fill one kernel chunk
+            rows = np.arange(min(block, len(angles) - a))
+            _raise_to_pair_mins(angles[a : a + block], focus, edges, n, rows, np.zeros_like(rows), q[a : a + block])
+        return q
+
+    q = band_mins(grid)
     peak = int(np.argmax(q))
     if q[peak] < floor:
         return None
@@ -274,7 +277,7 @@ def numeric_coverage(
     failing = below | (count != count[peak])
     # the coverage ends where the gaps on either side begin, or at the window
     # ends; a refinement round takes at most 4 angles, both ends of two edges
-    gaps = _failure_gaps(grid, failing, lambda psi_c: gain_kernel_magnitude(np.multiply.outer(psi_c, xis) - psi0, n).min(axis=-1) - floor)
+    gaps = _failure_gaps(grid, failing, lambda psi_c: band_mins(psi_c) - floor)
     return CoverageInterval(gaps[0].hi if failing[0] else float(grid[0]), gaps[-1].lo if failing[-1] else float(grid[-1]))
 
 

@@ -1,7 +1,7 @@
 """Brute-force certification of codebooks and size-vs-parameter sweeps.
 
 The certifier grids the target angle range, takes for every carrier angle
-the best beam's worst-subcarrier gain, and reports the global worst case
+the best beam's min gain over the band, and reports the global worst case
 plus any contiguous failure gaps. Grid evaluation is deterministic:
 fixed grids, order-independent min/max reductions.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .array_model import _GAIN_CHUNK, _Record, _public, gain_kernel_magnitude, worst_subcarrier_gain
+from .array_model import _Record, _public, _raise_to_pair_mins, gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, _foci, max_antennas, max_fractional_bandwidth, min_size_no_squint
 from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps
 
@@ -59,16 +59,18 @@ def verify_codebook(
     xi_points: int = 65,
     slack_db: float = 0.2,
 ) -> CoverageReport:
-    """Certify minimum gain across all subcarriers over [-psi_m, psi_m].
+    """Certify minimum gain across the band over [-psi_m, psi_m].
 
-    For each carrier angle on the grid: max over beams of (min over the xi
-    grid of |g(xi*psi - psi0)|). Failures are data, not exceptions; gap
+    For each carrier angle on the grid: max over beams of the min over the
+    continuous band ``[xi_min, xi_max]`` of ``|g(xi*psi - psi0)|``, which is
+    0 for a beam whose band sweeps it across a null and otherwise its
+    smaller band-edge value (:func:`worst_subcarrier_gain`, which also
+    gives the refinement margin). Failures are data, not exceptions; gap
     edges are refined to 1e-9. ``slack_db`` absorbs the 1.772/N
     beamwidth approximation when certifying constant-width designs (use 0
-    for exact-width designs). The grid's gains and the refinement margin
-    both come from the window cascade of :func:`worst_subcarrier_gain`, so
-    a beam with no null between its band edges counts at its smaller edge
-    value, the exact min over the xi grid.
+    for exact-width designs). ``xi_points`` sets only the subcarrier grid on
+    which ``worst_xi`` is read: the weakest grid point of the first beam
+    that sets ``worst_gain_db`` at ``worst_psi``.
     """
     import numpy as np
     psi_m = codebook.psi_m
@@ -88,10 +90,10 @@ def verify_codebook(
 
     worst_idx = int(np.argmin(best))
     worst_psi = float(grid[worst_idx])
-    # xi of the min of the (first) beam that wins at the worst angle; mins in blocks of beams
-    rows = _GAIN_CHUNK // len(xis)
-    blocks = (gain_kernel_magnitude(worst_psi * xis - psi0s[i : i + rows, None], n) for i in range(0, len(psi0s), rows))
-    winner = max((g[int(np.argmax(g.min(axis=1)))].copy() for g in blocks), key=np.min)  # max keeps the first of equals
+    # every beam's band min at the worst angle; argmax takes the first of equals
+    beams, mins = np.arange(len(psi0s)), np.full(len(psi0s), -math.inf)
+    _raise_to_pair_mins(np.full(len(psi0s), worst_psi), psi0s, xis, n, beams, beams, mins)
+    winner = gain_kernel_magnitude(worst_psi * xis - psi0s[int(np.argmax(mins))], n)
     worst_xi = float(xis[int(np.argmin(winner))])
 
     gaps = _failure_gaps(grid, best < pass_level, lambda psi: worst_subcarrier_gain(psi, psi0s, xis, n) - pass_level)

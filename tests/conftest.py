@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from beamsquint import squint, verification
-from beamsquint.array_model import gain_kernel_magnitude, worst_subcarrier_gain
+from beamsquint.array_model import worst_subcarrier_gain
 
 
 @pytest.fixture
@@ -20,13 +20,13 @@ def primitive_calls(monkeypatch):
 
 @pytest.fixture
 def refinement_blocks(monkeypatch):
-    """Angles per kernel block that squint evaluates itself: numeric_coverage's
-    refinement rounds (its scan goes through array_model, which is not counted)."""
+    """Angles per margin call of numeric_coverage's refinement rounds (its
+    scan is not counted)."""
     blocks = []
+    gaps = squint._failure_gaps
 
-    def counting(x, n):
-        blocks.append(len(np.atleast_1d(x)))
-        return gain_kernel_magnitude(x, n)
+    def recording(grid, failing, margin):
+        return gaps(grid, failing, lambda angles: blocks.append(len(angles)) or margin(angles))
 
-    monkeypatch.setattr(squint, "gain_kernel_magnitude", counting)
+    monkeypatch.setattr(squint, "_failure_gaps", recording)
     return blocks

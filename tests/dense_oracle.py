@@ -1,5 +1,5 @@
-"""The dense worst-subcarrier oracle, and the pair primitive with one window
-per beam, for the tests that pin its kernel blocks."""
+"""The dense worst-gain oracles, continuous band and sampled, and the pair
+primitive with one window per beam, for the tests that pin its kernel blocks."""
 
 import numpy as np
 
@@ -8,9 +8,30 @@ from beamsquint.array_model import gain_kernel_magnitude
 
 
 def dense_worst_gain(psi, psi0s, xis, n):
-    """``max over psi0s of min over xis of |g(xi*psi - psi0)|``, one beam at
-    a time over every angle: no lobe rule and no windows, and one beam's
-    angles x subcarriers block in memory. Same shape as ``psi``."""
+    """``max over psi0s of min over the band [xis[0], xis[-1]] of |g(xi*psi
+    - psi0)|``, one beam at a time over every angle: a pair takes 0 when
+    its two band-edge offsets have a null ``2j/N`` (j not a multiple of N)
+    between them, else its smaller band-edge value. No windows, and one
+    beam's angles in memory at a time. Same shape as ``psi``."""
+    psi = np.asarray(psi, dtype=float)
+    best = np.full(psi.shape, -np.inf)
+    for psi0 in np.asarray(psi0s, dtype=float).reshape(-1):
+        lo, hi = psi * xis[0] - psi0, psi * xis[-1] - psi0
+        crosses = null_count(lo, n) != null_count(hi, n)
+        edge_min = np.minimum(gain_kernel_magnitude(lo, n), gain_kernel_magnitude(hi, n))
+        np.maximum(best, np.where(crosses, 0.0, edge_min), out=best)
+    return best
+
+
+def null_count(x, n):
+    """The nulls ``2j/N`` of ``|g|`` up to ``x``, j not a multiple of N, less a
+    constant: the multiples of 2/N up to x less the multiples of 2."""
+    return np.floor(n * x / 2) - np.floor(x / 2)
+
+
+def sampled_worst_gain(psi, psi0s, xis, n):
+    """``max over psi0s of min over the sampled xis of |g(xi*psi - psi0)|``,
+    every subcarrier, one beam at a time. Same shape as ``psi``."""
     best = np.full(np.shape(psi), -np.inf)
     for psi0 in np.asarray(psi0s, dtype=float).reshape(-1):
         x = np.multiply.outer(np.asarray(psi, dtype=float), xis) - psi0
@@ -20,10 +41,10 @@ def dense_worst_gain(psi, psi0s, xis, n):
 
 def every_beam_windows(psi, psi0s, xis, n):
     """``array_model._raise_to_window_mins`` with one window per beam over
-    every angle of ``psi`` (1-D) and no bar: the blocks and the per-angle bar
-    of the pair primitive, without the window cascade."""
+    every angle of ``psi`` (1-D): the blocks of the pair primitive, without
+    the window cascade."""
     angles, offsets = np.asarray(psi, dtype=float), np.asarray(psi0s, dtype=float)
     beams, best = np.arange(len(offsets)), np.full(len(angles), -np.inf)
     lo, hi = np.zeros_like(beams), np.full_like(beams, len(angles))
-    array_model._raise_to_window_mins(angles, offsets, np.asarray(xis, dtype=float), n, lo, hi, beams, best, -np.inf)
+    array_model._raise_to_window_mins(angles, offsets, np.asarray(xis, dtype=float), n, lo, hi, beams, best)
     return best

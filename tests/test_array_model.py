@@ -20,7 +20,7 @@ from beamsquint.array_model import (
     worst_subcarrier_gain,
 )
 
-from dense_oracle import dense_worst_gain, every_beam_windows
+from dense_oracle import dense_worst_gain, every_beam_windows, null_count, sampled_worst_gain
 
 HALF = ArrayGeometry(16, 0.5)
 
@@ -391,19 +391,15 @@ class TestWorstSubcarrierGain:
             return gain_kernel_magnitude(x, n)
 
         monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
-        xis = np.linspace(0.9, 1.1, 9)  # a band where some null-spanning pairs beat their angle's best
+        xis = np.linspace(0.9, 1.1, 9)  # a band where some pairs sweep across a null
         got = every_beam_windows(self.GRID, self.PSI0S, xis, self.N)
         assert np.array_equal(got, dense_worst_gain(self.GRID, self.PSI0S, xis, self.N))
-        # band-edge blocks: one 1-D block of the xis[0] and xis[-1] values of
-        # the (angle, beam) pairs of a chunk
-        edges = [x for x in blocks if x.ndim == 1]
+        # one 1-D block per chunk, of the xis[0] and xis[-1] values of its
+        # (angle, beam) pairs, and no other block: a pair across a null takes 0
         expected = [2 * 5 * min(rows, len(self.GRID) - i) for i in range(0, len(self.GRID), rows)]
-        assert [len(x) for x in edges] == expected
-        # pair blocks: null-spanning (angle, beam) pairs x all 9 subcarriers, at most a chunk
-        pairs = [x for x in blocks if x.ndim == 2]
-        assert pairs and len(pairs) + len(edges) == len(blocks)
-        assert all(x.shape[0] <= max(1, chunk // 9) and x.shape[1] == 9 for x in pairs)
-        assert all(spans_null(row[0], row[-1], self.N) for x in pairs for row in x)
+        assert [x.shape for x in blocks] == [(k,) for k in expected]
+        crossing = [(x[i], x[i + len(x) // 2]) for x in blocks for i in range(len(x) // 2)]
+        assert any(spans_null(x0, x1, self.N) for x0, x1 in crossing)
 
     @pytest.mark.parametrize("chunk", [1 << 14, 30, 4])
     def test_one_window_over_part_of_the_angles(self, monkeypatch, chunk):
@@ -418,7 +414,7 @@ class TestWorstSubcarrierGain:
 
         monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
         xis, best = np.linspace(0.98, 1.02, 9), np.full(len(self.GRID), -np.inf)
-        array_model._raise_to_window_mins(self.GRID, np.array([0.45]), xis, self.N, np.array([5]), np.array([17]), np.array([0]), best, -np.inf)
+        array_model._raise_to_window_mins(self.GRID, np.array([0.45]), xis, self.N, np.array([5]), np.array([17]), np.array([0]), best)
         want = dense_worst_gain(self.GRID[5:17], [0.45], xis, self.N)
         assert np.array_equal(best[5:17].view(np.int64), want.view(np.int64))
         assert np.isneginf(best[:5]).all() and np.isneginf(best[17:]).all()
@@ -470,6 +466,16 @@ class TestWorstSubcarrierGain:
         with pytest.raises(ValueError, match="psi0s must be finite"):
             worst_subcarrier_gain(self.GRID, [0.0, bad], self.XIS, self.N)
 
+    @pytest.mark.parametrize("xis", [[1.0, 0.9, 1.1, 1.0], [1.1, 1.0, 0.9], [], [[0.9, 1.1]]], ids=["unordered", "descending", "empty", "2-D"])
+    def test_xis_must_be_ascending(self, xis):
+        # unordered subcarriers gave wrong gains at 1,455 of these 2,001
+        # angles, by up to 1.59; repeated ones are a band all the same
+        grid = np.linspace(-1.0, 1.0, 2001)
+        with pytest.raises(ValueError, match="xis must be a non-empty ascending 1-D array"):
+            worst_subcarrier_gain(grid, [0.3], xis, 16)
+        got = worst_subcarrier_gain(grid, [0.3], [0.9, 1.0, 1.0, 1.1], 16)
+        assert np.array_equal(got, dense_worst_gain(grid, [0.3], [0.9, 1.1], 16))
+
     def test_windows_overlap_at_the_last_round(self):
         # at h = 1 the windows about the images psi0 - 2 and psi0 meet at
         # psi0 - 1, where rounding leaves a gap of one float between their
@@ -484,12 +490,12 @@ class TestWorstSubcarrierGain:
         # unsorted angles with repeats, out to several kernel periods; at
         # N = 4096 the rounding bound reach*N exceeds 1e5, so the one round
         # is h = 1, every beam on every angle
-        floors = []  # the bar of each round, -inf at h = 1
+        rounds = []  # whether each round's windows hold every (angle, beam) pair
         primitive = array_model._raise_to_window_mins
 
-        def recording(*args):
-            floors.append(args[-1])
-            return primitive(*args)
+        def recording(angles, offsets, xis, n, lo, hi, *rest):
+            rounds.append((hi - lo).sum() >= len(angles) * len(offsets))
+            return primitive(angles, offsets, xis, n, lo, hi, *rest)
 
         monkeypatch.setattr(array_model, "_raise_to_window_mins", recording)
         rng = np.random.default_rng([n, 18])
@@ -499,11 +505,11 @@ class TestWorstSubcarrierGain:
         for b in (0.0, 1e-9, float(rng.uniform(0.0, 0.3)), 1.9):
             for m in (2, 5, 65):
                 xis = np.linspace(1 - b / 2, 1 + b / 2, m)
-                floors.clear()
+                rounds.clear()
                 got = worst_subcarrier_gain(psi, foci, xis, n)
                 want = dense_worst_gain(psi, foci, xis, n)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (b, m)
-                assert (floors == [-math.inf]) == (n == 4096)
+                assert (rounds == [True]) == (n == 4096)
 
 
 def spans_null(x0, x1, n):
@@ -514,10 +520,9 @@ def spans_null(x0, x1, n):
 
 
 class TestPairBatch:
-    """The lobe rule and the per-angle bar of the pair primitive: a pair is
-    evaluated at its two band edges, and goes on to every subcarrier only
-    when a null lies between them, and then only while its band-edge bound
-    can still raise its angle's best."""
+    """The lobe rule of the pair primitive: a pair is evaluated at its two
+    band edges only, and takes 0 when a null lies between them, else its
+    smaller edge value."""
 
     XIS = np.linspace(0.9829, 1.0171, 65)
 
@@ -545,57 +550,55 @@ class TestPairBatch:
         assert blocks == [(2,)]
         assert got == gain_kernel_magnitude(0.01 * self.XIS - focus, 16).min()
 
-    def test_band_spanning_a_null_reaches_every_subcarrier(self, monkeypatch):
+    def test_pair_across_a_null_takes_two_evaluations_and_zero(self, monkeypatch):
         # at psi = 0.01 the beam focused on 0.385 sees x from -0.37517 to
-        # -0.37483, across the null -3/8: its worst subcarrier is inside the band
+        # -0.37483, across the null -3/8: its min over the band is 0, which
+        # no subcarrier of the grid reaches
         blocks = self.record(monkeypatch)
         (got,) = every_beam_windows([0.01], [0.385], self.XIS, 16)
-        assert blocks == [(2,), (1, 65)]
-        want = gain_kernel_magnitude(0.01 * self.XIS - 0.385, 16)
-        assert got == want.min() < min(want[0], want[-1])
+        assert blocks == [(2,)]
+        assert got == 0.0 < gain_kernel_magnitude(0.01 * self.XIS - 0.385, 16).min()
 
-    def test_dominated_pair_skips_full_evaluation(self, monkeypatch):
-        # the same null-spanning pair next to the beam focused on 0, near its
-        # peak: its band-edge bound is far below that beam's min
+    def test_pair_across_a_null_next_to_a_covering_beam(self, monkeypatch):
+        # the same pair next to the beam focused on 0, near its peak: four
+        # evaluations, and the best is that beam's band-edge min
         blocks = self.record(monkeypatch)
         (got,) = every_beam_windows([0.01], [0.0, 0.385], self.XIS, 16)
         assert blocks == [(4,)]
         assert got == gain_kernel_magnitude(0.01 * self.XIS, 16).min()
 
-    def test_wide_band_pairs_reach_full_evaluation_in_bounded_blocks(self, monkeypatch):
-        # a band this wide carries every subcarrier range through nulls, so
-        # most pairs span a null and do not fall under the bar
+    def test_wide_band_pairs_take_two_evaluations_in_bounded_blocks(self, monkeypatch):
+        # a band this wide sweeps most pairs across a null: each takes 0 from
+        # its two band-edge values, in 1-D blocks of at most a chunk
         blocks = self.record(monkeypatch)
-        grid, foci = np.linspace(-1, 1, 2001), np.linspace(-0.9, 0.9, 10)
-        every_beam_windows(grid, foci, np.linspace(0.05, 1.95, 65), 4)
-        full = [shape[0] for shape in blocks if shape[1:] == (65,)]
-        assert sum(full) > 0.5 * grid.size * foci.size
-        assert max(full) <= array_model._GAIN_CHUNK // 65
+        grid, foci, xis = np.linspace(-1, 1, 2001), np.linspace(-0.9, 0.9, 10), np.linspace(0.05, 1.95, 65)
+        got = every_beam_windows(grid, foci, xis, 4)
+        assert all(len(shape) == 1 and shape[0] <= array_model._GAIN_CHUNK for shape in blocks)
+        assert sum(shape[0] for shape in blocks) == 2 * grid.size * foci.size
+        lo, hi = (np.subtract.outer(grid * xi, foci) for xi in (xis[0], xis[-1]))
+        assert np.count_nonzero(null_count(lo, 4) != null_count(hi, 4)) > 0.5 * grid.size * foci.size
+        assert np.array_equal(got.view(np.int64), dense_worst_gain(grid, foci, xis, 4).view(np.int64))
 
-    def test_crowded_beams_evaluate_about_one_pair_per_angle(self, monkeypatch):
-        # 200 beams within +-0.01 at N=64, at angles where some of them span
-        # a null: the band-edge mins of the pairs that span none lift the
-        # bar first, so few null-spanning pairs still beat it
+    def test_crowded_beams_take_two_evaluations_per_pair(self, monkeypatch):
+        # 200 beams within +-0.01 at N=64, at angles where some of them
+        # cross a null: every pair costs its two band-edge values, no more
         blocks = self.record(monkeypatch)
         grid, foci = np.linspace(-1, 1, 401), np.linspace(-0.01, 0.01, 200)
         xis = np.linspace(0.995, 1.005, 65)
         got = every_beam_windows(grid, foci, xis, 64)
-        assert sum(shape[0] for shape in blocks if shape[1:] == (65,)) <= grid.size
+        assert all(len(shape) == 1 for shape in blocks)
+        assert sum(shape[0] for shape in blocks) == 2 * grid.size * foci.size
         want = dense_worst_gain(grid, foci, xis, 64)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestBandEdgeScreen:
-    """The lobe rule against the dense reduction, compared as int64 bits.
-    Wide bands carry the edges across nulls; foci out to +-1.5 reach the
-    grating lobes. At b = 1e-12 and 1e-9 an interior subcarrier's computed
-    value can round below both band edges: a pair with no null between its
-    edges then gets the exact-arithmetic min, its smaller edge value, which
-    may sit above the dense computed min by a few ulps of the kernel, never
-    below it; those cases are held to ``got >= want`` within 1e-11*sqrt(N)."""
+    """The lobe rule against the dense continuous-band oracle, compared as
+    int64 bits. Wide bands carry the edges across nulls; foci out to +-1.5
+    reach the grating lobes; bands of 1e-12 and 1e-9 are where an interior
+    subcarrier's computed value can round below both band edges."""
 
     GRID = np.linspace(-1.0, 1.0, 401)
-    TINY = (1e-12, 1e-9)
 
     def case(self, n, b, seed):
         rng = np.random.default_rng(seed)
@@ -612,26 +615,42 @@ class TestBandEdgeScreen:
             for xis in grids:
                 got = worst_subcarrier_gain(self.GRID, foci, xis, n)
                 want = dense_worst_gain(self.GRID, foci, xis, n)
-                if b in self.TINY:
-                    assert np.all(got >= want) and np.all(got - want <= 1e-11 * math.sqrt(n)), (seed, len(xis))
-                else:
-                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, len(xis))
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, len(xis))
 
     @pytest.mark.parametrize("n", [3, 16, 17])
     @pytest.mark.parametrize("b", [1e-9, None], ids=str)
-    def test_floor_contract(self, n, b):
+    def test_one_batch_of_pairs(self, n, b):
+        # every (angle, beam) pair of the grid in one batch gives the dense
+        # bits; the pairs across a null alone lift their angles to 0 exactly
         foci, grids = self.case(n, b, [n, 7])
-        tol = 1e-11 * math.sqrt(n) if b in self.TINY else 0.0
+        rows, beams = np.divmod(np.arange(self.GRID.size * foci.size), foci.size)
         for xis in grids:
+            got = np.full(self.GRID.size, -np.inf)
+            array_model._raise_to_pair_mins(self.GRID, foci, xis, n, rows, beams, got)
             want = dense_worst_gain(self.GRID, foci, xis, n)
-            for floor in np.quantile(want, [0.1, 0.5, 0.9]):
-                # every (angle, beam) pair of the grid in one batch
-                rows, beams = np.divmod(np.arange(self.GRID.size * foci.size), foci.size)
-                got = np.full(self.GRID.size, -np.inf)
-                array_model._raise_to_pair_mins(self.GRID, foci, xis, n, rows, beams, got, floor)
-                above = want > floor
-                if tol:
-                    assert np.all(got[above] >= want[above]) and np.all(got[above] - want[above] <= tol)
-                else:
-                    assert np.array_equal(got[above].view(np.int64), want[above].view(np.int64))
-                assert np.all(got[~above] <= floor + tol)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            crosses = [spans_null(psi * xis[0] - f, psi * xis[-1] - f, n) for psi, f in zip(self.GRID[rows], foci[beams])]
+            got = np.full(self.GRID.size, -np.inf)
+            array_model._raise_to_pair_mins(self.GRID, foci, xis, n, rows[crosses], beams[crosses], got)
+            assert np.array_equal(got, np.where(np.isin(np.arange(self.GRID.size), rows[crosses]), 0.0, -np.inf))
+            assert any(crosses) == (b is None)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_continuous_under_every_sampled_grid(self, seed):
+        # seeded wide bands: the continuous min is at most the min over 4,097
+        # subcarriers, which is at most the min over every 64th of them (65);
+        # at angles where no beam crosses a null the three agree bit for bit
+        rng, grid = np.random.default_rng([seed, 26]), self.GRID[::2]
+        for _ in range(5):
+            n = int(rng.choice([2, 3, 8, 16, 17, 64]))
+            b = float(rng.uniform(0.05, 1.99))
+            foci = rng.uniform(-1.5, 1.5, int(rng.integers(1, 9)))
+            fine = np.linspace(1 - b / 2, 1 + b / 2, 4097)
+            continuous = worst_subcarrier_gain(grid, foci, fine, n)
+            dense, coarse = (sampled_worst_gain(grid, foci, xis, n) for xis in (fine, fine[::64]))
+            assert np.all(continuous <= dense) and np.all(dense <= coarse)
+            lo, hi = (np.subtract.outer(grid * xi, foci) for xi in (fine[0], fine[-1]))
+            clear = (null_count(lo, n) == null_count(hi, n)).all(axis=1)
+            assert clear.any() and not clear.all()
+            for got in (dense, coarse):
+                assert np.array_equal(continuous[clear].view(np.int64), got[clear].view(np.int64))

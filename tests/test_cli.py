@@ -269,12 +269,12 @@ class TestPatternCommand:
     @pytest.mark.parametrize("theta", ["150", "-91", "90.0000001", "inf", "nan"])
     def test_focus_angle_outside_the_visible_range_exits_2(self, capsys, theta):
         # the library's range check on theta, with its 1e-12 slack: 150 used
-        # to run as 30 degrees, and inf to fail with "math domain error"
+        # to run as 30 degrees, and inf to fail with "math domain error";
+        # the error names the option and the degrees given, not radians
         assert run_cli("pattern", "--antennas", "8", f"--theta0-deg={theta}", "--xi", "1") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: theta must lie in [-pi/2, pi/2], got ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == f"error: --theta0-deg must lie in [-90, 90], got {float(theta)!r}\n"
         for edge in ("90", "-90"):
             assert run_cli("pattern", "--antennas", "8", f"--theta0-deg={edge}", "--xi", "1", "--psi-step", "0.5") == 0
 

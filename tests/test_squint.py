@@ -40,8 +40,6 @@ class TestBandSpec:
         for points in (1, 16385, 10**6):
             with pytest.raises(ValueError, match="xi grid needs 2 to 16384 points, got"):
                 BAND.xi_grid(points)
-        with pytest.raises(ValueError, match="xi grid needs"):
-            numeric_coverage(0.3, BAND, 16, xi_points=10**5)
 
     def test_xi_range(self):
         assert BAND.xi_min == 1 - 0.0171
@@ -263,8 +261,6 @@ class TestNumericCoverage:
     def test_validates_grid_parameters(self):
         with pytest.raises(ValueError):
             numeric_coverage(0.0, BAND, 16, psi_step=0.0)
-        with pytest.raises(ValueError):
-            numeric_coverage(0.0, BAND, 16, xi_points=1)
         # a step as wide as the scan window would leave fewer than 3 points,
         # and one this fine more than the grid-size cap
         for step in (10.0, 1e300, math.inf, math.nan, -1e-4, 1e-300, 5e-324, 1e-8):
@@ -285,16 +281,16 @@ def reference_numeric_coverage(
     n_antennas: int,
     threshold: GainThreshold | None = None,
     psi_step: float = 1e-4,
-    xi_points: int = 65,
 ) -> CoverageInterval | None:
     """The coverage oracle that searches the passing runs for the peak's
-    and refines that run's two edges, kept verbatim as the reference for
-    the one that takes its edges from the gap finder."""
+    and refines that run's two edges, with the dense continuous-band
+    oracle, as the reference for the one that takes its edges from the gap
+    finder."""
     n = _check_n(n_antennas)
     if not math.isfinite(psi0):
         raise ValueError(f"psi0 must be finite, got {psi0!r}")
     thr = threshold if threshold is not None else GainThreshold()
-    xis = band.xi_grid(xi_points)
+    xis = np.array([band.xi_min, band.xi_max])
     floor = thr.absolute(n)
 
     # Search window: the main lobe spans |xi*psi_c - psi0| < 2/N (first
@@ -353,59 +349,56 @@ def test_numeric_coverage_refines_only_the_peak_run(refinement_blocks, n, b, psi
     assert max(refinement_blocks, default=0) <= 4
 
 
-# N, b (0 in every fifth case), psi0, ratio (1.0 in every seventh), xi
-# points and step: many beams that squint consumes, and wide bands with
-# several passing runs
+# N, b (0 in every fifth case), psi0, ratio (1.0 in every seventh) and
+# step: many beams that squint consumes, and wide bands with several
+# passing runs
 _FAMILY_RNG = np.random.default_rng(13)
 SEEDED_FAMILY = [
     (int(_FAMILY_RNG.integers(2, 129)), 0.0 if i % 5 == 0 else 1.2 * float(_FAMILY_RNG.uniform()) ** 3,
      float(_FAMILY_RNG.uniform(-1.3, 1.3)), 1.0 if i % 7 == 0 else float(_FAMILY_RNG.uniform(0.3, 0.9)),
-     int(_FAMILY_RNG.choice([2, 3, 4, 5, 65])), float(_FAMILY_RNG.uniform(1e-4, 1e-3)))
+     float(_FAMILY_RNG.uniform(1e-4, 1e-3)))
     for i in range(300)
 ]
 
 
 def test_numeric_coverage_keeps_the_reference_bits():
-    # the scan leaves pairs under the floor at -inf and the refiner takes
-    # its few angles straight to the kernel; neither may change a bit
+    # the scan and the refiner take each angle's band min through the pair
+    # primitive, in blocks; neither may change a bit
     kinds = set()
-    for n, b, psi0, ratio, xi_points, step in SEEDED_FAMILY:
-        args = psi0, BandSpec(b), n, GainThreshold(ratio), step, xi_points
+    for n, b, psi0, ratio, step in SEEDED_FAMILY:
+        args = psi0, BandSpec(b), n, GainThreshold(ratio), step
         expected, cov = reference_numeric_coverage(*args), numeric_coverage(*args)
         if expected is None:
             assert cov is None
             kinds.add("none")
             continue
         assert (cov.lo.hex(), cov.hi.hex()) == (expected.lo.hex(), expected.hi.hex())
-        kinds.update({"few subcarriers"} if xi_points < 5 else set(), {"b = 0"} if b == 0.0 else set())
-    assert kinds == {"none", "few subcarriers", "b = 0"}
-    assert any(ratio == 1.0 for *_, ratio, _, _ in SEEDED_FAMILY)
+        kinds.update({"b = 0"} if b == 0.0 else set())
+    assert kinds == {"none", "b = 0"}
+    assert any(ratio == 1.0 for *_, ratio, _ in SEEDED_FAMILY)
 
 
-def test_numeric_coverage_scan_leaves_failing_pairs_unevaluated(monkeypatch):
-    # The scan's bar sits just under the floor, so a pair whose band-edge
-    # bound already fails goes to no other subcarrier. Without the bar the
-    # scan of each of these beams sent 325 rows to all 65.
-    rows = []
-
-    def recording(x, n):
-        if np.shape(x)[1:] == (65,):
-            rows.append(len(x))
-        return gain_kernel_magnitude(x, n)
-
-    monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
+def test_numeric_coverage_takes_two_evaluations_per_angle(monkeypatch):
+    # The scan window reaches past the first nulls, so some of its angles
+    # sweep the beam across a null inside the band: each of those takes 0
+    # from its two band-edge values, as every other angle takes its edge
+    # min, in the scan and in every refinement round. With every subcarrier
+    # sampled where a null lay inside, the scan of each of these beams sent
+    # 325 angles to all 65 subcarriers (4 with a bar at the threshold).
+    grids, blocks = _record_scan(monkeypatch)
     band = BandSpec(0.0179)
     foci = design_with_squint(64, band, 1.0).codebook.foci
     for target in (0.9, -0.9):
-        rows.clear()
+        grids.clear()
+        blocks.clear()
         assert numeric_coverage(min(foci, key=lambda f: abs(f - target)), band, 64) is not None
-        assert sum(rows) <= 4
+        assert blocks == [(2 * m,) for m in grids] and len(grids) > 1
 
 
 def _record_scan(monkeypatch):
-    """The number of angles of each block of a numeric_coverage scan, and
-    the shape of each kernel block that array_model evaluates (the scan's,
-    not the refinement's)."""
+    """The number of angles of each pair-primitive call of numeric_coverage
+    (its scan's blocks, then one per refinement round), and the shape of
+    each kernel block that array_model evaluates."""
     grids, blocks = [], []
     scan = squint._raise_to_pair_mins
 
@@ -424,7 +417,8 @@ def _record_scan(monkeypatch):
 
 def test_numeric_coverage_scan_in_one_block_is_one_band_edge_call(monkeypatch):
     # a grid that fits one block: both band-edge values of every angle in one
-    # 1-D kernel call, then only null-spanning pairs at every subcarrier
+    # 1-D kernel call, then both band-edge values of each refinement round's
+    # angles, at most both ends of two edges
     grids, blocks = _record_scan(monkeypatch)
     for n, b in ((16, 0.0342), (64, 0.0179)):
         band = BandSpec(b)
@@ -432,10 +426,10 @@ def test_numeric_coverage_scan_in_one_block_is_one_band_edge_call(monkeypatch):
             grids.clear()
             blocks.clear()
             assert numeric_coverage(psi0, band, n) is not None
-            (m,) = grids
+            m, *rounds = grids
             assert 2 * m <= array_model._GAIN_CHUNK
-            assert [shape for shape in blocks if len(shape) == 1] == [(2 * m,)]
-            assert all(shape[1:] == (65,) for shape in blocks if len(shape) != 1)
+            assert rounds and max(rounds) <= 4
+            assert blocks == [(2 * k,) for k in grids]
 
 
 def test_numeric_coverage_scan_keeps_every_block_bounded(monkeypatch):
@@ -444,12 +438,10 @@ def test_numeric_coverage_scan_keeps_every_block_bounded(monkeypatch):
     grids, blocks = _record_scan(monkeypatch)
     args = 0.2, BAND, 16, GainThreshold(), 1e-5
     cov = numeric_coverage(*args)
-    m = sum(grids)
     chunk = array_model._GAIN_CHUNK
-    assert m > chunk // 2
-    edges = [shape[0] for shape in blocks if len(shape) == 1]
-    assert len(edges) == -(-m // (chunk // 2)) and sum(edges) == 2 * m
-    assert all(math.prod(shape) <= chunk for shape in blocks)
+    scan = [k for k in grids if k > 4]  # the refinement rounds take at most 4 angles
+    assert scan[:-1] == [chunk // 2] * (len(scan) - 1) and len(scan) == 4 and grids[: len(scan)] == scan
+    assert blocks == [(2 * k,) for k in grids]
     expected = reference_numeric_coverage(*args)
     assert (cov.lo.hex(), cov.hi.hex()) == (expected.lo.hex(), expected.hi.hex())
 

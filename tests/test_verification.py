@@ -30,7 +30,7 @@ from beamsquint.verification import (
     verify_codebook,
 )
 
-from dense_oracle import dense_worst_gain, every_beam_windows
+from dense_oracle import dense_worst_gain, every_beam_windows, null_count
 
 BAND = BandSpec(0.0342)
 
@@ -362,23 +362,26 @@ def test_memory_of_the_worst_subcarrier_search_stays_bounded(n):
     assert _peak_bytes(lambda: verify_codebook(book, psi_step=1e-3, xi_points=16384)) < 4e6
 
 
-def test_memory_bounded_when_many_pairs_need_every_subcarrier(monkeypatch):
-    # A band this wide carries every subcarrier range through nulls, so
-    # most (angle, beam) pairs span a null between their band edges and go
-    # to full evaluation: about 115k of 200k pairs, 60 MB if evaluated at once.
-    # Every beam is on every angle, without the cascade's narrower windows.
-    pairs = []
+def test_memory_bounded_when_most_pairs_cross_a_null(monkeypatch):
+    # A band this wide sweeps most (angle, beam) pairs across a null: about
+    # 115k of 200k pairs, which took 60 MB when each went to all 65
+    # subcarriers at once. Each takes 0 from its two band-edge values, in
+    # 1-D blocks of at most a chunk. Every beam is on every angle, without
+    # the cascade's narrower windows.
+    blocks = []
 
     def recording(x, n):
-        if np.shape(x)[1:] == (65,):
-            pairs.append(len(x))
+        blocks.append(np.shape(x))
         return gain_kernel_magnitude(x, n)
 
     monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
     grid, foci = np.linspace(-1, 1, 20001), np.linspace(-0.9, 0.9, 10)
     xis = np.linspace(0.05, 1.95, 65)
-    assert _peak_bytes(lambda: every_beam_windows(grid, foci, xis, 4)) < 16e6
-    assert sum(pairs) > 0.5 * grid.size * foci.size
+    assert _peak_bytes(lambda: every_beam_windows(grid, foci, xis, 4)) < 4e6
+    assert all(len(shape) == 1 and shape[0] <= array_model._GAIN_CHUNK for shape in blocks)
+    assert sum(shape[0] for shape in blocks) == 2 * grid.size * foci.size
+    lo, hi = (np.subtract.outer(grid * xi, foci) for xi in (xis[0], xis[-1]))
+    assert np.count_nonzero(null_count(lo, 4) != null_count(hi, 4)) > 0.5 * grid.size * foci.size
 
 
 def reference_verify_codebook(
@@ -407,9 +410,9 @@ def reference_verify_codebook(
 
     worst_idx = int(np.argmin(best))
     worst_psi = float(grid[worst_idx])
-    # xi achieving the minimum for the beam that wins at the worst angle
-    at_worst = gain_kernel_magnitude(worst_psi * xis - psi0s[:, None], n)
-    winner = at_worst[int(np.argmax(at_worst.min(axis=1)))]
+    # the weakest grid xi of the first beam with the largest band min at the worst angle
+    mins = [dense_worst_gain(worst_psi, [psi0], xis, n) for psi0 in psi0s]
+    winner = gain_kernel_magnitude(worst_psi * xis - psi0s[int(np.argmax(mins))], n)
     worst_xi = float(xis[int(np.argmin(winner))])
 
     def margin(psi: np.ndarray) -> np.ndarray:
@@ -435,6 +438,20 @@ def reference_verify_codebook(
 def _book(n, b, psi_m, foci, threshold=GainThreshold()):
     # built directly, so foci may lie anywhere (from_dict caps them at 1.5)
     return Codebook(tuple(float(f) for f in sorted(foci)), psi_m, BandSpec(b), n, threshold)
+
+
+def test_worst_xi_is_read_off_the_beam_that_sets_the_worst_gain():
+    # at the worst angle the beam focused on 0.6 sweeps across a null inside
+    # the band, so its band min is 0, yet its min over the 5 grid subcarriers
+    # beats that of the beam focused on -0.04, which sets the worst gain
+    book, band = _book(4, 0.32, 0.83, [-0.04, 0.6]), BandSpec(0.32)
+    report = verify_codebook(book, psi_step=0.83 / 50, xi_points=5)
+    xis = band.xi_grid(5)
+    near, far = (gain_kernel_magnitude(report.worst_psi * xis - f, 4) for f in (-0.04, 0.6))
+    assert far.min() > near.min() > 0.0 == dense_worst_gain(report.worst_psi, [0.6], xis, 4)
+    assert report.worst_gain_db == _to_db(near.min() / 2.0)
+    assert report.worst_xi == xis[int(np.argmin(near))] == band.xi_max
+    assert report == reference_verify_codebook(book, psi_step=0.83 / 50, xi_points=5)
 
 
 @pytest.mark.parametrize("foci", [(0.0, 0.0), (1.6,), (-1.6, 0.0)])
@@ -494,11 +511,11 @@ class TestWindowedSweepIsExact:
             args = dict(psi_step=step, xi_points=xi_points, slack_db=float(rng.uniform(0, 1)))
             assert verify_codebook(book, **args) == reference_verify_codebook(book, **args)
 
-    @pytest.mark.parametrize("chunk", [65, 130, 455])  # 1, 2 or 7 beams per block at 65 subcarriers
-    def test_worst_subcarrier_search_in_blocks(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("chunk", [65, 130, 455])  # pair batches of a few angles to dozens
+    def test_worst_xi_from_the_first_winner(self, monkeypatch, chunk):
         # the winner at the worst angle is the first beam with the largest
-        # min, whichever block holds it; duplicated foci tie exactly
-        monkeypatch.setattr(verification, "_GAIN_CHUNK", chunk)
+        # band min, whatever the cascade's blocks; duplicated foci tie exactly
+        monkeypatch.setattr(array_model, "_GAIN_CHUNK", chunk)
         rng = np.random.default_rng(chunk)
         for n in (3, 8, 16, 64):
             foci = np.concatenate([rng.uniform(-1.2, 1.2, int(rng.integers(2, 2 * n))), [1.0 - 1.0 / n]])
@@ -516,7 +533,7 @@ class TestWindowedSweepIsExact:
         batches = []
         primitive = array_model._raise_to_pair_mins
 
-        def recording(*args):  # (angles, offsets, xis, n, rows, beams, best, floor)
+        def recording(*args):  # (angles, offsets, xis, n, rows, beams, best)
             batches.append(len(args[4]))
             return primitive(*args)
 
