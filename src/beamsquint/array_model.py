@@ -268,35 +268,32 @@ def gain_kernel_magnitude(x, n_antennas: int):
     return float(mag[0]) if np.ndim(x) == 0 else mag
 
 
-def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):
+def worst_subcarrier_gain(psi, psi0s, band, n_antennas: int):
     """The best beam's gain at its worst frequency, per carrier angle:
     ``max over psi0s of min over the band of |g(xi*psi - psi0)|``, the band
-    being the continuous range ``[xis[0], xis[-1]]`` of ascending ``xis``
-    (a ValueError otherwise). A beam whose band sweeps ``x`` across a null
-    takes 0 there; any other takes its smaller band-edge value, the
-    exact-arithmetic min (:func:`_raise_to_pair_mins`). The value depends on
-    ``xis[0]`` and ``xis[-1]`` alone. Scalar ``psi`` in, float out; ndarray
-    in, ndarray of the same shape out. Every value must be finite.
+    being the continuous range ``[band.xi_min, band.xi_max]`` of a
+    ``BandSpec``; each pair's min is :func:`_band_min`. Scalar ``psi`` in,
+    float out; ndarray in, ndarray of the same shape out. Every angle and
+    focus must be finite.
 
     A window cascade: round by round, h = 1/N, 2/N, 4/N, ..., 1, each beam
-    meets the angles whose ``x = xi*psi - psi0`` at the mid-band ``xi`` lies
-    within h of a lobe image 2k, in five windows on the angles sorted by
-    ``xi*psi`` (taken modulo 2 when it leaves [-3, 3]). Outside them ``|g(x)|
-    <= 1/(sqrt(N)*|sin(pi*x/2)|) <= E(h) = 1/(sqrt(N)*sin(pi*h/2))``, which
-    bounds the beam's min over the band; so an angle whose best beats E(h)
-    is final, and only the others go on. At h = 1 every beam is in a window.
-    The kernel is element-wise and max/min are exact, so no bit moves.
+    meets the angles whose ``x = psi - psi0`` at the carrier (xi = 1, inside
+    every band) lies within h of a lobe image 2k, in five windows on the
+    angles sorted by ``psi`` (taken modulo 2 when it leaves [-3, 3]).
+    Outside them ``|g(x)| <= 1/(sqrt(N)*|sin(pi*x/2)|) <= E(h) =
+    1/(sqrt(N)*sin(pi*h/2))``, which bounds the beam's min over the band; so
+    an angle whose best beats E(h) is final, and only the others go on. At
+    h = 1 every beam is in a window. The kernel is element-wise and max/min
+    are exact, so no bit moves.
     """
     import numpy as np
     n = _check_n(n_antennas)
-    angles, offsets, xis = (np.asarray(v, dtype=float) for v in (psi, psi0s, xis))
+    angles, offsets = np.asarray(psi, dtype=float), np.asarray(psi0s, dtype=float)
     flat, offsets = angles.reshape(-1), offsets.reshape(-1)
-    for name, values in (("psi", flat), ("psi0s", offsets), ("xis", xis)):
+    for name, values in (("psi", flat), ("psi0s", offsets)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite, got {float(values[~np.isfinite(values)][0])!r}")
-    if not (xis.ndim == 1 and len(xis) and (xis[1:] >= xis[:-1]).all()):
-        raise ValueError("xis must be a non-empty ascending 1-D array")
-    phase = flat * xis[len(xis) // 2]  # the kernel's own product at the mid-band subcarrier
+    phase = flat.copy()  # x + psi0 at the carrier, reduced in place below
     # Windows are padded by 1e-12, far above the rounding of their edges, all
     # in [-6, 6], so they overlap at h = 1; phases and foci taken modulo 2
     # are exact. The floor's relative 1e-9 on E(h) covers the rest at a
@@ -313,7 +310,7 @@ def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):
     best, todo = np.full(flat.size, -math.inf), slice(None)  # the first round on every angle, in place
     while len(part := best[todo]):
         lo, hi = np.searchsorted(phase[todo], [centre - (h + 1e-12), centre + (h + 1e-12)])
-        _raise_to_window_mins(flat[todo], offsets, xis, n, lo, hi, beams, part)
+        _raise_to_window_mins(flat[todo], offsets, band, n, lo, hi, beams, part)
         best[todo] = part
         floor = (1.0 + 1e-9) / (math.sqrt(n) * math.sin(0.5 * math.pi * h)) if h < 1 else -math.inf
         todo, h = np.flatnonzero(best < floor), min(2 * h, 1.0)
@@ -321,10 +318,11 @@ def worst_subcarrier_gain(psi, psi0s, xis, n_antennas: int):
     return float(best[0]) if angles.ndim == 0 else best.reshape(angles.shape)
 
 
-def _raise_to_window_mins(angles, offsets, xis, n, lo, hi, beams, best):
-    """:func:`_raise_to_pair_mins` on the pairs ``(r, beams[w])``, ``lo[w] <=
-    r < hi[w]``, one batch per block of angles of at most ``_GAIN_CHUNK``
-    band-edge values: memory is bounded at any number of angles and overlap."""
+def _raise_to_window_mins(angles, offsets, band, n, lo, hi, beams, best):
+    """Raise ``best[r]`` to :func:`_band_min` of each pair ``(angles[r],
+    offsets[beams[w]])``, ``lo[w] <= r < hi[w]``, one batch per block of
+    angles of at most ``_GAIN_CHUNK`` band-edge values: memory is bounded at
+    any number of angles and overlap."""
     import numpy as np
     # the most windows over one angle: an end 2*hi sorts before a start 2*lo+1 at one index
     overlap = np.cumsum(np.sort(np.concatenate([2 * lo + 1, 2 * hi])) % 2 * 2 - 1).max(initial=1)
@@ -333,13 +331,14 @@ def _raise_to_window_mins(angles, offsets, xis, n, lo, hi, beams, best):
         start = np.maximum(lo, a)
         length = np.maximum(np.minimum(hi, a + block) - start, 0)
         rows = np.repeat(start - a - np.cumsum(length) + length, length) + np.arange(length.sum())
-        _raise_to_pair_mins(angles[a : a + block], offsets, xis, n, rows, np.repeat(beams, length), best[a : a + block])
+        mins = _band_min(angles[a : a + block][rows], offsets[np.repeat(beams, length)], band.xi_min, band.xi_max, n)
+        np.maximum.at(best[a : a + block], rows, mins)
 
 
-def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best):
-    """Raise ``best[r]`` to the min over the band ``[xis[0], xis[-1]]`` of
-    ``|g(xi*angles[r] - offsets[b])|`` for each pair ``(r, b)`` of ``(rows,
-    beams)``, from two kernel values per pair.
+def _band_min(psi, psi0, xi_min, xi_max, n):
+    """The min over the continuous band ``[xi_min, xi_max]`` of ``|g(xi*psi
+    - psi0)|``, element-wise over broadcast ``psi`` and ``psi0``, from one
+    kernel call on the two band-edge offsets. Scalars in, float out.
 
     The lobe rule: a pair whose two band-edge offsets have a null ``2j/N``
     (j not a multiple of N) in ``(lo, hi]`` between them crosses it inside
@@ -350,11 +349,12 @@ def _raise_to_pair_mins(angles, offsets, xis, n, rows, beams, best):
     edge min stays the exact-arithmetic one, above that sampled value.
     """
     import numpy as np
-    m, angle, focus = len(rows), angles[rows], offsets[beams]
-    x = np.concatenate((angle * xis[0] - focus, angle * xis[-1] - focus))
-    g = gain_kernel_magnitude(x, n)
+    lo, hi = np.asarray(psi * xi_min - psi0, dtype=float), np.asarray(psi * xi_max - psi0, dtype=float)
+    x = np.concatenate((lo.reshape(-1), hi.reshape(-1)))
+    g, m = gain_kernel_magnitude(x, n), lo.size
     lobe = np.floor((0.5 * n) * x) - np.floor(0.5 * x)  # nulls up to x, less the peaks 2k
-    np.maximum.at(best, rows, np.where(lobe[:m] != lobe[m:], 0.0, np.minimum(g[:m], g[m:])))
+    mins = np.where(lobe[:m] != lobe[m:], 0.0, np.minimum(g[:m], g[m:]))
+    return float(mins[0]) if lo.ndim == 0 else mins.reshape(lo.shape)
 
 
 def equivalent_aoa(theta_c: float, xi: float) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .array_model import _GAIN_CHUNK, _Record, _check_n, _public, _raise_to_pair_mins, gain_kernel_magnitude
+from .array_model import _GAIN_CHUNK, _Record, _band_min, _check_n, _public, gain_kernel_magnitude
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -66,15 +66,19 @@ class BandSpec(_Record):
     def xi_grid(self, points: int = 65) -> np.ndarray:
         """Evenly spaced subcarrier ratios including both band edges.
 
-        Collapses to the single point 1.0 for a zero-width band. At most
-        16,384 points, so that one beam's subcarriers fit one kernel block.
+        Collapses to the single point 1.0 for a zero-width band. ``points``
+        is an integral count of 2 to 16,384 (a ValueError otherwise, at any
+        b), so that one beam's subcarriers fit one kernel block.
         """
+        import numbers
+
         import numpy as np
-        if not 2 <= points <= _GAIN_CHUNK:
-            raise ValueError(f"xi grid needs 2 to {_GAIN_CHUNK} points, got {points}")
+        # an integral count in range; NaN, infinities and strings fail before int()
+        if not (isinstance(points, numbers.Real) and 2 <= points <= _GAIN_CHUNK and points == int(points)):
+            raise ValueError(f"xi grid needs 2 to {_GAIN_CHUNK} points, got {points!r}")
         if self.fractional_bandwidth == 0.0:
             return np.array([1.0])
-        return np.linspace(self.xi_min, self.xi_max, points)
+        return np.linspace(self.xi_min, self.xi_max, int(points))
 
 
 class GainThreshold(_Record):
@@ -238,9 +242,10 @@ def numeric_coverage(
     qualifies (squint has consumed the beam). Independent of the analytic
     edge formulas, which it exists to check.
 
-    Each angle's min is 0 where its band sweeps ``x`` across a null, else its
-    smaller band-edge value (the lobe rule of ``worst_subcarrier_gain``):
-    two kernel values per angle, in the scan and in every refinement round.
+    Each angle's min is ``array_model._band_min``: 0 where its band sweeps
+    ``x`` across a null, else its smaller band-edge value. The scan takes one
+    kernel call per block of angles and every refinement round one more, at
+    two kernel values per angle.
     """
     import numpy as np
     n = _check_n(n_antennas)
@@ -258,16 +263,8 @@ def numeric_coverage(
     if not (psi_step > 0 and 1 < width / psi_step <= _MAX_GRID_POINTS - 1):
         raise ValueError(f"psi_step must lie in (0, {width!r}), the scan window's width (at most {_MAX_GRID_POINTS} points), got {psi_step!r}")
     grid = np.linspace(lo_w, hi_w, int(math.ceil(width / psi_step)) + 1)
-    edges, focus = np.array([band.xi_min, band.xi_max]), np.array([psi0])
-
-    def band_mins(angles: np.ndarray) -> np.ndarray:
-        q, block = np.full(len(angles), -math.inf), _GAIN_CHUNK // 2
-        for a in range(0, len(angles), block):  # two band-edge values per angle fill one kernel chunk
-            rows = np.arange(min(block, len(angles) - a))
-            _raise_to_pair_mins(angles[a : a + block], focus, edges, n, rows, np.zeros_like(rows), q[a : a + block])
-        return q
-
-    q = band_mins(grid)
+    block = _GAIN_CHUNK // 2  # two band-edge values per angle fill one kernel chunk
+    q = np.concatenate([_band_min(grid[a : a + block], psi0, band.xi_min, band.xi_max, n) for a in range(0, len(grid), block)])
     peak = int(np.argmax(q))
     if q[peak] < floor:
         return None
@@ -277,7 +274,7 @@ def numeric_coverage(
     failing = below | (count != count[peak])
     # the coverage ends where the gaps on either side begin, or at the window
     # ends; a refinement round takes at most 4 angles, both ends of two edges
-    gaps = _failure_gaps(grid, failing, lambda psi_c: band_mins(psi_c) - floor)
+    gaps = _failure_gaps(grid, failing, lambda psi_c: _band_min(psi_c, psi0, band.xi_min, band.xi_max, n) - floor)
     return CoverageInterval(gaps[0].hi if failing[0] else float(grid[0]), gaps[-1].lo if failing[-1] else float(grid[-1]))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .array_model import _Record, _public, _raise_to_pair_mins, gain_kernel_magnitude, worst_subcarrier_gain
+from .array_model import _Record, _band_min, _public, gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, _foci, max_antennas, max_fractional_bandwidth, min_size_no_squint
 from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps
 
@@ -64,13 +64,14 @@ def verify_codebook(
     For each carrier angle on the grid: max over beams of the min over the
     continuous band ``[xi_min, xi_max]`` of ``|g(xi*psi - psi0)|``, which is
     0 for a beam whose band sweeps it across a null and otherwise its
-    smaller band-edge value (:func:`worst_subcarrier_gain`, which also
-    gives the refinement margin). Failures are data, not exceptions; gap
-    edges are refined to 1e-9. ``slack_db`` absorbs the 1.772/N
-    beamwidth approximation when certifying constant-width designs (use 0
-    for exact-width designs). ``xi_points`` sets only the subcarrier grid on
-    which ``worst_xi`` is read: the weakest grid point of the first beam
-    that sets ``worst_gain_db`` at ``worst_psi``.
+    smaller band-edge value (:func:`worst_subcarrier_gain` on
+    ``codebook.band``, which also gives the refinement margin). Failures are
+    data, not exceptions; gap edges are refined to 1e-9. ``slack_db`` absorbs
+    the 1.772/N beamwidth approximation when certifying constant-width
+    designs (use 0 for exact-width designs). ``xi_points``, an integer count,
+    sets only the subcarrier grid on which ``worst_xi`` is read: the weakest
+    grid point of the first beam that sets ``worst_gain_db`` at
+    ``worst_psi``. The report holds the parameters as Python int and floats.
     """
     import numpy as np
     psi_m = codebook.psi_m
@@ -79,24 +80,22 @@ def verify_codebook(
         raise ValueError(f"psi_step must lie in (0, psi_m={psi_m!r}] (at most {_MAX_GRID_POINTS} points), got {psi_step!r}")
     if not (math.isfinite(slack_db) and slack_db >= 0):
         raise ValueError(f"slack_db must be finite and >= 0, got {slack_db!r}")
-    n = codebook.n_antennas
-    xis = codebook.band.xi_grid(xi_points)
+    n, band = codebook.n_antennas, codebook.band
+    xis = band.xi_grid(xi_points)  # validates xi_points before the sweep
     psi0s = np.array(codebook.foci)
     pass_level = codebook.threshold.absolute(n) * 10.0 ** (-slack_db / 20.0)
 
     steps = int(round(2.0 * psi_m / psi_step))
     grid = np.linspace(-psi_m, psi_m, steps + 1)
-    best = worst_subcarrier_gain(grid, psi0s, xis, n)
+    best = worst_subcarrier_gain(grid, psi0s, band, n)
 
     worst_idx = int(np.argmin(best))
     worst_psi = float(grid[worst_idx])
-    # every beam's band min at the worst angle; argmax takes the first of equals
-    beams, mins = np.arange(len(psi0s)), np.full(len(psi0s), -math.inf)
-    _raise_to_pair_mins(np.full(len(psi0s), worst_psi), psi0s, xis, n, beams, beams, mins)
-    winner = gain_kernel_magnitude(worst_psi * xis - psi0s[int(np.argmax(mins))], n)
-    worst_xi = float(xis[int(np.argmin(winner))])
+    # argmax takes the first of the beams whose band min at the worst angle is best
+    winner = psi0s[int(np.argmax(_band_min(worst_psi, psi0s, band.xi_min, band.xi_max, n)))]
+    worst_xi = float(xis[int(np.argmin(gain_kernel_magnitude(worst_psi * xis - winner, n)))])
 
-    gaps = _failure_gaps(grid, best < pass_level, lambda psi: worst_subcarrier_gain(psi, psi0s, xis, n) - pass_level)
+    gaps = _failure_gaps(grid, best < pass_level, lambda psi: worst_subcarrier_gain(psi, psi0s, band, n) - pass_level)
 
     return CoverageReport(
         passed=not gaps,
@@ -105,9 +104,9 @@ def verify_codebook(
         worst_xi=worst_xi,
         gaps=tuple(gaps),
         threshold_db=-codebook.threshold.db_below_max,
-        slack_db=slack_db,
-        psi_step=psi_step,
-        xi_points=xi_points,
+        slack_db=float(slack_db),
+        psi_step=float(psi_step),
+        xi_points=int(xi_points),
         n_antennas=n,
         psi_m=psi_m,
     )

@@ -19,6 +19,7 @@ from beamsquint.array_model import (
     theta_from_psi,
     worst_subcarrier_gain,
 )
+from beamsquint.squint import BandSpec
 
 from dense_oracle import dense_worst_gain, every_beam_windows, null_count, sampled_worst_gain
 
@@ -369,7 +370,7 @@ def test_kernel_nulls(k, n):
 class TestWorstSubcarrierGain:
     N = 16
     PSI0S = np.linspace(-0.9, 0.9, 5)
-    XIS = np.linspace(0.98, 1.02, 9)  # 5 beams x 9 subcarriers = 45 values per angle
+    BAND = BandSpec(0.04)  # xi in [0.98, 1.02]
     GRID = np.linspace(-1.0, 1.0, 23)
 
     @pytest.mark.parametrize(
@@ -382,7 +383,7 @@ class TestWorstSubcarrierGain:
         ],
     )
     def test_matches_per_beam_loop(self, monkeypatch, chunk, rows):
-        # the pair primitive with every beam on every angle, in blocks of angles
+        # _band_min with every beam on every angle, in blocks of angles
         monkeypatch.setattr(array_model, "_GAIN_CHUNK", chunk)
         blocks = []
 
@@ -391,10 +392,10 @@ class TestWorstSubcarrierGain:
             return gain_kernel_magnitude(x, n)
 
         monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
-        xis = np.linspace(0.9, 1.1, 9)  # a band where some pairs sweep across a null
-        got = every_beam_windows(self.GRID, self.PSI0S, xis, self.N)
-        assert np.array_equal(got, dense_worst_gain(self.GRID, self.PSI0S, xis, self.N))
-        # one 1-D block per chunk, of the xis[0] and xis[-1] values of its
+        band = BandSpec(0.2)  # xi in [0.9, 1.1], where some pairs sweep across a null
+        got = every_beam_windows(self.GRID, self.PSI0S, band, self.N)
+        assert np.array_equal(got, dense_worst_gain(self.GRID, self.PSI0S, band, self.N))
+        # one 1-D block per chunk, of the xi_min and xi_max values of its
         # (angle, beam) pairs, and no other block: a pair across a null takes 0
         expected = [2 * 5 * min(rows, len(self.GRID) - i) for i in range(0, len(self.GRID), rows)]
         assert [x.shape for x in blocks] == [(k,) for k in expected]
@@ -413,9 +414,9 @@ class TestWorstSubcarrierGain:
             return gain_kernel_magnitude(x, n)
 
         monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
-        xis, best = np.linspace(0.98, 1.02, 9), np.full(len(self.GRID), -np.inf)
-        array_model._raise_to_window_mins(self.GRID, np.array([0.45]), xis, self.N, np.array([5]), np.array([17]), np.array([0]), best)
-        want = dense_worst_gain(self.GRID[5:17], [0.45], xis, self.N)
+        best = np.full(len(self.GRID), -np.inf)
+        array_model._raise_to_window_mins(self.GRID, np.array([0.45]), self.BAND, self.N, np.array([5]), np.array([17]), np.array([0]), best)
+        want = dense_worst_gain(self.GRID[5:17], [0.45], self.BAND, self.N)
         assert np.array_equal(best[5:17].view(np.int64), want.view(np.int64))
         assert np.isneginf(best[:5]).all() and np.isneginf(best[17:]).all()
         block = max(1, chunk // 2)
@@ -427,7 +428,7 @@ class TestWorstSubcarrierGain:
         # in order are a view of the caller's: nothing may write through it
         rng = np.random.default_rng(24)
         base = rng.uniform(-1.2, 1.2, 300)
-        foci, xis = rng.uniform(-1.0, 1.0, 12), np.linspace(0.97, 1.03, 65)
+        foci, band = rng.uniform(-1.0, 1.0, 12), BandSpec(0.06)
         cases = {
             "sorted": np.sort(base),
             "reverse-sorted": np.sort(base)[::-1],
@@ -435,26 +436,26 @@ class TestWorstSubcarrierGain:
             "2-D": np.sort(base).reshape(20, 15),
         }
         for name, psi in cases.items():
-            before = [v.copy() for v in (psi, foci, xis)]
-            got = worst_subcarrier_gain(psi, foci, xis, self.N)
-            for now, was in zip((psi, foci, xis), before):
+            before = [v.copy() for v in (psi, foci)]
+            got = worst_subcarrier_gain(psi, foci, band, self.N)
+            for now, was in zip((psi, foci), before):
                 assert np.array_equal(now.view(np.int64), was.view(np.int64)), name
-            want = dense_worst_gain(psi, foci, xis, self.N)
+            want = dense_worst_gain(psi, foci, band, self.N)
             assert got.shape == psi.shape and not np.shares_memory(got, psi), name
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
     def test_scalar_and_shape(self):
-        want = dense_worst_gain(self.GRID, self.PSI0S, self.XIS, self.N)
-        got = worst_subcarrier_gain(self.GRID[7], list(self.PSI0S), self.XIS, self.N)
+        want = dense_worst_gain(self.GRID, self.PSI0S, self.BAND, self.N)
+        got = worst_subcarrier_gain(self.GRID[7], list(self.PSI0S), self.BAND, self.N)
         assert isinstance(got, float)
         assert got == want[7]
         grid2d = self.GRID[:22].reshape(2, 11)
-        got2d = worst_subcarrier_gain(grid2d, self.PSI0S, self.XIS, self.N)
+        got2d = worst_subcarrier_gain(grid2d, self.PSI0S, self.BAND, self.N)
         assert np.array_equal(got2d, want[:22].reshape(2, 11))
 
     def test_no_angles(self):
         for empty in (np.array([]), np.empty((0, 3))):
-            got = worst_subcarrier_gain(empty, self.PSI0S, self.XIS, self.N)
+            got = worst_subcarrier_gain(empty, self.PSI0S, self.BAND, self.N)
             assert got.shape == empty.shape
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -462,28 +463,33 @@ class TestWorstSubcarrierGain:
         # a NaN or infinite angle silently gave -inf before the check
         for psi in (bad, np.array([0.1, bad, 0.3])):
             with pytest.raises(ValueError, match=f"psi must be finite, got {bad!r}"):
-                worst_subcarrier_gain(psi, self.PSI0S, self.XIS, self.N)
+                worst_subcarrier_gain(psi, self.PSI0S, self.BAND, self.N)
         with pytest.raises(ValueError, match="psi0s must be finite"):
-            worst_subcarrier_gain(self.GRID, [0.0, bad], self.XIS, self.N)
+            worst_subcarrier_gain(self.GRID, [0.0, bad], self.BAND, self.N)
 
-    @pytest.mark.parametrize("xis", [[1.0, 0.9, 1.1, 1.0], [1.1, 1.0, 0.9], [], [[0.9, 1.1]]], ids=["unordered", "descending", "empty", "2-D"])
-    def test_xis_must_be_ascending(self, xis):
-        # unordered subcarriers gave wrong gains at 1,455 of these 2,001
-        # angles, by up to 1.59; repeated ones are a band all the same
-        grid = np.linspace(-1.0, 1.0, 2001)
-        with pytest.raises(ValueError, match="xis must be a non-empty ascending 1-D array"):
-            worst_subcarrier_gain(grid, [0.3], xis, 16)
-        got = worst_subcarrier_gain(grid, [0.3], [0.9, 1.0, 1.0, 1.1], 16)
-        assert np.array_equal(got, dense_worst_gain(grid, [0.3], [0.9, 1.1], 16))
+    @pytest.mark.parametrize("b", [0.0, 0.0342, 0.2, 1.9], ids=str)
+    def test_band_is_its_two_edges(self, b):
+        # the band argument is the continuous range [xi_min, xi_max]: at most
+        # the min over any subcarrier grid of it, equal where no pair of the
+        # best beam crosses a null, and the same for an equal band
+        grid, band = np.linspace(-1.0, 1.0, 2001), BandSpec(b)
+        got = worst_subcarrier_gain(grid, [0.3], band, 16)
+        assert np.array_equal(got, dense_worst_gain(grid, [0.3], band, 16))
+        assert np.array_equal(got, worst_subcarrier_gain(grid, [0.3], BandSpec.from_carrier(1.0, b), 16))
+        sampled = sampled_worst_gain(grid, [0.3], band.xi_grid(65), 16)
+        assert np.all(got <= sampled)
+        clear = null_count(grid * band.xi_min - 0.3, 16) == null_count(grid * band.xi_max - 0.3, 16)
+        assert np.array_equal(got[clear].view(np.int64), sampled[clear].view(np.int64))
+        assert clear.all() == (b == 0.0)
 
     def test_windows_overlap_at_the_last_round(self):
         # at h = 1 the windows about the images psi0 - 2 and psi0 meet at
         # psi0 - 1, where rounding leaves a gap of one float between their
         # edges; only the windows' padding puts that angle in one of them
-        psi0, xis = -0.9180529521276106, np.array([1.0])
+        psi0, band = -0.9180529521276106, BandSpec(0.0)
         psi = np.array([-1.9180529521276108, -1.9180529521276106])
-        got = worst_subcarrier_gain(psi, [psi0], xis, 3)
-        assert np.array_equal(got, dense_worst_gain(psi, [psi0], xis, 3))
+        got = worst_subcarrier_gain(psi, [psi0], band, 3)
+        assert np.array_equal(got, dense_worst_gain(psi, [psi0], band, 3))
 
     @pytest.mark.parametrize("n, span", [(2, 1.0), (16, 1.0), (17, 40.0), (64, 3.0), (4096, 30.0)])
     def test_any_angles_in_input_order(self, monkeypatch, n, span):
@@ -493,9 +499,9 @@ class TestWorstSubcarrierGain:
         rounds = []  # whether each round's windows hold every (angle, beam) pair
         primitive = array_model._raise_to_window_mins
 
-        def recording(angles, offsets, xis, n, lo, hi, *rest):
+        def recording(angles, offsets, band, n, lo, hi, *rest):
             rounds.append((hi - lo).sum() >= len(angles) * len(offsets))
-            return primitive(angles, offsets, xis, n, lo, hi, *rest)
+            return primitive(angles, offsets, band, n, lo, hi, *rest)
 
         monkeypatch.setattr(array_model, "_raise_to_window_mins", recording)
         rng = np.random.default_rng([n, 18])
@@ -503,13 +509,11 @@ class TestWorstSubcarrierGain:
         psi = np.concatenate([psi, psi[::5]])
         foci = rng.uniform(-1.6, 1.6, min(2 * n + 1, 40))
         for b in (0.0, 1e-9, float(rng.uniform(0.0, 0.3)), 1.9):
-            for m in (2, 5, 65):
-                xis = np.linspace(1 - b / 2, 1 + b / 2, m)
-                rounds.clear()
-                got = worst_subcarrier_gain(psi, foci, xis, n)
-                want = dense_worst_gain(psi, foci, xis, n)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (b, m)
-                assert (rounds == [True]) == (n == 4096)
+            rounds.clear()
+            got = worst_subcarrier_gain(psi, foci, BandSpec(b), n)
+            want = dense_worst_gain(psi, foci, BandSpec(b), n)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), b
+            assert (rounds == [True]) == (n == 4096)
 
 
 def spans_null(x0, x1, n):
@@ -520,11 +524,12 @@ def spans_null(x0, x1, n):
 
 
 class TestPairBatch:
-    """The lobe rule of the pair primitive: a pair is evaluated at its two
-    band edges only, and takes 0 when a null lies between them, else its
-    smaller edge value."""
+    """The lobe rule of ``_band_min``: a pair is evaluated at its two band
+    edges only, and takes 0 when a null lies between them, else its smaller
+    edge value."""
 
-    XIS = np.linspace(0.9829, 1.0171, 65)
+    BAND = BandSpec(0.0342)  # xi in [0.9829, 1.0171]
+    XIS = BAND.xi_grid(65)
 
     def record(self, monkeypatch):
         blocks = []
@@ -546,7 +551,7 @@ class TestPairBatch:
     def test_pair_off_the_main_lobe_takes_two_evaluations(self, monkeypatch, focus):
         # both went to all 65 subcarriers under the main-lobe-only screen
         blocks = self.record(monkeypatch)
-        (got,) = every_beam_windows([0.01], [focus], self.XIS, 16)
+        (got,) = every_beam_windows([0.01], [focus], self.BAND, 16)
         assert blocks == [(2,)]
         assert got == gain_kernel_magnitude(0.01 * self.XIS - focus, 16).min()
 
@@ -555,7 +560,7 @@ class TestPairBatch:
         # -0.37483, across the null -3/8: its min over the band is 0, which
         # no subcarrier of the grid reaches
         blocks = self.record(monkeypatch)
-        (got,) = every_beam_windows([0.01], [0.385], self.XIS, 16)
+        (got,) = every_beam_windows([0.01], [0.385], self.BAND, 16)
         assert blocks == [(2,)]
         assert got == 0.0 < gain_kernel_magnitude(0.01 * self.XIS - 0.385, 16).min()
 
@@ -563,7 +568,7 @@ class TestPairBatch:
         # the same pair next to the beam focused on 0, near its peak: four
         # evaluations, and the best is that beam's band-edge min
         blocks = self.record(monkeypatch)
-        (got,) = every_beam_windows([0.01], [0.0, 0.385], self.XIS, 16)
+        (got,) = every_beam_windows([0.01], [0.0, 0.385], self.BAND, 16)
         assert blocks == [(4,)]
         assert got == gain_kernel_magnitude(0.01 * self.XIS, 16).min()
 
@@ -571,25 +576,42 @@ class TestPairBatch:
         # a band this wide sweeps most pairs across a null: each takes 0 from
         # its two band-edge values, in 1-D blocks of at most a chunk
         blocks = self.record(monkeypatch)
-        grid, foci, xis = np.linspace(-1, 1, 2001), np.linspace(-0.9, 0.9, 10), np.linspace(0.05, 1.95, 65)
-        got = every_beam_windows(grid, foci, xis, 4)
+        grid, foci, band = np.linspace(-1, 1, 2001), np.linspace(-0.9, 0.9, 10), BandSpec(1.9)
+        got = every_beam_windows(grid, foci, band, 4)
         assert all(len(shape) == 1 and shape[0] <= array_model._GAIN_CHUNK for shape in blocks)
         assert sum(shape[0] for shape in blocks) == 2 * grid.size * foci.size
-        lo, hi = (np.subtract.outer(grid * xi, foci) for xi in (xis[0], xis[-1]))
+        lo, hi = (np.subtract.outer(grid * xi, foci) for xi in (band.xi_min, band.xi_max))
         assert np.count_nonzero(null_count(lo, 4) != null_count(hi, 4)) > 0.5 * grid.size * foci.size
-        assert np.array_equal(got.view(np.int64), dense_worst_gain(grid, foci, xis, 4).view(np.int64))
+        assert np.array_equal(got.view(np.int64), dense_worst_gain(grid, foci, band, 4).view(np.int64))
 
     def test_crowded_beams_take_two_evaluations_per_pair(self, monkeypatch):
         # 200 beams within +-0.01 at N=64, at angles where some of them
         # cross a null: every pair costs its two band-edge values, no more
         blocks = self.record(monkeypatch)
         grid, foci = np.linspace(-1, 1, 401), np.linspace(-0.01, 0.01, 200)
-        xis = np.linspace(0.995, 1.005, 65)
-        got = every_beam_windows(grid, foci, xis, 64)
+        band = BandSpec(0.01)
+        got = every_beam_windows(grid, foci, band, 64)
         assert all(len(shape) == 1 for shape in blocks)
         assert sum(shape[0] for shape in blocks) == 2 * grid.size * foci.size
-        want = dense_worst_gain(grid, foci, xis, 64)
+        want = dense_worst_gain(grid, foci, band, 64)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_band_min_is_the_one_focus_oracle(seed):
+    # seeded wide bands, negative angles as a column against foci as a row:
+    # every broadcast pair is the dense oracle with that one focus, bit for
+    # bit, some pairs cross a null, and a scalar pair is a float
+    rng = np.random.default_rng([seed, 27])
+    n, band = int(rng.choice([3, 8, 16, 17])), BandSpec(float(rng.uniform(0.05, 1.99)))
+    psi, foci = -rng.uniform(0.0, 1.0, (40, 1)), rng.uniform(-1.5, 1.5, 7)
+    got = array_model._band_min(psi, foci, band.xi_min, band.xi_max, n)
+    want = np.stack([dense_worst_gain(psi[:, 0], [f], band, n) for f in foci], axis=1)
+    assert got.shape == (40, 7)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert (got == 0.0).any() and (got > 0.0).any()
+    one = array_model._band_min(float(psi[3, 0]), float(foci[2]), band.xi_min, band.xi_max, n)
+    assert isinstance(one, float) and one == got[3, 2]
 
 
 class TestBandEdgeScreen:
@@ -604,36 +626,32 @@ class TestBandEdgeScreen:
         rng = np.random.default_rng(seed)
         if b is None:
             b = rng.uniform(0.0, 1.99)
-        foci = np.sort(rng.uniform(-1.5, 1.5, 9))
-        return foci, [np.linspace(1 - b / 2, 1 + b / 2, m) for m in (2, 3, 4, 5, 9, 65)]
+        return np.sort(rng.uniform(-1.5, 1.5, 9)), BandSpec(b)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 16, 17, 64])
     @pytest.mark.parametrize("b", [0.0, 1e-12, 1e-9, 1e-6, None], ids=str)
     def test_bits_equal_dense(self, n, b):
         for seed in range(3):
-            foci, grids = self.case(n, b, [n, seed])
-            for xis in grids:
-                got = worst_subcarrier_gain(self.GRID, foci, xis, n)
-                want = dense_worst_gain(self.GRID, foci, xis, n)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, len(xis))
+            foci, band = self.case(n, b, [n, seed])
+            got = worst_subcarrier_gain(self.GRID, foci, band, n)
+            want = dense_worst_gain(self.GRID, foci, band, n)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), seed
 
     @pytest.mark.parametrize("n", [3, 16, 17])
     @pytest.mark.parametrize("b", [1e-9, None], ids=str)
     def test_one_batch_of_pairs(self, n, b):
-        # every (angle, beam) pair of the grid in one batch gives the dense
-        # bits; the pairs across a null alone lift their angles to 0 exactly
-        foci, grids = self.case(n, b, [n, 7])
+        # every (angle, beam) pair of the grid in one _band_min call gives the
+        # dense bits; the pairs across a null alone take 0 exactly
+        foci, band = self.case(n, b, [n, 7])
         rows, beams = np.divmod(np.arange(self.GRID.size * foci.size), foci.size)
-        for xis in grids:
-            got = np.full(self.GRID.size, -np.inf)
-            array_model._raise_to_pair_mins(self.GRID, foci, xis, n, rows, beams, got)
-            want = dense_worst_gain(self.GRID, foci, xis, n)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            crosses = [spans_null(psi * xis[0] - f, psi * xis[-1] - f, n) for psi, f in zip(self.GRID[rows], foci[beams])]
-            got = np.full(self.GRID.size, -np.inf)
-            array_model._raise_to_pair_mins(self.GRID, foci, xis, n, rows[crosses], beams[crosses], got)
-            assert np.array_equal(got, np.where(np.isin(np.arange(self.GRID.size), rows[crosses]), 0.0, -np.inf))
-            assert any(crosses) == (b is None)
+        mins = array_model._band_min(self.GRID[rows], foci[beams], band.xi_min, band.xi_max, n)
+        got = np.full(self.GRID.size, -np.inf)
+        np.maximum.at(got, rows, mins)
+        want = dense_worst_gain(self.GRID, foci, band, n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        crosses = np.array([spans_null(psi * band.xi_min - f, psi * band.xi_max - f, n) for psi, f in zip(self.GRID[rows], foci[beams])])
+        assert np.array_equal(mins == 0.0, crosses)
+        assert crosses.any() == (b is None)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_continuous_under_every_sampled_grid(self, seed):
@@ -645,8 +663,8 @@ class TestBandEdgeScreen:
             n = int(rng.choice([2, 3, 8, 16, 17, 64]))
             b = float(rng.uniform(0.05, 1.99))
             foci = rng.uniform(-1.5, 1.5, int(rng.integers(1, 9)))
-            fine = np.linspace(1 - b / 2, 1 + b / 2, 4097)
-            continuous = worst_subcarrier_gain(grid, foci, fine, n)
+            fine = BandSpec(b).xi_grid(4097)
+            continuous = worst_subcarrier_gain(grid, foci, BandSpec(b), n)
             dense, coarse = (sampled_worst_gain(grid, foci, xis, n) for xis in (fine, fine[::64]))
             assert np.all(continuous <= dense) and np.all(dense <= coarse)
             lo, hi = (np.subtract.outer(grid * xi, foci) for xi in (fine[0], fine[-1]))

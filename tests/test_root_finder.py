@@ -94,11 +94,11 @@ def _batch_margin():
     worst-subcarrier margin of the narrowband N=16 codebook under squint
     (16 gaps), from 2 on the line ``3 - p``, which is exactly 0 at 3."""
     book = design_no_squint(16, 1.0)
-    xis, level = BandSpec(0.0342).xi_grid(65), GainThreshold().absolute(16)
+    band, level = BandSpec(0.0342), GainThreshold().absolute(16)
 
     def margin(p):
         p = np.asarray(p, dtype=float)
-        return np.where(p < 2.0, worst_subcarrier_gain(p, book.foci, xis, 16) - level, 3.0 - p)
+        return np.where(p < 2.0, worst_subcarrier_gain(p, book.foci, band, 16) - level, 3.0 - p)
 
     return margin
 

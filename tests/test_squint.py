@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,9 +38,15 @@ class TestBandSpec:
 
     def test_xi_grid_fits_one_kernel_block(self):
         assert len(BAND.xi_grid(16384)) == 16384
-        for points in (1, 16385, 10**6):
-            with pytest.raises(ValueError, match="xi grid needs 2 to 16384 points, got"):
-                BAND.xi_grid(points)
+        # an integral count only, refused by name at any b: 65.5 gave 65.5
+        # points' worth at b = 0 and numpy's TypeError at b > 0, "65" a
+        # TypeError from <=
+        for points in (1, 16385, 10**6, 65.5, "65", math.nan, math.inf, None):
+            for band in (BAND, BandSpec(0.0)):
+                with pytest.raises(ValueError, match=re.escape(f"xi grid needs 2 to 16384 points, got {points!r}")):
+                    band.xi_grid(points)
+        for points in (np.int64(65), 65.0):
+            assert np.array_equal(BAND.xi_grid(points), BAND.xi_grid(65))
 
     def test_xi_range(self):
         assert BAND.xi_min == 1 - 0.0171
@@ -290,7 +297,6 @@ def reference_numeric_coverage(
     if not math.isfinite(psi0):
         raise ValueError(f"psi0 must be finite, got {psi0!r}")
     thr = threshold if threshold is not None else GainThreshold()
-    xis = np.array([band.xi_min, band.xi_max])
     floor = thr.absolute(n)
 
     # Search window: the main lobe spans |xi*psi_c - psi0| < 2/N (first
@@ -306,7 +312,7 @@ def reference_numeric_coverage(
     grid = np.linspace(lo_w, hi_w, n_pts + 1)
 
     psi0s = np.array([psi0])
-    q = dense_worst_gain(grid, psi0s, xis, n)
+    q = dense_worst_gain(grid, psi0s, band, n)
     peak = int(np.argmax(q))
     if q[peak] < floor:
         return None
@@ -314,7 +320,7 @@ def reference_numeric_coverage(
     left, right = next((i, j) for i, j in _runs(q >= floor) if i <= peak <= j)
 
     def margin(psi_c: np.ndarray) -> np.ndarray:
-        return dense_worst_gain(psi_c, psi0s, xis, n) - floor
+        return dense_worst_gain(psi_c, psi0s, band, n) - floor
 
     # both edges refined together; a window end pairs with itself and stays
     pairs = [(grid[left], grid[max(left - 1, 0)]), (grid[right], grid[min(right + 1, len(grid) - 1)])]
@@ -362,8 +368,8 @@ SEEDED_FAMILY = [
 
 
 def test_numeric_coverage_keeps_the_reference_bits():
-    # the scan and the refiner take each angle's band min through the pair
-    # primitive, in blocks; neither may change a bit
+    # the scan and the refiner take each angle's band min through
+    # _band_min, the scan in blocks; neither may change a bit
     kinds = set()
     for n, b, psi0, ratio, step in SEEDED_FAMILY:
         args = psi0, BandSpec(b), n, GainThreshold(ratio), step
@@ -396,21 +402,21 @@ def test_numeric_coverage_takes_two_evaluations_per_angle(monkeypatch):
 
 
 def _record_scan(monkeypatch):
-    """The number of angles of each pair-primitive call of numeric_coverage
+    """The number of angles of each ``_band_min`` call of numeric_coverage
     (its scan's blocks, then one per refinement round), and the shape of
     each kernel block that array_model evaluates."""
     grids, blocks = [], []
-    scan = squint._raise_to_pair_mins
+    scan = squint._band_min
 
     def recording_scan(angles, *args):
-        grids.append(len(angles))
+        grids.append(np.size(angles))
         return scan(angles, *args)
 
     def recording_kernel(x, n):
         blocks.append(np.shape(x))
         return gain_kernel_magnitude(x, n)
 
-    monkeypatch.setattr(squint, "_raise_to_pair_mins", recording_scan)
+    monkeypatch.setattr(squint, "_band_min", recording_scan)
     monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording_kernel)
     return grids, blocks
 

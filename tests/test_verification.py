@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -97,12 +99,26 @@ class TestVerifyCodebook:
         assert doc["gaps"] == []
         assert doc["n_antennas"] == 16
         assert doc["xi_points"] == 65
+        # numpy parameters that the checks accept are stored as the Python
+        # int and floats they equal: an int64 count or a float32 step or
+        # slack made to_json raise TypeError
+        args = dict(psi_step=np.float32(1e-3), xi_points=np.int64(65), slack_db=np.float32(0.2))
+        report = verify_codebook(design_no_squint(8, 1.0), **args)
+        assert [type(getattr(report, k)) for k in args] == [float, int, float]
+        assert (report.psi_step, report.xi_points, report.slack_db) == (float(np.float32(1e-3)), 65, float(np.float32(0.2)))
+        assert json.loads(report.to_json())["xi_points"] == 65
+        assert verify_codebook(book16, psi_step=1e-3, xi_points=65.0).xi_points == 65
 
     def test_validates_parameters(self, book16):
         with pytest.raises(ValueError):
             verify_codebook(book16, psi_step=0.0)
         with pytest.raises(ValueError):
             verify_codebook(book16, slack_db=-0.1)
+        # a non-integral count is refused by name at any b, before any grid
+        for book in (book16, design_no_squint(8, 1.0)):
+            for points in (65.5, "65"):
+                with pytest.raises(ValueError, match=re.escape(f"xi grid needs 2 to 16384 points, got {points!r}")):
+                    verify_codebook(book, psi_step=1e-3, xi_points=points)
 
     def test_xi_points_refused_before_any_grid(self, book16):
         # the worst-xi search holds beams x xi_points at once: without the
@@ -376,11 +392,11 @@ def test_memory_bounded_when_most_pairs_cross_a_null(monkeypatch):
 
     monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
     grid, foci = np.linspace(-1, 1, 20001), np.linspace(-0.9, 0.9, 10)
-    xis = np.linspace(0.05, 1.95, 65)
-    assert _peak_bytes(lambda: every_beam_windows(grid, foci, xis, 4)) < 4e6
+    band = BandSpec(1.9)
+    assert _peak_bytes(lambda: every_beam_windows(grid, foci, band, 4)) < 4e6
     assert all(len(shape) == 1 and shape[0] <= array_model._GAIN_CHUNK for shape in blocks)
     assert sum(shape[0] for shape in blocks) == 2 * grid.size * foci.size
-    lo, hi = (np.subtract.outer(grid * xi, foci) for xi in (xis[0], xis[-1]))
+    lo, hi = (np.subtract.outer(grid * xi, foci) for xi in (band.xi_min, band.xi_max))
     assert np.count_nonzero(null_count(lo, 4) != null_count(hi, 4)) > 0.5 * grid.size * foci.size
 
 
@@ -399,24 +415,24 @@ def reference_verify_codebook(
         raise ValueError(f"psi_step must lie in (0, psi_m={psi_m!r}], got {psi_step!r}")
     if not (math.isfinite(slack_db) and slack_db >= 0):
         raise ValueError(f"slack_db must be finite and >= 0, got {slack_db!r}")
-    n = codebook.n_antennas
-    xis = codebook.band.xi_grid(xi_points)
+    n, band = codebook.n_antennas, codebook.band
+    xis = band.xi_grid(xi_points)
     psi0s = np.array([beam.psi0 for beam in codebook.beams])
     pass_level = codebook.threshold.absolute(n) * 10.0 ** (-slack_db / 20.0)
 
     steps = int(round(2.0 * psi_m / psi_step))
     grid = np.linspace(-psi_m, psi_m, steps + 1)
-    best = dense_worst_gain(grid, psi0s, xis, n)
+    best = dense_worst_gain(grid, psi0s, band, n)
 
     worst_idx = int(np.argmin(best))
     worst_psi = float(grid[worst_idx])
     # the weakest grid xi of the first beam with the largest band min at the worst angle
-    mins = [dense_worst_gain(worst_psi, [psi0], xis, n) for psi0 in psi0s]
+    mins = [dense_worst_gain(worst_psi, [psi0], band, n) for psi0 in psi0s]
     winner = gain_kernel_magnitude(worst_psi * xis - psi0s[int(np.argmax(mins))], n)
     worst_xi = float(xis[int(np.argmin(winner))])
 
     def margin(psi: np.ndarray) -> np.ndarray:
-        return dense_worst_gain(psi, psi0s, xis, n) - pass_level
+        return dense_worst_gain(psi, psi0s, band, n) - pass_level
 
     gaps = _failure_gaps(grid, best < pass_level, margin)
 
@@ -448,7 +464,7 @@ def test_worst_xi_is_read_off_the_beam_that_sets_the_worst_gain():
     report = verify_codebook(book, psi_step=0.83 / 50, xi_points=5)
     xis = band.xi_grid(5)
     near, far = (gain_kernel_magnitude(report.worst_psi * xis - f, 4) for f in (-0.04, 0.6))
-    assert far.min() > near.min() > 0.0 == dense_worst_gain(report.worst_psi, [0.6], xis, 4)
+    assert far.min() > near.min() > 0.0 == dense_worst_gain(report.worst_psi, [0.6], band, 4)
     assert report.worst_gain_db == _to_db(near.min() / 2.0)
     assert report.worst_xi == xis[int(np.argmin(near))] == band.xi_max
     assert report == reference_verify_codebook(book, psi_step=0.83 / 50, xi_points=5)
@@ -531,29 +547,27 @@ class TestWindowedSweepIsExact:
         # b runs from 0 up to near the bound; the dense oracle takes one beam
         # at a time, in no chunks
         batches = []
-        primitive = array_model._raise_to_pair_mins
+        primitive = array_model._band_min
 
-        def recording(*args):  # (angles, offsets, xis, n, rows, beams, best)
-            batches.append(len(args[4]))
-            return primitive(*args)
+        def recording(psi, *args):  # one angle per pair
+            batches.append(np.size(psi))
+            return primitive(psi, *args)
 
-        monkeypatch.setattr(array_model, "_raise_to_pair_mins", recording)
+        monkeypatch.setattr(array_model, "_band_min", recording)
         rng = np.random.default_rng([n, 12])
         grid = np.linspace(-1.0, 1.0, 2001)
         bound = max_fractional_bandwidth(n, 1.0)
         for b in (0.0, float(rng.uniform(0.0, bound)), 0.99 * bound):
             foci = np.sort(rng.uniform(-1.5, 1.5, int(rng.integers(1, 2 * n + 2))))
-            for m in (2, 3, 4, 5, 65):
-                xis = BandSpec(b).xi_grid(m)
-                dense = dense_worst_gain(grid, foci, xis, n)
-                batches.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(array_model, "_GAIN_CHUNK", chunk)
-                    windowed = worst_subcarrier_gain(grid, foci, xis, n)
-                assert np.array_equal(windowed.view(np.int64), dense.view(np.int64)), (b, m)
-                # a block holds at most a chunk of band-edge values (two per
-                # pair), or one angle's windows: at most two per beam
-                assert max(batches) * 2 <= max(chunk, 4 * len(foci))
+            dense = dense_worst_gain(grid, foci, BandSpec(b), n)
+            batches.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(array_model, "_GAIN_CHUNK", chunk)
+                windowed = worst_subcarrier_gain(grid, foci, BandSpec(b), n)
+            assert np.array_equal(windowed.view(np.int64), dense.view(np.int64)), b
+            # a block holds at most a chunk of band-edge values (two per
+            # pair), or one angle's windows: at most two per beam
+            assert max(batches) * 2 <= max(chunk, 4 * len(foci))
 
     def test_designed_codebook_final_after_first_round(self, monkeypatch, book16):
         # the first round's windows (h = 1/N), over several blocks of angles
@@ -612,12 +626,12 @@ class TestWindowedSweepIsExact:
         # and beats the beam focused at -edge by a few ulps, so best there
         # is only exact with the lobe images k != 0 in the windows
         n, b = 17, 0.05
-        xis = BandSpec(b).xi_grid(65)
-        near, far = (dense_worst_gain(-1.0, [f], xis, n) for f in (-edge, edge))
+        band = BandSpec(b)
+        near, far = (dense_worst_gain(-1.0, [f], band, n) for f in (-edge, edge))
         assert near < far
         grid = np.linspace(-1.0, 1.0, 2001)
-        dense = dense_worst_gain(grid, [-edge, edge], xis, n)
-        windowed = worst_subcarrier_gain(grid, [-edge, edge], xis, n)
+        dense = dense_worst_gain(grid, [-edge, edge], band, n)
+        windowed = worst_subcarrier_gain(grid, [-edge, edge], band, n)
         assert windowed[0] == far
         assert np.array_equal(windowed.view(np.int64), dense.view(np.int64))
 
