@@ -114,9 +114,12 @@ class ArrayGeometry(_Record):
 
 
 def _check_n(n_antennas: int) -> int:
-    if n_antennas != int(n_antennas) or int(n_antennas) < 2:
-        raise ValueError(f"n_antennas must be an integer >= 2, got {n_antennas!r}")
-    return int(n_antennas)
+    try:  # the range first, so that int() meets no infinity, NaN or non-number
+        if 2 <= n_antennas < math.inf and n_antennas == int(n_antennas):
+            return int(n_antennas)
+    except TypeError:  # None or a string: no order with 2
+        pass
+    raise ValueError(f"n_antennas must be an integer >= 2, got {n_antennas!r}")
 
 
 def _check_psi(psi: float) -> None:
@@ -355,6 +358,25 @@ def _band_min(psi, psi0, xi_min, xi_max, n):
     lobe = np.floor((0.5 * n) * x) - np.floor(0.5 * x)  # nulls up to x, less the peaks 2k
     mins = np.where(lobe[:m] != lobe[m:], 0.0, np.minimum(g[:m], g[m:]))
     return float(mins[0]) if lo.ndim == 0 else mins.reshape(lo.shape)
+
+
+def _nearest_beam_floor(psi, psi0s, xi_min, xi_max, n):
+    """A lower bound, per angle of the 1-D ``psi``, on the best
+    :func:`_band_min` over ``psi0s``: that of the focus nearest at the
+    carrier, in any order of foci, from one kernel value per angle. Where both
+    of its band-edge offsets lie inside the main lobe, ``|x| < 1.999/N``,
+    ``|g|`` is even and falls with ``|x|``, so its band min is ``|g|`` at the
+    larger ``|x|``, less 1e-12 for the ulps by which two computed values on
+    the flat peak can swap order; elsewhere the bound is 0."""
+    import numpy as np
+    foci = np.sort(psi0s)
+    mid, low = 0.5 * (foci[1:] + foci[:-1]), np.empty(len(psi))
+    for a in range(0, len(psi), _GAIN_CHUNK):  # in blocks: no other temporary as large as psi
+        part = psi[a : a + _GAIN_CHUNK]
+        p = foci[np.searchsorted(mid, part)]
+        x = np.maximum(np.abs(part * xi_min - p), np.abs(part * xi_max - p))
+        low[a : a + _GAIN_CHUNK] = np.where(x < 1.999 / n, gain_kernel_magnitude(x, n) * (1.0 - 1e-12), 0.0)
+    return low
 
 
 def equivalent_aoa(theta_c: float, xi: float) -> float:

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .array_model import ArrayGeometry, _Record, _check_n, _fine_phases, _public
-from .squint import HALF_POWER_CONSTANT, BandSpec, CoverageInterval, GainThreshold, half_power_beamwidth, squinted_coverage
+from .squint import _DEFAULT_THRESHOLD, HALF_POWER_CONSTANT, BandSpec, CoverageInterval, GainThreshold, half_power_beamwidth, squinted_coverage
 
 # Absolute slack on tiling comparisons; stops roundoff at an exact tiling
 # boundary from adding a spurious extra beam.
@@ -346,7 +346,7 @@ def design_with_squint(n_antennas: int, band: BandSpec, psi_m: float) -> DesignO
     psi_m = _check_psi_m(psi_m)
     foci = _foci(n, band, psi_m)
     if foci is not None:
-        return DesignOutcome(codebook=Codebook(foci, psi_m, band, n, GainThreshold()))
+        return DesignOutcome(codebook=Codebook(foci, psi_m, band, n, _DEFAULT_THRESHOLD))
     b, bound = band.fractional_bandwidth, max_fractional_bandwidth(n, psi_m)
     reason = (
         f"fractional bandwidth {b:.6f} is not below the bound {bound:.6f} = 1.772/(psi_m*N) for N={n}, psi_m={psi_m:g}"

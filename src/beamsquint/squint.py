@@ -114,6 +114,9 @@ class GainThreshold(_Record):
         return self.ratio_to_max * math.sqrt(_check_n(n_antennas))
 
 
+_DEFAULT_THRESHOLD = GainThreshold()  # frozen, so one record serves every default
+
+
 class CoverageInterval(_Record):
     """Carrier-frequency angles [lo, hi] over which a beam meets the gain
     threshold at every frequency of the band.
@@ -153,7 +156,7 @@ def half_power_beamwidth(n_antennas: int) -> float:
     return HALF_POWER_CONSTANT / _check_n(n_antennas)
 
 
-def exact_half_power_beamwidth(n_antennas: int, threshold: GainThreshold = GainThreshold()) -> float:
+def exact_half_power_beamwidth(n_antennas: int, threshold: GainThreshold = _DEFAULT_THRESHOLD) -> float:
     """Kernel-exact width of the main lobe above the threshold.
 
     Root of ``|g(x)| = ratio*sqrt(N)`` on the main lobe, refined to 1e-12,
@@ -230,7 +233,7 @@ def numeric_coverage(
     psi0: float,
     band: BandSpec,
     n_antennas: int,
-    threshold: GainThreshold = GainThreshold(),
+    threshold: GainThreshold = _DEFAULT_THRESHOLD,
     psi_step: float = 1e-4,
 ) -> CoverageInterval | None:
     """Measure a beam's coverage by brute force.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .array_model import _Record, _band_min, _public, gain_kernel_magnitude, worst_subcarrier_gain
+from .array_model import _Record, _band_min, _nearest_beam_floor, _public, gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, _foci, max_antennas, max_fractional_bandwidth, min_size_no_squint
 from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps
 
@@ -65,8 +65,12 @@ def verify_codebook(
     continuous band ``[xi_min, xi_max]`` of ``|g(xi*psi - psi0)|``, which is
     0 for a beam whose band sweeps it across a null and otherwise its
     smaller band-edge value (:func:`worst_subcarrier_gain` on
-    ``codebook.band``, which also gives the refinement margin). Failures are
-    data, not exceptions; gap edges are refined to 1e-9. ``slack_db`` absorbs
+    ``codebook.band``, which also gives the refinement margin), taken only
+    where the screen ``low`` (``array_model._nearest_beam_floor``, one kernel
+    value per angle) is at most ``bar``, the larger of the pass level and the
+    best where ``low`` is least. Any other angle has best >= low > bar >= the
+    worst best and passes, so no bit of the report moves. Failures are data,
+    not exceptions; gap edges are refined to 1e-9. ``slack_db`` absorbs
     the 1.772/N beamwidth approximation when certifying constant-width
     designs (use 0 for exact-width designs). ``xi_points``, an integer count,
     sets only the subcarrier grid on which ``worst_xi`` is read: the weakest
@@ -87,7 +91,12 @@ def verify_codebook(
 
     steps = int(round(2.0 * psi_m / psi_step))
     grid = np.linspace(-psi_m, psi_m, steps + 1)
-    best = worst_subcarrier_gain(grid, psi0s, band, n)
+    low = _nearest_beam_floor(grid, psi0s, band.xi_min, band.xi_max, n)
+    bar = max(float(_band_min(grid[np.argmin(low)], psi0s, band.xi_min, band.xi_max, n).max()), pass_level)
+    cand = np.flatnonzero(low <= bar)
+    best = low  # in low's memory: +inf off the candidates
+    best[:] = math.inf
+    best[cand] = worst_subcarrier_gain(grid[cand], psi0s, band, n)
 
     worst_idx = int(np.argmin(best))
     worst_psi = float(grid[worst_idx])

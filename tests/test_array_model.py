@@ -19,6 +19,7 @@ from beamsquint.array_model import (
     theta_from_psi,
     worst_subcarrier_gain,
 )
+from beamsquint.codebook import design_with_squint
 from beamsquint.squint import BandSpec
 
 from dense_oracle import dense_worst_gain, every_beam_windows, null_count, sampled_worst_gain
@@ -37,6 +38,16 @@ class TestGeometry:
     def test_rejects_single_element(self):
         with pytest.raises(ValueError):
             ArrayGeometry(1)
+        # nor anything but an integer >= 2, with the same message: the range is
+        # checked before int(), which raised OverflowError at inf, Python's own
+        # message at NaN and TypeError at None
+        for n in (True, "8", 2.5, math.inf, -math.inf, math.nan, None):
+            with pytest.raises(ValueError, match=rf"^n_antennas must be an integer >= 2, got {re.escape(repr(n))}$"):
+                ArrayGeometry(n)
+        with pytest.raises(ValueError, match=r"^n_antennas must be an integer >= 2, got inf$"):
+            design_with_squint(math.inf, BandSpec(0.01), 1.0)
+        for n in (np.int64(8), 8.0):
+            assert type(ArrayGeometry(n).n_antennas) is int and ArrayGeometry(n) == ArrayGeometry(8)
 
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
@@ -672,3 +683,27 @@ class TestBandEdgeScreen:
             assert clear.any() and not clear.all()
             for got in (dense, coarse):
                 assert np.array_equal(continuous[clear].view(np.int64), got[clear].view(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+def test_nearest_beam_floor_is_at_most_the_best(monkeypatch, n):
+    # verify's screen bound at every angle of a grid, at each focus and the
+    # floats next to it (where the two band-edge offsets mirror each other and
+    # their kernel values tie on the flat peak), against the cascade's best:
+    # seeded codebooks with foci out to +-1.6, b from 0 to 1.999, and one beam;
+    # in blocks of 160 angles, with the foci reversed, it gives the same bits
+    rng, screened, total = np.random.default_rng([n, 29]), 0, 0
+    for case in range(24):
+        b = float(rng.choice([0.0, 1.999, rng.uniform(0.0, 0.5 / n), rng.uniform(0.0, 1.999)]))
+        foci = np.sort(rng.uniform(-1.6, 1.6, 1 if case % 6 == 0 else int(rng.integers(2, 2 * n + 3))))
+        grid = np.concatenate([np.linspace(-1.0, 1.0, 2001), foci, np.nextafter(foci, -2.0), np.nextafter(foci, 2.0)])
+        band = BandSpec(b)
+        floor = array_model._nearest_beam_floor(grid, foci, band.xi_min, band.xi_max, n)
+        best = worst_subcarrier_gain(grid, foci, band, n)
+        assert np.all(floor <= best), (case, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(array_model, "_GAIN_CHUNK", 160)
+            blocks = array_model._nearest_beam_floor(grid, foci[::-1], band.xi_min, band.xi_max, n)
+        assert np.array_equal(blocks.view(np.int64), floor.view(np.int64))
+        screened, total = screened + np.count_nonzero(floor), total + grid.size
+    assert screened > total / 6  # the bound is not 0 everywhere

@@ -611,8 +611,8 @@ class TestTilingStep:
             (lambda: sweep_size_vs_b([16], [0.05], math.nan), r"psi_m must lie in \(0, 1\], got nan"),
             (lambda: sweep_size_vs_n([math.nan], [16]), "fractional_bandwidth must satisfy 0 <= b < 2, got nan"),
             (lambda: sweep_size_vs_b([16], [math.nan]), "fractional_bandwidth must satisfy 0 <= b < 2, got nan"),
-            (lambda: sweep_size_vs_n([0.0], [math.nan]), "cannot convert float NaN to integer"),
-            (lambda: sweep_size_vs_b([math.nan], [0.0]), "cannot convert float NaN to integer"),
+            (lambda: sweep_size_vs_n([0.0], [math.nan]), "n_antennas must be an integer >= 2, got nan"),
+            (lambda: sweep_size_vs_b([math.nan], [0.0]), "n_antennas must be an integer >= 2, got nan"),
         ],
     )
     def test_sweeps_refuse_bad_input_as_before(self, sweep, message):

@@ -360,11 +360,12 @@ def test_memory_grows_with_grid_points_only():
 
 
 def test_memory_of_a_fine_verify_stays_with_the_grid():
-    # 1,000,001 angles: one pair batch per block of grid angles peaks at
-    # 39 MB, about what the grid's own arrays take; every window's pairs
-    # in one batch peaked at 553 MB
+    # 1,000,001 angles: the screen's bound, built in blocks into one array
+    # that then holds the best, and the grid peak at 17 MB; the cascade on
+    # every angle peaked at 25 MB, a screen without blocks at 58 MB, and
+    # every window's pairs in one batch at 553 MB
     book = design_with_squint(64, BandSpec(0.0179), 1.0).codebook
-    assert _peak_bytes(lambda: verify_codebook(book, psi_step=2e-6)) < 45e6
+    assert _peak_bytes(lambda: verify_codebook(book, psi_step=2e-6)) < 30e6
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -481,8 +482,8 @@ def test_verify_takes_foci_the_wire_format_cannot_hold(foci):
 
 def _record_rounds(monkeypatch):
     """Angles per round of the window cascade, one list per call of
-    worst_subcarrier_gain that verification makes: its grid first, then
-    each refinement round of its gap edges."""
+    verification.worst_subcarrier_gain: in a verify, the angles its screen
+    keeps first, then each refinement round of its gap edges."""
     calls = []
     primitive, cascade = array_model._raise_to_window_mins, verification.worst_subcarrier_gain
 
@@ -574,8 +575,17 @@ class TestWindowedSweepIsExact:
         # at the default step, lift every angle of a covering codebook above
         # E(1/N) = |g(1/N)|: no angle goes on to a second round
         calls = _record_rounds(monkeypatch)
-        assert verify_codebook(book16).passed
+        verification.worst_subcarrier_gain(np.linspace(-1.0, 1.0, 20001), book16.foci, BAND, 16)
         assert calls == [[20001]]
+        # verify's screen sends the cascade one candidate: every other
+        # angle's nearest beam clears the bar
+        calls.clear()
+        assert verify_codebook(book16).passed
+        assert calls == [[1]]
+        # as with the foci in descending order, which a codebook built directly may hold
+        calls.clear()
+        assert verify_codebook(dataclasses.replace(book16, foci=book16.foci[::-1])).passed
+        assert calls == [[1]]
 
     def test_deep_gaps_shrink_round_by_round(self, monkeypatch):
         # a narrowband N=64 codebook under b = 0.0342 has 60 gaps; the angles
@@ -585,9 +595,14 @@ class TestWindowedSweepIsExact:
         # so they are final after the cascade's first round
         calls = _record_rounds(monkeypatch)
         book = dataclasses.replace(design_no_squint(64, 1.0), band=BAND)
+        verification.worst_subcarrier_gain(np.linspace(-1.0, 1.0, 20001), book.foci, BAND, 64)
+        assert calls == [[20001, 9824, 2622, 694, 166, 32, 2]]
+        # verify's screen keeps 11,418 candidates, every angle that the first
+        # round leaves undecided among them
+        calls.clear()
         report = verify_codebook(book)
-        grid, *refinement = calls
-        assert grid == [20001, 9824, 2622, 694, 166, 32, 2]
+        screened, *refinement = calls
+        assert screened == [11418, 9824, 2622, 694, 166, 32, 2]
         assert len(refinement) == 5 and refinement[0] == [236]
         assert all(len(rounds) == 1 for rounds in refinement)
         assert len(report.gaps) == 60
