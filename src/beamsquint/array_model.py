@@ -33,43 +33,42 @@ def _public(namespace: dict) -> list[str]:
     return [k for k, v in namespace.items() if not k.startswith("_") and getattr(v, "__module__", None) == namespace["__name__"]]
 
 
-class _Record:
-    """Base of the frozen records, without generated code: the fields are the
-    class's own annotations, in order, with class attributes as defaults. As
-    a frozen dataclass, a record is built by position, keyword or default,
-    runs its ``__post_init__`` once built, equals only its own type, hashes
-    and prints by its fields, pickles, and refuses assignment and deletion."""
+class _Fields(type):
+    """The records' metaclass: a record's fields are its class's own annotations,
+    in order, held in ``__slots__``, with class attributes as defaults."""
 
-    def __init_subclass__(cls) -> None:
-        fields = cls._fields = tuple(vars(cls).get("__annotations__", {}))
-        defaults = {f: vars(cls)[f] for f in fields if f in vars(cls)}
-        check, name, size, store = vars(cls).get("__post_init__"), cls.__name__, len(fields), object.__setattr__
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", {}))
+        defaults = {f: ns.pop(f) for f in fields if f in ns}  # a slot admits no class attribute of its name
+        check, size, store = ns.get("__post_init__"), len(fields), object.__setattr__
 
         def __init__(self, /, *args, **kwargs) -> None:
             if kwargs or len(args) != size:
                 # bound as inspect.Signature.bind binds the fields, with its TypeError
                 # for an argument repeated, too many, missing or unknown, in that order
-                values = dict(zip(fields, args))
-                if not kwargs.keys().isdisjoint(values):
-                    raise TypeError(f"{name}() multiple values for argument {next(f for f in values if f in kwargs)!r}")
+                given, rest = {**defaults, **kwargs}, fields[len(args) :]
+                if not kwargs.keys().isdisjoint(fields[: len(args)]):
+                    raise TypeError(f"{name}() multiple values for argument {next(f for f in fields[: len(args)] if f in kwargs)!r}")
                 if len(args) > size:
                     raise TypeError(f"{name}() too many positional arguments")
-                for f in fields[len(args) :]:
-                    if f in kwargs:
-                        values[f] = kwargs[f]
-                    elif f in defaults:
-                        values[f] = defaults[f]
-                    else:
-                        raise TypeError(f"{name}() missing a required argument: {f!r}")
-                if not kwargs.keys() <= values.keys():
-                    raise TypeError(f"{name}() got an unexpected keyword argument {next(k for k in kwargs if k not in values)!r}")
-                args = values.values()
-            for f, value in zip(fields, args):  # one by one, which keeps the compact key-sharing instance layout
+                if missing := [f for f in rest if f not in given]:
+                    raise TypeError(f"{name}() missing a required argument: {missing[0]!r}")
+                if not kwargs.keys() <= set(fields):
+                    raise TypeError(f"{name}() got an unexpected keyword argument {next(k for k in kwargs if k not in fields)!r}")
+                args = [*args, *(given[f] for f in rest)]
+            for f, value in zip(fields, args):
                 store(self, f, value)
             if check is not None:
                 check(self)
 
-        cls.__init__ = __init__
+        return super().__new__(mcls, name, bases, {**ns, "__slots__": fields, "_fields": fields, "__init__": __init__})
+
+
+class _Record(metaclass=_Fields):
+    """Base of the frozen records, without generated code. As a frozen
+    dataclass, a record is built by position, keyword or default, runs its
+    ``__post_init__`` once built, equals only its own type, hashes and prints
+    by its fields, pickles, and refuses assignment and deletion."""
 
     def _asdict(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}
@@ -82,6 +81,9 @@ class _Record:
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self._asdict().items())})"
+
+    def __reduce__(self):  # by position: a slotted record takes no state by assignment
+        return type(self), tuple(self._asdict().values())
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -360,23 +362,19 @@ def _band_min(psi, psi0, xi_min, xi_max, n):
     return float(mins[0]) if lo.ndim == 0 else mins.reshape(lo.shape)
 
 
-def _nearest_beam_floor(psi, psi0s, xi_min, xi_max, n):
-    """A lower bound, per angle of the 1-D ``psi``, on the best
-    :func:`_band_min` over ``psi0s``: that of the focus nearest at the
-    carrier, in any order of foci, from one kernel value per angle. Where both
-    of its band-edge offsets lie inside the main lobe, ``|x| < 1.999/N``,
-    ``|g|`` is even and falls with ``|x|``, so its band min is ``|g|`` at the
-    larger ``|x|``, less 1e-12 for the ulps by which two computed values on
-    the flat peak can swap order; elsewhere the bound is 0."""
+def _nearest_reach(psi, psi0s, xi_min, xi_max):
+    """Per angle of the 1-D ``psi``, the larger band-edge offset ``max(|psi*xi_min
+    - p|, |psi*xi_max - p|)`` of the focus ``p`` nearest at the carrier, in any
+    order of foci, by the float expressions of :func:`_band_min`, so exactly
+    the two offsets at which it evaluates that pair."""
     import numpy as np
     foci = np.sort(psi0s)
-    mid, low = 0.5 * (foci[1:] + foci[:-1]), np.empty(len(psi))
+    mid, reach = 0.5 * (foci[1:] + foci[:-1]), np.empty(len(psi))
     for a in range(0, len(psi), _GAIN_CHUNK):  # in blocks: no other temporary as large as psi
         part = psi[a : a + _GAIN_CHUNK]
         p = foci[np.searchsorted(mid, part)]
-        x = np.maximum(np.abs(part * xi_min - p), np.abs(part * xi_max - p))
-        low[a : a + _GAIN_CHUNK] = np.where(x < 1.999 / n, gain_kernel_magnitude(x, n) * (1.0 - 1e-12), 0.0)
-    return low
+        reach[a : a + _GAIN_CHUNK] = np.maximum(np.abs(part * xi_min - p), np.abs(part * xi_max - p))
+    return reach
 
 
 def equivalent_aoa(theta_c: float, xi: float) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .array_model import _GAIN_CHUNK, _Record, _band_min, _check_n, _public, gain_kernel_magnitude
+from .array_model import _GAIN_CHUNK, _Record, _band_min, _check_n, _kernel_factor_at, _public, gain_kernel_magnitude  # noqa: F401 (perfbench's tracer test calls it here)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -160,20 +160,26 @@ def exact_half_power_beamwidth(n_antennas: int, threshold: GainThreshold = _DEFA
     """Kernel-exact width of the main lobe above the threshold.
 
     Root of ``|g(x)| = ratio*sqrt(N)`` on the main lobe, refined to 1e-12,
-    times two. Reconciles the 1.772/N approximation: for the default
-    threshold the two agree within 1% for all N >= 8.
+    times two, on the array kernel's bits taken one float at a time.
+    Reconciles the 1.772/N approximation: for the default threshold the two
+    agree within 1% for all N >= 8.
     """
+    import numpy as np
     n = _check_n(n_antennas)
-    if threshold.ratio_to_max >= 1.0:
-        return 0.0  # only the peak itself attains the maximum
     target = threshold.absolute(n)
-    first_null = 2.0 / n
+    # gap(0) = (1-ratio)*sqrt(N) >= 0 and gap(2/N), at the first null, = -target < 0;
+    # at ratio 1 only the peak attains the maximum, and a root at gap(0) = 0 is 0
+    return 2.0 * _refine_edges(lambda x: np.array([abs(_kernel_factor_at(v, n)) for v in x.tolist()]) - target, [(0.0, 2.0 / n)], xtol=1e-12)[0]
 
-    def gap(x: np.ndarray) -> np.ndarray:
-        return gain_kernel_magnitude(x, n) - target
 
-    # gap(0) = (1-ratio)*sqrt(N) > 0 and gap(first_null) = -target < 0
-    return 2.0 * _refine_edges(gap, [(0.0, first_null)], xtol=1e-12)[0]
+def _main_lobe_reach(level: float, n: int) -> float:
+    """h such that the computed ``|g(x)|`` exceeds ``level`` at every ``|x| < h``:
+    the main-lobe root at ``level*(1 + 1e-9)`` less 2e-12 (Brent's last bracket,
+    under ``1e-12 + 4*eps*h`` wide, ends beyond h at a passing x, and the exact
+    ``|g|`` falls with ``|x|``), at most 1.999/N (below it a computed ``|g|`` is
+    within a relative 1e-12 of the exact); 0 if that level is 0 or >= sqrt(N)."""
+    ratio = level * (1.0 + 1e-9) / math.sqrt(n)
+    return min(0.5 * exact_half_power_beamwidth(n, GainThreshold(ratio)) - 2e-12, 1.999 / n) if 0.0 < ratio < 1.0 else 0.0
 
 
 def squinted_coverage(psi0: float, band: BandSpec, n_antennas: int) -> CoverageInterval:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .array_model import _Record, _band_min, _nearest_beam_floor, _public, gain_kernel_magnitude, worst_subcarrier_gain
+from .array_model import _Record, _band_min, _nearest_reach, _public, gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, _foci, max_antennas, max_fractional_bandwidth, min_size_no_squint
-from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps
+from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps, _main_lobe_reach
 
 _DB_FLOOR = 1e-15
 
@@ -66,16 +66,18 @@ def verify_codebook(
     0 for a beam whose band sweeps it across a null and otherwise its
     smaller band-edge value (:func:`worst_subcarrier_gain` on
     ``codebook.band``, which also gives the refinement margin), taken only
-    where the screen ``low`` (``array_model._nearest_beam_floor``, one kernel
-    value per angle) is at most ``bar``, the larger of the pass level and the
-    best where ``low`` is least. Any other angle has best >= low > bar >= the
-    worst best and passes, so no bit of the report moves. Failures are data,
-    not exceptions; gap edges are refined to 1e-9. ``slack_db`` absorbs
-    the 1.772/N beamwidth approximation when certifying constant-width
-    designs (use 0 for exact-width designs). ``xi_points``, an integer count,
-    sets only the subcarrier grid on which ``worst_xi`` is read: the weakest
-    grid point of the first beam that sets ``worst_gain_db`` at
-    ``worst_psi``. The report holds the parameters as Python int and floats.
+    where the focus nearest at the carrier reaches, at a band edge, at least
+    ``squint._main_lobe_reach(bar)`` (``array_model._nearest_reach``), ``bar``
+    being the larger of the pass level and the best where that reach is
+    largest. At any other angle that beam's band min exceeds ``bar``, so the
+    best > bar >= the worst best and the angle passes: no bit of the report
+    moves. Failures are data, not exceptions; gap edges are refined to 1e-9.
+    ``slack_db`` absorbs the 1.772/N beamwidth approximation when certifying
+    constant-width designs (use 0 for exact-width designs). ``xi_points``, an
+    integer count, sets only the subcarrier grid on which ``worst_xi`` is
+    read: the weakest grid point of the first beam that sets
+    ``worst_gain_db`` at ``worst_psi``. The report holds the parameters as
+    Python int and floats.
     """
     import numpy as np
     psi_m = codebook.psi_m
@@ -91,10 +93,10 @@ def verify_codebook(
 
     steps = int(round(2.0 * psi_m / psi_step))
     grid = np.linspace(-psi_m, psi_m, steps + 1)
-    low = _nearest_beam_floor(grid, psi0s, band.xi_min, band.xi_max, n)
-    bar = max(float(_band_min(grid[np.argmin(low)], psi0s, band.xi_min, band.xi_max, n).max()), pass_level)
-    cand = np.flatnonzero(low <= bar)
-    best = low  # in low's memory: +inf off the candidates
+    reach = _nearest_reach(grid, psi0s, band.xi_min, band.xi_max)
+    bar = max(float(_band_min(grid[np.argmax(reach)], psi0s, band.xi_min, band.xi_max, n).max()), pass_level)
+    cand = np.flatnonzero(reach >= _main_lobe_reach(bar, n))
+    best = reach  # in reach's memory: +inf off the candidates
     best[:] = math.inf
     best[cand] = worst_subcarrier_gain(grid[cand], psi0s, band, n)
 

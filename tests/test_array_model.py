@@ -20,7 +20,7 @@ from beamsquint.array_model import (
     worst_subcarrier_gain,
 )
 from beamsquint.codebook import design_with_squint
-from beamsquint.squint import BandSpec
+from beamsquint.squint import BandSpec, GainThreshold, _main_lobe_reach
 
 from dense_oracle import dense_worst_gain, every_beam_windows, null_count, sampled_worst_gain
 
@@ -686,24 +686,37 @@ class TestBandEdgeScreen:
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64])
-def test_nearest_beam_floor_is_at_most_the_best(monkeypatch, n):
-    # verify's screen bound at every angle of a grid, at each focus and the
-    # floats next to it (where the two band-edge offsets mirror each other and
-    # their kernel values tie on the flat peak), against the cascade's best:
-    # seeded codebooks with foci out to +-1.6, b from 0 to 1.999, and one beam;
-    # in blocks of 160 angles, with the foci reversed, it gives the same bits
-    rng, screened, total = np.random.default_rng([n, 29]), 0, 0
+def test_screen_leaves_out_only_angles_above_the_bar(monkeypatch, n):
+    # verify's screen leaves out an angle when the focus nearest at the carrier
+    # reaches less than _main_lobe_reach(bar) at both band edges; every such
+    # angle's best (the cascade's) must beat the bar. Seeded codebooks with
+    # foci out to +-1.6, b from 0 to 1.999, and one beam; the grid holds each
+    # focus and the floats next to it (where the two band-edge offsets mirror
+    # each other on the flat peak), and for each bar the angles whose offset
+    # at a band edge is the reach itself, and the floats next to those. Bars:
+    # the pass level, below the sidelobe level, at the capped lobe's edge and
+    # below it, 0, and at or above sqrt(N), where nothing is left out. In
+    # blocks of 160 angles, with the foci reversed, the reach has the same bits.
+    rng, left_out, total = np.random.default_rng([n, 30]), 0, 0
+    root_n = math.sqrt(n)
+    bars = [GainThreshold().absolute(n) * 10 ** (-0.2 / 20), 0.05 * root_n, gain_kernel_magnitude(1.999 / n, n), 1e-9 * root_n, 1e-300, 0.0, root_n, 2 * root_n]
     for case in range(24):
         b = float(rng.choice([0.0, 1.999, rng.uniform(0.0, 0.5 / n), rng.uniform(0.0, 1.999)]))
         foci = np.sort(rng.uniform(-1.6, 1.6, 1 if case % 6 == 0 else int(rng.integers(2, 2 * n + 3))))
-        grid = np.concatenate([np.linspace(-1.0, 1.0, 2001), foci, np.nextafter(foci, -2.0), np.nextafter(foci, 2.0)])
         band = BandSpec(b)
-        floor = array_model._nearest_beam_floor(grid, foci, band.xi_min, band.xi_max, n)
-        best = worst_subcarrier_gain(grid, foci, band, n)
-        assert np.all(floor <= best), (case, b)
-        with monkeypatch.context() as patch:
-            patch.setattr(array_model, "_GAIN_CHUNK", 160)
-            blocks = array_model._nearest_beam_floor(grid, foci[::-1], band.xi_min, band.xi_max, n)
-        assert np.array_equal(blocks.view(np.int64), floor.view(np.int64))
-        screened, total = screened + np.count_nonzero(floor), total + grid.size
-    assert screened > total / 6  # the bound is not 0 everywhere
+        for bar in bars + [float(rng.uniform(0.0, root_n))]:
+            h = _main_lobe_reach(bar, n)
+            edges = np.concatenate([(foci + s * h) / xi for s in (-1.0, 1.0) for xi in (band.xi_min, band.xi_max)])
+            grid = np.concatenate([np.linspace(-1.0, 1.0, 2001), foci, edges])
+            grid = np.concatenate([grid, np.nextafter(grid, -2.0), np.nextafter(grid, 2.0)])
+            reach = array_model._nearest_reach(grid, foci, band.xi_min, band.xi_max)
+            out = reach < h
+            assert np.all(worst_subcarrier_gain(grid[out], foci, band, n) > bar), (case, b, bar)
+            assert 0.0 < bar < root_n or not out.any()
+            with monkeypatch.context() as patch:
+                patch.setattr(array_model, "_GAIN_CHUNK", 160)
+                blocks = array_model._nearest_reach(grid, foci[::-1], band.xi_min, band.xi_max)
+            assert np.array_equal(blocks.view(np.int64), reach.view(np.int64))
+            if bar == bars[0]:
+                left_out, total = left_out + np.count_nonzero(out), total + grid.size
+    assert left_out > total / 6  # at the pass level the screen leaves out a good share

@@ -262,6 +262,13 @@ class TestRecordBase:
         with pytest.raises(AttributeError, match="cannot assign to or delete field 'extra'"):
             del record.extra
 
+    @pytest.mark.parametrize("record, fields, text", RECORDS, ids=IDS)
+    def test_only_the_codebook_has_an_instance_dict(self, record, fields, text):
+        # every other record holds its fields in slots, and only them
+        assert hasattr(record, "__dict__") == (type(record) is Codebook)
+        if type(record) is not Codebook:
+            assert type(record).__slots__ == fields
+
     def test_no_attribute_can_be_added_to_a_codebook(self):
         # frozen and not slotted: a slotted frozen dataclass raises TypeError here before Python 3.12
         with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'extra'"):
@@ -283,6 +290,7 @@ class TestRecordBase:
         assert repr(Point(1.0)) == f"{Point.__qualname__}(x=1.0, y=0.0)"
         assert repr(Labelled("a")) == f"{Labelled.__qualname__}(label='a')"
         assert Point(1.0) == Point(x=1.0, y=0.0) and Point(1.0) != Labelled("a")
+        assert not hasattr(Point(1.0), "__dict__") and not hasattr(Labelled("a"), "__dict__")
 
     @pytest.mark.parametrize(
         "call, message",

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import beamsquint
+from beamsquint import array_model, squint
 from beamsquint.array_model import gain_kernel_magnitude, worst_subcarrier_gain
 from beamsquint.codebook import design_no_squint, design_with_squint
 from beamsquint.squint import (
@@ -55,6 +56,19 @@ def _random_brackets(count, seed=11):
         if margin(inside) > 0.0 > margin(outside):
             out.append((margin, inside, outside))
     return out
+
+
+def test_exact_half_power_width_is_the_array_kernel_root(monkeypatch):
+    # without scipy: twice the root that the refiner finds on the array
+    # kernel, bit for bit, for N = 2..129 at every threshold; the width takes
+    # the kernel one float at a time and makes no array-kernel call
+    expected = {(n, r): 2.0 * _refine_edges(_kernel_gap(n, r * math.sqrt(n)), [(0.0, 2.0 / n)], 1e-12)[0] for n in range(2, 130) for r in THRESHOLDS}
+    calls = []
+    for module in (array_model, squint):
+        monkeypatch.setattr(module, "gain_kernel_magnitude", lambda *args: calls.append(args), raising=False)
+    for (n, ratio), width in expected.items():
+        assert exact_half_power_beamwidth(n, GainThreshold(ratio)) == width, (n, ratio)
+    assert calls == []
 
 
 class TestAgainstScipy:
