@@ -6,15 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamsquint import array_model, squint
-from beamsquint.array_model import _check_n, gain_kernel_magnitude
-from beamsquint.codebook import design_with_squint
+from beamsquint.array_model import gain_kernel_magnitude
 from beamsquint.squint import (
-    _MAX_GRID_POINTS,
     BandSpec,
     CoverageInterval,
     GainThreshold,
-    _refine_edges,
     effective_beamwidth,
     exact_half_power_beamwidth,
     focus_from_left_edge,
@@ -23,7 +19,7 @@ from beamsquint.squint import (
     squinted_coverage,
 )
 
-from dense_oracle import dense_worst_gain
+from dense_oracle import reference_numeric_coverage
 
 BAND = BandSpec(0.0342)
 
@@ -275,57 +271,14 @@ class TestNumericCoverage:
                 numeric_coverage(0.3, BandSpec(0.0342), 16, psi_step=step)
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """(first, last) index of every run of True in a 1-D boolean array."""
-    flips = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
-    # a run starts where the mask turns on and ends one point before it turns off
-    return list(zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1))
-
-
-def reference_numeric_coverage(
-    psi0: float,
-    band: BandSpec,
-    n_antennas: int,
-    threshold: GainThreshold | None = None,
-    psi_step: float = 1e-4,
-) -> CoverageInterval | None:
-    """The coverage oracle that searches the passing runs for the peak's
-    and refines that run's two edges, with the dense continuous-band
-    oracle, as the reference for the one that takes its edges from the gap
-    finder."""
-    n = _check_n(n_antennas)
-    if not math.isfinite(psi0):
-        raise ValueError(f"psi0 must be finite, got {psi0!r}")
-    thr = threshold if threshold is not None else GainThreshold()
-    floor = thr.absolute(n)
-
-    # Search window: the main lobe spans |xi*psi_c - psi0| < 2/N (first
-    # nulls); take the union of that over the band-edge ratios.
-    lobe = 2.0 / n
-    lo_w = min((psi0 - lobe) / band.xi_min, (psi0 - lobe) / band.xi_max)
-    hi_w = max((psi0 + lobe) / band.xi_min, (psi0 + lobe) / band.xi_max)
-    # also rejects NaN and inf; a step below the window width leaves at least 3 grid points
-    width = hi_w - lo_w
-    if not (psi_step > 0 and 1 < width / psi_step <= _MAX_GRID_POINTS - 1):
-        raise ValueError(f"psi_step must lie in (0, {width!r}), the scan window's width (at most {_MAX_GRID_POINTS} points), got {psi_step!r}")
-    n_pts = int(math.ceil(width / psi_step))
-    grid = np.linspace(lo_w, hi_w, n_pts + 1)
-
-    psi0s = np.array([psi0])
-    q = dense_worst_gain(grid, psi0s, band, n)
-    peak = int(np.argmax(q))
-    if q[peak] < floor:
-        return None
-    # the maximal run of passing points that contains the peak
-    left, right = next((i, j) for i, j in _runs(q >= floor) if i <= peak <= j)
-
-    def margin(psi_c: np.ndarray) -> np.ndarray:
-        return dense_worst_gain(psi_c, psi0s, band, n) - floor
-
-    # both edges refined together; a window end pairs with itself and stays
-    pairs = [(grid[left], grid[max(left - 1, 0)]), (grid[right], grid[min(right + 1, len(grid) - 1)])]
-    lo_edge, hi_edge = _refine_edges(margin, pairs)
-    return CoverageInterval(lo_edge, hi_edge)
+def assert_refined_edges(cov, expected):
+    """numeric_coverage refines its edges to 1e-9: each edge within that of
+    the reference's, as Python floats, or None on both."""
+    if expected is None:
+        assert cov is None
+        return
+    assert (type(cov.lo), type(cov.hi)) == (float, float)
+    assert abs(cov.lo - expected.lo) <= 1e-9 and abs(cov.hi - expected.hi) <= 1e-9, (cov, expected)
 
 
 # Wide bands at low thresholds: the scan window holds several passing runs
@@ -341,18 +294,10 @@ MULTI_RUN_CASES = [(5, 0.9222, 0.553, 0.0111), (9, 1.2307, 0.6356, 0.0132),
 
 
 @pytest.mark.parametrize("n, b, psi0, ratio", MULTI_RUN_CASES)
-def test_numeric_coverage_refines_only_the_peak_run(refinement_blocks, n, b, psi0, ratio):
+def test_numeric_coverage_is_the_peak_run(n, b, psi0, ratio):
+    # of the passing runs, only the peak's is the coverage
     thr = GainThreshold(ratio)
-    expected = reference_numeric_coverage(psi0, BandSpec(b), n, thr)
-    refinement_blocks.clear()
-    cov = numeric_coverage(psi0, BandSpec(b), n, thr)
-    if expected is None:
-        assert cov is None
-        return
-    assert (type(cov.lo), type(cov.hi)) == (float, float)
-    assert (cov.lo.hex(), cov.hi.hex()) == (expected.lo.hex(), expected.hi.hex())
-    # at most both ends of the two edges per refinement call
-    assert max(refinement_blocks, default=0) <= 4
+    assert_refined_edges(numeric_coverage(psi0, BandSpec(b), n, thr), reference_numeric_coverage(psi0, BandSpec(b), n, thr))
 
 
 # N, b (0 in every fifth case), psi0, ratio (1.0 in every seventh) and
@@ -367,89 +312,20 @@ SEEDED_FAMILY = [
 ]
 
 
-def test_numeric_coverage_keeps_the_reference_bits():
-    # the scan and the refiner take each angle's band min through
-    # _band_min, the scan in blocks; neither may change a bit
+def test_numeric_coverage_on_a_seeded_family():
     kinds = set()
     for n, b, psi0, ratio, step in SEEDED_FAMILY:
         args = psi0, BandSpec(b), n, GainThreshold(ratio), step
-        expected, cov = reference_numeric_coverage(*args), numeric_coverage(*args)
-        if expected is None:
-            assert cov is None
-            kinds.add("none")
-            continue
-        assert (cov.lo.hex(), cov.hi.hex()) == (expected.lo.hex(), expected.hi.hex())
-        kinds.update({"b = 0"} if b == 0.0 else set())
-    assert kinds == {"none", "b = 0"}
-    assert any(ratio == 1.0 for *_, ratio, _ in SEEDED_FAMILY)
+        expected = reference_numeric_coverage(*args)
+        assert_refined_edges(numeric_coverage(*args), expected)
+        kinds.add("none" if expected is None else "b = 0" if b == 0.0 else "b > 0")
+    assert kinds == {"none", "b = 0", "b > 0"}
 
 
-def test_numeric_coverage_takes_two_evaluations_per_angle(monkeypatch):
-    # The scan window reaches past the first nulls, so some of its angles
-    # sweep the beam across a null inside the band: each of those takes 0
-    # from its two band-edge values, as every other angle takes its edge
-    # min, in the scan and in every refinement round. With every subcarrier
-    # sampled where a null lay inside, the scan of each of these beams sent
-    # 325 angles to all 65 subcarriers (4 with a bar at the threshold).
-    grids, blocks = _record_scan(monkeypatch)
-    band = BandSpec(0.0179)
-    foci = design_with_squint(64, band, 1.0).codebook.foci
-    for target in (0.9, -0.9):
-        grids.clear()
-        blocks.clear()
-        assert numeric_coverage(min(foci, key=lambda f: abs(f - target)), band, 64) is not None
-        assert blocks == [(2 * m,) for m in grids] and len(grids) > 1
-
-
-def _record_scan(monkeypatch):
-    """The number of angles of each ``_band_min`` call of numeric_coverage
-    (its scan's blocks, then one per refinement round), and the shape of
-    each kernel block that array_model evaluates."""
-    grids, blocks = [], []
-    scan = squint._band_min
-
-    def recording_scan(angles, *args):
-        grids.append(np.size(angles))
-        return scan(angles, *args)
-
-    def recording_kernel(x, n):
-        blocks.append(np.shape(x))
-        return gain_kernel_magnitude(x, n)
-
-    monkeypatch.setattr(squint, "_band_min", recording_scan)
-    monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording_kernel)
-    return grids, blocks
-
-
-def test_numeric_coverage_scan_in_one_block_is_one_band_edge_call(monkeypatch):
-    # a grid that fits one block: both band-edge values of every angle in one
-    # 1-D kernel call, then both band-edge values of each refinement round's
-    # angles, at most both ends of two edges
-    grids, blocks = _record_scan(monkeypatch)
-    for n, b in ((16, 0.0342), (64, 0.0179)):
-        band = BandSpec(b)
-        for psi0 in design_with_squint(n, band, 1.0).codebook.foci[::5]:
-            grids.clear()
-            blocks.clear()
-            assert numeric_coverage(psi0, band, n) is not None
-            m, *rounds = grids
-            assert 2 * m <= array_model._GAIN_CHUNK
-            assert rounds and max(rounds) <= 4
-            assert blocks == [(2 * k,) for k in grids]
-
-
-def test_numeric_coverage_scan_keeps_every_block_bounded(monkeypatch):
-    # more than _GAIN_CHUNK // 2 angles: the band-edge values go in blocks of
-    # at most _GAIN_CHUNK, which bounds the scan's memory at any step
-    grids, blocks = _record_scan(monkeypatch)
+def test_numeric_coverage_at_a_fine_step():
+    # a step of 1e-5: about 26,000 angles in the scan window
     args = 0.2, BAND, 16, GainThreshold(), 1e-5
-    cov = numeric_coverage(*args)
-    chunk = array_model._GAIN_CHUNK
-    scan = [k for k in grids if k > 4]  # the refinement rounds take at most 4 angles
-    assert scan[:-1] == [chunk // 2] * (len(scan) - 1) and len(scan) == 4 and grids[: len(scan)] == scan
-    assert blocks == [(2 * k,) for k in grids]
-    expected = reference_numeric_coverage(*args)
-    assert (cov.lo.hex(), cov.hi.hex()) == (expected.lo.hex(), expected.hi.hex())
+    assert_refined_edges(numeric_coverage(*args), reference_numeric_coverage(*args))
 
 
 def test_coverage_interval_helpers():

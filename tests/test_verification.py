@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beamsquint import array_model, verification
 from beamsquint.array_model import gain_kernel_magnitude, worst_subcarrier_gain
 from beamsquint.codebook import (
     Codebook,
@@ -18,28 +17,20 @@ from beamsquint.codebook import (
 from beamsquint.squint import (
     BandSpec,
     GainThreshold,
-    _refine_edges,
     half_power_beamwidth,
     numeric_coverage,
     squinted_coverage,
 )
 from beamsquint.verification import (
-    CoverageReport,
-    _failure_gaps,
     _to_db,
     sweep_size_vs_b,
     sweep_size_vs_n,
     verify_codebook,
 )
 
-from dense_oracle import dense_worst_gain, every_beam_windows, null_count
+from dense_oracle import dense_worst_gain, refined_edge, reference_verify_codebook
 
 BAND = BandSpec(0.0342)
-
-
-@pytest.fixture(scope="module")
-def book16():
-    return design_with_squint(16, BAND, 1.0).codebook
 
 
 class TestVerifyCodebook:
@@ -284,8 +275,7 @@ def test_matches_per_beam_loop_reference(n, b):
 
     def crossing(inside, outside):
         margin = np.vectorize(lambda p: quality(p) - pass_level, otypes=[float])
-        (root,) = _refine_edges(margin, [(inside, outside)])
-        return root
+        return refined_edge(margin, inside, outside)
 
     grid = np.linspace(-1.0, 1.0, 1001)
     failing = [quality(p) < pass_level for p in grid]
@@ -304,41 +294,6 @@ def test_matches_per_beam_loop_reference(n, b):
         i = j + 1
     assert gaps
     assert [(g.lo, g.hi) for g in report.gaps] == gaps
-
-
-class TestRefinementCalls:
-    """Every edge is refined in lockstep, so the primitive calls of one
-    refinement follow the Brent rounds of its slowest edge, not the number
-    of edges (one call per edge and step before)."""
-
-    def _refinement_calls(self, monkeypatch, calls, book):
-        spans = []
-
-        def failure_gaps(grid, failing, margin):
-            start = len(calls)
-            gaps = _failure_gaps(grid, failing, margin)
-            spans.append(len(calls) - start)
-            return gaps
-
-        monkeypatch.setattr(verification, "_failure_gaps", failure_gaps)
-        return verify_codebook(book), spans[0]
-
-    def test_gap_refinement_does_not_grow_with_gaps(self, monkeypatch, primitive_calls, book16):
-        narrowband = dataclasses.replace(design_no_squint(64, 1.0), band=BandSpec(0.0179))
-        report, calls = self._refinement_calls(monkeypatch, primitive_calls, narrowband)
-        assert len(report.gaps) == 68
-        assert calls <= 10  # 680 when each edge called it once per Brent step
-        report, calls = self._refinement_calls(monkeypatch, primitive_calls, book16)
-        assert report.passed
-        assert calls == 0
-
-    def test_numeric_coverage_refines_both_edges_together(self, refinement_blocks, book16):
-        for beam in book16.beams[::5]:
-            refinement_blocks.clear()
-            assert numeric_coverage(beam.psi0, BAND, 16) is not None
-            # one block for both ends of both edges, then one per Brent round;
-            # 10 with one edge after the other
-            assert len(refinement_blocks) <= 4
 
 
 def _peak_bytes(fn) -> int:
@@ -379,77 +334,12 @@ def test_memory_of_the_worst_subcarrier_search_stays_bounded(n):
     assert _peak_bytes(lambda: verify_codebook(book, psi_step=1e-3, xi_points=16384)) < 4e6
 
 
-def test_memory_bounded_when_most_pairs_cross_a_null(monkeypatch):
+def test_memory_of_a_wide_band_search_stays_bounded():
     # A band this wide sweeps most (angle, beam) pairs across a null: about
     # 115k of 200k pairs, which took 60 MB when each went to all 65
-    # subcarriers at once. Each takes 0 from its two band-edge values, in
-    # 1-D blocks of at most a chunk. Every beam is on every angle, without
-    # the cascade's narrower windows.
-    blocks = []
-
-    def recording(x, n):
-        blocks.append(np.shape(x))
-        return gain_kernel_magnitude(x, n)
-
-    monkeypatch.setattr(array_model, "gain_kernel_magnitude", recording)
+    # subcarriers at once
     grid, foci = np.linspace(-1, 1, 20001), np.linspace(-0.9, 0.9, 10)
-    band = BandSpec(1.9)
-    assert _peak_bytes(lambda: every_beam_windows(grid, foci, band, 4)) < 4e6
-    assert all(len(shape) == 1 and shape[0] <= array_model._GAIN_CHUNK for shape in blocks)
-    assert sum(shape[0] for shape in blocks) == 2 * grid.size * foci.size
-    lo, hi = (np.subtract.outer(grid * xi, foci) for xi in (band.xi_min, band.xi_max))
-    assert np.count_nonzero(null_count(lo, 4) != null_count(hi, 4)) > 0.5 * grid.size * foci.size
-
-
-def reference_verify_codebook(
-    codebook: Codebook,
-    psi_step: float = 1e-4,
-    xi_points: int = 65,
-    slack_db: float = 0.2,
-) -> CoverageReport:
-    """The dense certifier: every beam at every grid angle and refinement
-    angle, through the tests' own dense oracle, as the reference for the
-    window cascade."""
-    psi_m = codebook.psi_m
-    # also rejects NaN; a step up to psi_m leaves at least 3 grid points
-    if not 0 < psi_step <= psi_m:
-        raise ValueError(f"psi_step must lie in (0, psi_m={psi_m!r}], got {psi_step!r}")
-    if not (math.isfinite(slack_db) and slack_db >= 0):
-        raise ValueError(f"slack_db must be finite and >= 0, got {slack_db!r}")
-    n, band = codebook.n_antennas, codebook.band
-    xis = band.xi_grid(xi_points)
-    psi0s = np.array([beam.psi0 for beam in codebook.beams])
-    pass_level = codebook.threshold.absolute(n) * 10.0 ** (-slack_db / 20.0)
-
-    steps = int(round(2.0 * psi_m / psi_step))
-    grid = np.linspace(-psi_m, psi_m, steps + 1)
-    best = dense_worst_gain(grid, psi0s, band, n)
-
-    worst_idx = int(np.argmin(best))
-    worst_psi = float(grid[worst_idx])
-    # the weakest grid xi of the first beam with the largest band min at the worst angle
-    mins = [dense_worst_gain(worst_psi, [psi0], band, n) for psi0 in psi0s]
-    winner = gain_kernel_magnitude(worst_psi * xis - psi0s[int(np.argmax(mins))], n)
-    worst_xi = float(xis[int(np.argmin(winner))])
-
-    def margin(psi: np.ndarray) -> np.ndarray:
-        return dense_worst_gain(psi, psi0s, band, n) - pass_level
-
-    gaps = _failure_gaps(grid, best < pass_level, margin)
-
-    return CoverageReport(
-        passed=not gaps,
-        worst_gain_db=_to_db(float(best[worst_idx]) / math.sqrt(n)),
-        worst_psi=worst_psi,
-        worst_xi=worst_xi,
-        gaps=tuple(gaps),
-        threshold_db=-codebook.threshold.db_below_max,
-        slack_db=slack_db,
-        psi_step=psi_step,
-        xi_points=xi_points,
-        n_antennas=n,
-        psi_m=psi_m,
-    )
+    assert _peak_bytes(lambda: worst_subcarrier_gain(grid, foci, BandSpec(1.9), 4)) < 4e6
 
 
 def _book(n, b, psi_m, foci, threshold=GainThreshold()):
@@ -480,26 +370,6 @@ def test_verify_takes_foci_the_wire_format_cannot_hold(foci):
     assert verify_codebook(book, psi_step=1e-3) == reference_verify_codebook(book, psi_step=1e-3)
 
 
-def _record_rounds(monkeypatch):
-    """Angles per round of the window cascade, one list per call of
-    verification.worst_subcarrier_gain: in a verify, the angles its screen
-    keeps first, then each refinement round of its gap edges."""
-    calls = []
-    primitive, cascade = array_model._raise_to_window_mins, verification.worst_subcarrier_gain
-
-    def recording(angles, *args):
-        calls[-1].append(len(angles))
-        return primitive(angles, *args)
-
-    def counting(*args):
-        calls.append([])
-        return cascade(*args)
-
-    monkeypatch.setattr(array_model, "_raise_to_window_mins", recording)
-    monkeypatch.setattr(verification, "worst_subcarrier_gain", counting)
-    return calls
-
-
 class TestWindowedSweepIsExact:
     """The window cascade against the dense reference: reports must be
     equal, float for float."""
@@ -528,12 +398,11 @@ class TestWindowedSweepIsExact:
             args = dict(psi_step=step, xi_points=xi_points, slack_db=float(rng.uniform(0, 1)))
             assert verify_codebook(book, **args) == reference_verify_codebook(book, **args)
 
-    @pytest.mark.parametrize("chunk", [65, 130, 455])  # pair batches of a few angles to dozens
-    def test_worst_xi_from_the_first_winner(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("seed", [65, 130, 455])
+    def test_worst_xi_from_the_first_of_tied_winners(self, seed):
         # the winner at the worst angle is the first beam with the largest
-        # band min, whatever the cascade's blocks; duplicated foci tie exactly
-        monkeypatch.setattr(array_model, "_GAIN_CHUNK", chunk)
-        rng = np.random.default_rng(chunk)
+        # band min; duplicated foci tie exactly
+        rng = np.random.default_rng(seed)
         for n in (3, 8, 16, 64):
             foci = np.concatenate([rng.uniform(-1.2, 1.2, int(rng.integers(2, 2 * n))), [1.0 - 1.0 / n]])
             b = float(rng.uniform(0.0, 0.5))
@@ -541,71 +410,19 @@ class TestWindowedSweepIsExact:
                 for args in (dict(psi_step=0.01), dict(psi_step=0.01, xi_points=2)):
                     assert verify_codebook(book, **args) == reference_verify_codebook(book, **args)
 
-    @pytest.mark.parametrize("chunk", [1 << 14, 160])  # one block of angles, or dozens
-    @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
-    def test_pair_batches_equal_dense_bits(self, monkeypatch, n, chunk):
-        # seeded codebooks with foci out to +-1.5 reach the grating lobes;
-        # b runs from 0 up to near the bound; the dense oracle takes one beam
-        # at a time, in no chunks
-        batches = []
-        primitive = array_model._band_min
-
-        def recording(psi, *args):  # one angle per pair
-            batches.append(np.size(psi))
-            return primitive(psi, *args)
-
-        monkeypatch.setattr(array_model, "_band_min", recording)
-        rng = np.random.default_rng([n, 12])
-        grid = np.linspace(-1.0, 1.0, 2001)
-        bound = max_fractional_bandwidth(n, 1.0)
-        for b in (0.0, float(rng.uniform(0.0, bound)), 0.99 * bound):
-            foci = np.sort(rng.uniform(-1.5, 1.5, int(rng.integers(1, 2 * n + 2))))
-            dense = dense_worst_gain(grid, foci, BandSpec(b), n)
-            batches.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(array_model, "_GAIN_CHUNK", chunk)
-                windowed = worst_subcarrier_gain(grid, foci, BandSpec(b), n)
-            assert np.array_equal(windowed.view(np.int64), dense.view(np.int64)), b
-            # a block holds at most a chunk of band-edge values (two per
-            # pair), or one angle's windows: at most two per beam
-            assert max(batches) * 2 <= max(chunk, 4 * len(foci))
-
-    def test_designed_codebook_final_after_first_round(self, monkeypatch, book16):
-        # the first round's windows (h = 1/N), over several blocks of angles
-        # at the default step, lift every angle of a covering codebook above
-        # E(1/N) = |g(1/N)|: no angle goes on to a second round
-        calls = _record_rounds(monkeypatch)
-        verification.worst_subcarrier_gain(np.linspace(-1.0, 1.0, 20001), book16.foci, BAND, 16)
-        assert calls == [[20001]]
-        # verify's screen sends the cascade one candidate: every other
-        # angle's nearest beam clears the bar
-        calls.clear()
-        assert verify_codebook(book16).passed
-        assert calls == [[1]]
-        # as with the foci in descending order, which a codebook built directly may hold
-        calls.clear()
-        assert verify_codebook(dataclasses.replace(book16, foci=book16.foci[::-1])).passed
-        assert calls == [[1]]
-
-    def test_deep_gaps_shrink_round_by_round(self, monkeypatch):
-        # a narrowband N=64 codebook under b = 0.0342 has 60 gaps; the angles
-        # whose best is still at or under E(h) shrink with every doubling of
-        # h, and the last round (h = 1, every beam) takes the 2 left. Each
-        # refinement round's angles sit at a threshold crossing, above E(1/N),
-        # so they are final after the cascade's first round
-        calls = _record_rounds(monkeypatch)
-        book = dataclasses.replace(design_no_squint(64, 1.0), band=BAND)
-        verification.worst_subcarrier_gain(np.linspace(-1.0, 1.0, 20001), book.foci, BAND, 64)
-        assert calls == [[20001, 9824, 2622, 694, 166, 32, 2]]
-        # verify's screen keeps 11,418 candidates, every angle that the first
-        # round leaves undecided among them
-        calls.clear()
+    @pytest.mark.parametrize("b, gaps", [(0.0179, 68), (0.0342, 60)])
+    def test_narrowband_codebook_at_the_default_step(self, b, gaps):
+        # the N=64 codebook designed for b = 0 fails under squint
+        book = dataclasses.replace(design_no_squint(64, 1.0), band=BandSpec(b))
         report = verify_codebook(book)
-        screened, *refinement = calls
-        assert screened == [11418, 9824, 2622, 694, 166, 32, 2]
-        assert len(refinement) == 5 and refinement[0] == [236]
-        assert all(len(rounds) == 1 for rounds in refinement)
-        assert len(report.gaps) == 60
+        assert len(report.gaps) == gaps
+        assert report == reference_verify_codebook(book)
+
+    def test_descending_foci(self, book16):
+        # a codebook built directly may hold its foci in descending order
+        book = dataclasses.replace(book16, foci=book16.foci[::-1])
+        report = verify_codebook(book)
+        assert report.passed
         assert report == reference_verify_codebook(book)
 
     @pytest.mark.parametrize("seed", range(10))
