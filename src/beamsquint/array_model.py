@@ -283,8 +283,8 @@ def worst_subcarrier_gain(psi, psi0s, band, n_antennas: int):
 
     A window cascade: round by round, h = 1/N, 2/N, 4/N, ..., 1, each beam
     meets the angles whose ``x = psi - psi0`` at the carrier (xi = 1, inside
-    every band) lies within h of a lobe image 2k, in five windows on the
-    angles sorted by ``psi`` (taken modulo 2 when it leaves [-3, 3]).
+    every band) lies within h of a lobe image 2k, in three windows on the
+    angles sorted by ``psi`` modulo 2.
     Outside them ``|g(x)| <= 1/(sqrt(N)*|sin(pi*x/2)|) <= E(h) =
     1/(sqrt(N)*sin(pi*h/2))``, which bounds the beam's min over the band; so
     an angle whose best beats E(h) is final, and only the others go on. At
@@ -298,20 +298,18 @@ def worst_subcarrier_gain(psi, psi0s, band, n_antennas: int):
     for name, values in (("psi", flat), ("psi0s", offsets)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite, got {float(values[~np.isfinite(values)][0])!r}")
-    phase = flat.copy()  # x + psi0 at the carrier, reduced in place below
+    phase = flat - 2.0 * np.rint(0.5 * flat)  # x + psi0 at the carrier, modulo 2 into [-1, 1]
     # Windows are padded by 1e-12, far above the rounding of their edges, all
-    # in [-6, 6], so they overlap at h = 1; phases and foci taken modulo 2
+    # in [-4, 4], so they overlap at h = 1; phases and foci taken modulo 2
     # are exact. The floor's relative 1e-9 on E(h) covers the rest at a
     # window's edge: x and the kernel's sin(pi*x/2) are off by a few ulps of
     # |x| <= reach, which at h >= 1/N from 2k moves |g| by a relative few ulps
     # times reach*N, under 2e-10 while reach*N <= 1e5; beyond, h starts at 1.
-    top = max(-phase.min(initial=0.0), phase.max(initial=0.0))
+    top = max(-flat.min(initial=0.0), flat.max(initial=0.0))
     h = 1.0 / n if n * (top + np.abs(offsets).max(initial=0.0)) <= 1e5 else 1.0
-    if top > 3:
-        phase -= 2.0 * np.rint(0.5 * phase)  # modulo 2, into [-1, 1]
     order = slice(None) if (phase[1:] >= phase[:-1]).all() else np.argsort(phase, kind="stable")
     phase, flat = phase[order], flat[order]
-    beams, centre = np.repeat(np.arange(offsets.size), 5), ((offsets - 2.0 * np.rint(0.5 * offsets))[:, None] + [-4.0, -2.0, 0.0, 2.0, 4.0]).reshape(-1)
+    beams, centre = np.repeat(np.arange(offsets.size), 3), ((offsets - 2.0 * np.rint(0.5 * offsets))[:, None] + [-2.0, 0.0, 2.0]).reshape(-1)
     best, todo = np.full(flat.size, -math.inf), slice(None)  # the first round on every angle, in place
     while len(part := best[todo]):
         lo, hi = np.searchsorted(phase[todo], [centre - (h + 1e-12), centre + (h + 1e-12)])

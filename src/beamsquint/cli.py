@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import sys
@@ -163,7 +162,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"malformed codebook: {exc}") from exc
 
     if args.threshold_db is not None:
-        book = dataclasses.replace(book, threshold=GainThreshold.from_db(args.threshold_db))
+        book = Codebook(book.foci, book.psi_m, book.band, book.n_antennas, GainThreshold.from_db(args.threshold_db))
     report = verify_codebook(
         book, psi_step=args.psi_step, xi_points=args.xi_points, slack_db=args.slack_db
     )

@@ -78,11 +78,12 @@ class Codebook:
     threshold: GainThreshold
 
     def __post_init__(self) -> None:
-        if not self.foci:
+        foci = tuple(self.foci)  # read once; isfinite, unlike float, refuses a string
+        if not foci:
             raise ValueError("a codebook needs at least one beam, got empty foci")
-        if not all(map(math.isfinite, self.foci)):
-            raise ValueError(f"foci must be finite, got {next(f for f in self.foci if not math.isfinite(f))!r}")
-        object.__setattr__(self, "foci", tuple(map(float, self.foci)))
+        if not all(map(math.isfinite, foci)):
+            raise ValueError(f"foci must be finite, got {next(f for f in foci if not math.isfinite(f))!r}")
+        object.__setattr__(self, "foci", tuple(map(float, foci)))
         object.__setattr__(self, "n_antennas", _check_n(self.n_antennas))
         object.__setattr__(self, "psi_m", _check_psi_m(self.psi_m))
 

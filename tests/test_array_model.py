@@ -454,11 +454,18 @@ class TestWorstSubcarrierGain:
     @pytest.mark.parametrize("n, span", [(2, 1.0), (16, 1.0), (17, 40.0), (64, 3.0), (4096, 30.0)])
     def test_any_angles_match_the_dense_oracle(self, n, span):
         # unsorted angles with repeats, out to several kernel periods, bit for
-        # bit at any b
+        # bit at any b; and the period's edges, shuffled in: the odd integers,
+        # where rint(psi/2) ties to even, the images 2k +- 1e-12, angles in
+        # (1, 3], and foci at +-1 and +-1.5
         rng = np.random.default_rng([n, 18])
         psi = rng.uniform(-span, span, 500)
         psi = np.concatenate([psi, psi[::5]])
         foci = rng.uniform(-1.6, 1.6, min(2 * n + 1, 40))
+        edges = np.random.default_rng([n, 32])
+        images = 2.0 * np.arange(-3, 4)
+        odd = [-5.0, -3.0, -1.0, 1.0, 3.0, 5.0]
+        psi = np.concatenate([psi, edges.permutation(np.concatenate([odd, images - 1e-12, images + 1e-12, 3.0 - edges.uniform(0.0, 2.0, 60)]))])
+        foci = np.concatenate([foci, [-1.5, -1.0, 1.0, 1.5]])
         for b in (0.0, 1e-9, float(rng.uniform(0.0, 0.3)), 1.9):
             got = worst_subcarrier_gain(psi, foci, BandSpec(b), n)
             want = dense_worst_gain(psi, foci, BandSpec(b), n)

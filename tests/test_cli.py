@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from beamsquint import cli
 from beamsquint.cli import _linspace, build_parser, main
-from beamsquint.codebook import design_no_squint, design_with_squint, max_fractional_bandwidth
-from beamsquint.squint import _MAX_GRID_POINTS, BandSpec
-from beamsquint.verification import sweep_size_vs_b
+from beamsquint.codebook import Codebook, design_no_squint, design_with_squint, max_fractional_bandwidth
+from beamsquint.squint import _MAX_GRID_POINTS, BandSpec, GainThreshold
+from beamsquint.verification import sweep_size_vs_b, verify_codebook
 
 
 def run_cli(*argv):
@@ -127,6 +127,15 @@ class TestVerifyCommand:
         assert report["pass"] is True
         assert report["gaps"] == []
         assert report["worst_gain_db"] >= -3.2
+
+    def test_threshold_override_reaches_the_report(self, codebook_path, tmp_path):
+        # the report is verify_codebook's on the file's codebook at the given threshold
+        report_path = tmp_path / "report.json"
+        assert run_cli("verify", "--codebook", str(codebook_path), "--threshold-db", "2", "--out", str(report_path)) == 4
+        book = Codebook.from_json(codebook_path.read_text())
+        want = verify_codebook(Codebook(book.foci, book.psi_m, book.band, book.n_antennas, GainThreshold.from_db(2.0))).to_json()
+        assert report_path.read_bytes() == want.encode()
+        assert want != verify_codebook(book).to_json()
 
     def test_deleted_beam_fails_with_gap(self, codebook_path, tmp_path):
         doc = json.loads(codebook_path.read_text())

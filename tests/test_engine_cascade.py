@@ -85,12 +85,15 @@ class TestWorstSubcarrierGain:
     def test_any_angles_in_input_order(self, monkeypatch, n, span):
         # unsorted angles with repeats, out to several kernel periods; at
         # N = 4096 the rounding bound reach*N exceeds 1e5, so the one round
-        # is h = 1, every beam on every angle
+        # is h = 1, every beam on every angle. With every phase modulo 2, each
+        # round has three windows per beam, about the images 2k, |k| <= 1
         rounds = []  # whether each round's windows hold every (angle, beam) pair
+        windows = []  # windows per beam, each round
         primitive = array_model._raise_to_window_mins
 
         def recording(angles, offsets, band, n, lo, hi, *rest):
             rounds.append((hi - lo).sum() >= len(angles) * len(offsets))
+            windows.append(len(lo) / len(offsets))
             return primitive(angles, offsets, band, n, lo, hi, *rest)
 
         monkeypatch.setattr(array_model, "_raise_to_window_mins", recording)
@@ -104,6 +107,7 @@ class TestWorstSubcarrierGain:
             want = dense_worst_gain(psi, foci, BandSpec(b), n)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), b
             assert (rounds == [True]) == (n == 4096)
+        assert windows and set(windows) == {3}
 
 
 def spans_null(x0, x1, n):

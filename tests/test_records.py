@@ -8,6 +8,7 @@ import dataclasses
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from beamsquint import (
@@ -198,6 +199,17 @@ class TestValidation:
             Codebook((bad,), 1.0, BandSpec(0.01), 8, GainThreshold())
         with pytest.raises(ValueError, match="foci must be finite"):
             dataclasses.replace(BOOK, foci=(-0.5, bad))
+        # an iterator is read once: checking it consumed it, and naming the bad focus raised StopIteration
+        with pytest.raises(ValueError, match="foci must be finite"):
+            Codebook(iter([0.1, bad]), 1.0, BandSpec(0.0), 8, GainThreshold())
+
+    def test_any_iterable_of_foci_builds_the_codebook_of_their_tuple(self):
+        # a generator built a codebook of no beams, and an array raised
+        # numpy's "truth value of an array ... is ambiguous"
+        for foci, make in (((0.1, 0.2), lambda f: (x for x in f)), ((0.1, 0.2), iter), ((-0.1, 0.1), np.array)):
+            book = Codebook(make(foci), 1.0, BandSpec(0.0), 8, GainThreshold())
+            assert book == Codebook(foci, 1.0, BandSpec(0.0), 8, GainThreshold())
+            assert type(book.foci) is tuple and all(type(f) is float for f in book.foci)
 
     @pytest.mark.parametrize("psi_m", [2.0, 0, -1, math.nan])
     def test_a_codebook_needs_psi_m_in_the_unit_range(self, psi_m):
