@@ -279,7 +279,7 @@ def worst_subcarrier_gain(psi, psi0s, band, n_antennas: int):
     being the continuous range ``[band.xi_min, band.xi_max]`` of a
     ``BandSpec``; each pair's min is :func:`_band_min`. Scalar ``psi`` in,
     float out; ndarray in, ndarray of the same shape out. Every angle and
-    focus must be finite.
+    focus must be finite, and there must be at least one focus.
 
     A window cascade: round by round, h = 1/N, 2/N, 4/N, ..., 1, each beam
     meets the angles whose ``x = psi - psi0`` at the carrier (xi = 1, inside
@@ -298,6 +298,8 @@ def worst_subcarrier_gain(psi, psi0s, band, n_antennas: int):
     for name, values in (("psi", flat), ("psi0s", offsets)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite, got {float(values[~np.isfinite(values)][0])!r}")
+    if not offsets.size:  # the best of no beams would be -inf
+        raise ValueError("psi0s must hold at least one focus, got none")
     phase = flat - 2.0 * np.rint(0.5 * flat)  # x + psi0 at the carrier, modulo 2 into [-1, 1]
     # Windows are padded by 1e-12, far above the rounding of their edges, all
     # in [-4, 4], so they overlap at h = 1; phases and foci taken modulo 2
@@ -334,14 +336,14 @@ def _raise_to_window_mins(angles, offsets, band, n, lo, hi, beams, best):
         start = np.maximum(lo, a)
         length = np.maximum(np.minimum(hi, a + block) - start, 0)
         rows = np.repeat(start - a - np.cumsum(length) + length, length) + np.arange(length.sum())
-        mins = _band_min(angles[a : a + block][rows], offsets[np.repeat(beams, length)], band.xi_min, band.xi_max, n)
+        mins = _band_min(angles[a : a + block][rows], offsets[np.repeat(beams, length)], band, n)
         np.maximum.at(best[a : a + block], rows, mins)
 
 
-def _band_min(psi, psi0, xi_min, xi_max, n):
-    """The min over the continuous band ``[xi_min, xi_max]`` of ``|g(xi*psi
-    - psi0)|``, element-wise over broadcast ``psi`` and ``psi0``, from one
-    kernel call on the two band-edge offsets. Scalars in, float out.
+def _band_min(psi, psi0, band, n):
+    """The min over the ``BandSpec``'s continuous band ``[xi_min, xi_max]`` of
+    ``|g(xi*psi - psi0)|``, element-wise over broadcast ``psi`` and ``psi0``, from
+    one kernel call on the two band-edge offsets. Scalars in, float out.
 
     The lobe rule: a pair whose two band-edge offsets have a null ``2j/N``
     (j not a multiple of N) in ``(lo, hi]`` between them crosses it inside
@@ -352,7 +354,7 @@ def _band_min(psi, psi0, xi_min, xi_max, n):
     edge min stays the exact-arithmetic one, above that sampled value.
     """
     import numpy as np
-    lo, hi = np.asarray(psi * xi_min - psi0, dtype=float), np.asarray(psi * xi_max - psi0, dtype=float)
+    lo, hi = np.asarray(psi * band.xi_min - psi0, dtype=float), np.asarray(psi * band.xi_max - psi0, dtype=float)
     x = np.concatenate((lo.reshape(-1), hi.reshape(-1)))
     g, m = gain_kernel_magnitude(x, n), lo.size
     lobe = np.floor((0.5 * n) * x) - np.floor(0.5 * x)  # nulls up to x, less the peaks 2k
@@ -360,18 +362,18 @@ def _band_min(psi, psi0, xi_min, xi_max, n):
     return float(mins[0]) if lo.ndim == 0 else mins.reshape(lo.shape)
 
 
-def _nearest_reach(psi, psi0s, xi_min, xi_max):
+def _nearest_reach(psi, psi0s, band):
     """Per angle of the 1-D ``psi``, the larger band-edge offset ``max(|psi*xi_min
-    - p|, |psi*xi_max - p|)`` of the focus ``p`` nearest at the carrier, in any
-    order of foci, by the float expressions of :func:`_band_min`, so exactly
-    the two offsets at which it evaluates that pair."""
+    - p|, |psi*xi_max - p|)`` over the ``BandSpec``'s two edges of the focus ``p``
+    nearest at the carrier, in any order of foci, by the float expressions of
+    :func:`_band_min`, so exactly the two offsets at which it evaluates that pair."""
     import numpy as np
     foci = np.sort(psi0s)
     mid, reach = 0.5 * (foci[1:] + foci[:-1]), np.empty(len(psi))
     for a in range(0, len(psi), _GAIN_CHUNK):  # in blocks: no other temporary as large as psi
         part = psi[a : a + _GAIN_CHUNK]
         p = foci[np.searchsorted(mid, part)]
-        reach[a : a + _GAIN_CHUNK] = np.maximum(np.abs(part * xi_min - p), np.abs(part * xi_max - p))
+        reach[a : a + _GAIN_CHUNK] = np.maximum(np.abs(part * band.xi_min - p), np.abs(part * band.xi_max - p))
     return reach
 
 

@@ -54,6 +54,9 @@ def _band_from_args(args, required: bool = True) -> BandSpec | None:
     if has_fc != has_bw:
         raise ValueError("--carrier-ghz and --bandwidth-ghz must be given together")
     if has_fc:
+        # in GHz, before BandSpec.from_carrier quotes Hz; NaN fails both comparisons
+        if not (args.carrier_ghz > 0 and args.bandwidth_ghz >= 0):
+            raise ValueError(f"need --carrier-ghz > 0 and --bandwidth-ghz >= 0, got {args.carrier_ghz} and {args.bandwidth_ghz}")
         return BandSpec.from_carrier(args.carrier_ghz * 1e9, args.bandwidth_ghz * 1e9)
     if required:
         raise ValueError(
@@ -137,13 +140,13 @@ def _cmd_design(args) -> int:
         return _EXIT_INFEASIBLE
     book = outcome.codebook
 
+    _emit(book.to_json(), args.out)
     print(
         f"designed codebook: size={book.size} parity={book.parity} "
         f"b={book.band.fractional_bandwidth:.6f} N={book.n_antennas} "
         f"psi_m={book.psi_m:g}",
         file=sys.stderr,
     )
-    _emit(book.to_json(), args.out)
     return _EXIT_OK
 
 

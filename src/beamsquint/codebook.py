@@ -305,15 +305,15 @@ def _tile_right_half(n: int, band: BandSpec, psi_m: float, odd: bool) -> tuple[f
     b = 8.859999999999999e-05, which passes the bound precheck.
     """
     positive: list[float] = []
-    half, b = 0.5 * half_power_beamwidth(n), band.fractional_bandwidth
+    half, xi_min, xi_max = 0.5 * half_power_beamwidth(n), band.xi_min, band.xi_max
     # the odd procedure seeds a beam at broadside, the even one an edge: at least one pair
-    psi_cr = half / (1.0 + 0.5 * b) if odd else 0.0
+    psi_cr = half / xi_max if odd else 0.0
     while psi_cr < psi_m - _EDGE_TOL or not (odd or positive):
         # focus_from_left_edge(psi_cl), then squinted_coverage(psi0).hi by the
         # same float operations: psi_cl >= 0, so the right edge psi0 + half > 0
         psi_cl = psi_cr
-        psi0 = (1.0 - 0.5 * b) * psi_cl + half
-        psi_cr = (psi0 + half) / (1.0 + 0.5 * b)
+        psi0 = xi_min * psi_cl + half
+        psi_cr = (psi0 + half) / xi_max
         if psi_cl >= psi_cr:
             return None
         positive.append(psi0)

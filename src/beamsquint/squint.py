@@ -1,11 +1,11 @@
 """Squint algebra in psi space.
 
-Fractional bandwidth, gain thresholds, analytic squinted beam edges for
-every sign case, the effective beamwidth, and a numeric coverage oracle
-that measures a beam's usable interval by brute force instead of trusting
-the closed-form edges. A beam's gain at a carrier angle is its min over
-the continuous band ``[xi_min, xi_max]``, which is 0 where the band sweeps
-the beam across a null.
+Fractional bandwidth, gain thresholds, analytic squinted beam edges (each
+edge its innermost over the band's two edges), the effective beamwidth,
+and a numeric coverage oracle that measures a beam's usable interval by
+brute force instead of trusting the closed-form edges. A beam's gain at a
+carrier angle is its min over the continuous band ``[xi_min, xi_max]``,
+which is 0 where the band sweeps the beam across a null.
 """
 
 from __future__ import annotations
@@ -185,22 +185,15 @@ def _main_lobe_reach(level: float, n: int) -> float:
 def squinted_coverage(psi0: float, band: BandSpec, n_antennas: int) -> CoverageInterval:
     """Analytic squint-reduced coverage of the fine beam focused on ``psi0``.
 
-    The zero-squint edges psi0 -/+ width/2 shrink toward broadside by the
-    band-edge frequency ratios; the divisor depends on which side of
-    broadside each edge falls. Assumes a contiguous beam range.
+    Each zero-squint edge psi0 -/+ width/2 divided by both band-edge ratios
+    ``band.xi_min`` and ``band.xi_max``, keeping the innermost quotient: the
+    edge holds at every frequency of the band. Assumes a contiguous beam range.
     """
     if not math.isfinite(psi0):
         raise ValueError(f"psi0 must be finite, got {psi0!r}")
     width = half_power_beamwidth(n_antennas)
-    b = band.fractional_bandwidth
-    left = psi0 - 0.5 * width
-    right = psi0 + 0.5 * width
-    if left > 0.0 and right > 0.0:
-        return CoverageInterval(left / (1.0 - 0.5 * b), right / (1.0 + 0.5 * b))
-    if left < 0.0 and right < 0.0:
-        return CoverageInterval(left / (1.0 + 0.5 * b), right / (1.0 - 0.5 * b))
-    # beam straddles broadside: both edges are set by the highest frequency
-    return CoverageInterval(left / (1.0 + 0.5 * b), right / (1.0 + 0.5 * b))
+    left, right = psi0 - 0.5 * width, psi0 + 0.5 * width
+    return CoverageInterval(max(left / band.xi_min, left / band.xi_max), min(right / band.xi_min, right / band.xi_max))
 
 
 def effective_beamwidth(psi0: float, band: BandSpec, n_antennas: int) -> float:
@@ -217,22 +210,20 @@ def effective_beamwidth(psi0: float, band: BandSpec, n_antennas: int) -> float:
     b = band.fractional_bandwidth
     if (psi0 - 0.5 * width) * (psi0 + 0.5 * width) > 0.0:
         return (width - b * abs(psi0)) / (1.0 - 0.25 * b * b)
-    return width / (1.0 + 0.5 * b)
+    return width / band.xi_max
 
 
 def focus_from_left_edge(psi_cl: float, band: BandSpec, n_antennas: int) -> float:
     """Focus angle whose squinted left edge sits at ``psi_cl``.
 
-    Inverts the right-half edge relation: psi0 = (1 - b/2)*psi_cl + width/2.
+    Inverts the right-half edge relation: psi0 = xi_min*psi_cl + width/2.
     Valid for psi_cl >= 0 (tile the left half by mirroring).
     """
     if not (math.isfinite(psi_cl) and psi_cl >= 0.0):
         raise ValueError(
             f"psi_cl must be >= 0 (mirror by negation for the left half), got {psi_cl!r}"
         )
-    width = half_power_beamwidth(n_antennas)
-    b = band.fractional_bandwidth
-    return (1.0 - 0.5 * b) * psi_cl + 0.5 * width
+    return band.xi_min * psi_cl + 0.5 * half_power_beamwidth(n_antennas)
 
 
 def numeric_coverage(
@@ -273,7 +264,7 @@ def numeric_coverage(
         raise ValueError(f"psi_step must lie in (0, {width!r}), the scan window's width (at most {_MAX_GRID_POINTS} points), got {psi_step!r}")
     grid = np.linspace(lo_w, hi_w, int(math.ceil(width / psi_step)) + 1)
     block = _GAIN_CHUNK // 2  # two band-edge values per angle fill one kernel chunk
-    q = np.concatenate([_band_min(grid[a : a + block], psi0, band.xi_min, band.xi_max, n) for a in range(0, len(grid), block)])
+    q = np.concatenate([_band_min(grid[a : a + block], psi0, band, n) for a in range(0, len(grid), block)])
     peak = int(np.argmax(q))
     if q[peak] < floor:
         return None
@@ -283,7 +274,7 @@ def numeric_coverage(
     failing = below | (count != count[peak])
     # the coverage ends where the gaps on either side begin, or at the window
     # ends; a refinement round takes at most 4 angles, both ends of two edges
-    gaps = _failure_gaps(grid, failing, lambda psi_c: _band_min(psi_c, psi0, band.xi_min, band.xi_max, n) - floor)
+    gaps = _failure_gaps(grid, failing, lambda psi_c: _band_min(psi_c, psi0, band, n) - floor)
     return CoverageInterval(gaps[0].hi if failing[0] else float(grid[0]), gaps[-1].lo if failing[-1] else float(grid[-1]))
 
 

@@ -93,8 +93,8 @@ def verify_codebook(
 
     steps = int(round(2.0 * psi_m / psi_step))
     grid = np.linspace(-psi_m, psi_m, steps + 1)
-    reach = _nearest_reach(grid, psi0s, band.xi_min, band.xi_max)
-    bar = max(float(_band_min(grid[np.argmax(reach)], psi0s, band.xi_min, band.xi_max, n).max()), pass_level)
+    reach = _nearest_reach(grid, psi0s, band)
+    bar = max(float(_band_min(grid[np.argmax(reach)], psi0s, band, n).max()), pass_level)
     cand = np.flatnonzero(reach >= _main_lobe_reach(bar, n))
     best = reach  # in reach's memory: +inf off the candidates
     best[:] = math.inf
@@ -103,7 +103,7 @@ def verify_codebook(
     worst_idx = int(np.argmin(best))
     worst_psi = float(grid[worst_idx])
     # argmax takes the first of the beams whose band min at the worst angle is best
-    winner = psi0s[int(np.argmax(_band_min(worst_psi, psi0s, band.xi_min, band.xi_max, n)))]
+    winner = psi0s[int(np.argmax(_band_min(worst_psi, psi0s, band, n)))]
     worst_xi = float(xis[int(np.argmin(gain_kernel_magnitude(worst_psi * xis - winner, n)))])
 
     gaps = _failure_gaps(grid, best < pass_level, lambda psi: worst_subcarrier_gain(psi, psi0s, band, n) - pass_level)

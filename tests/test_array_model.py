@@ -297,6 +297,8 @@ class TestScalarPath:
             array_gain_sum(w, HALF, -1.5)
         with pytest.raises(ValueError, match="frequency ratio"):
             array_gain_sum(w, HALF, 0.2, 0.0)
+        with pytest.raises(ValueError, match="weights must be finite phases in radians"):
+            array_gain_sum(np.where(np.arange(len(w)) == 1, math.nan, w), HALF, 0.2)
         assert type(array_gain_sum(w, HALF, np.float64(0.2))) is complex
         assert array_gain_sum(w, HALF, np.array([0.2])).shape == (1,)
 
@@ -426,6 +428,9 @@ class TestWorstSubcarrierGain:
                 worst_subcarrier_gain(psi, self.PSI0S, self.BAND, self.N)
         with pytest.raises(ValueError, match="psi0s must be finite"):
             worst_subcarrier_gain(self.GRID, [0.0, bad], self.BAND, self.N)
+        # no foci gave -inf, the best of no beams
+        with pytest.raises(ValueError, match="psi0s must hold at least one focus"):
+            worst_subcarrier_gain(np.array([0.1]), [], self.BAND, self.N)
 
     @pytest.mark.parametrize("b", [0.0, 0.0342, 0.2, 1.9], ids=str)
     def test_band_is_its_two_edges(self, b):

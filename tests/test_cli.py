@@ -78,8 +78,22 @@ class TestDesignCommand:
         assert err.startswith("codebook does not exist: beam tiling stalled")
         assert ">= bound" not in err
 
-    def test_band_required(self):
+    def test_band_required(self, capsys):
         assert run_cli("design", "--antennas", "16") == 2
+        capsys.readouterr()
+        # a carrier without a bandwidth, and GHz flags out of range: the error
+        # quotes the flags in GHz (the library's Hz message read -1000000000.0);
+        # an infinite carrier still reaches BandSpec.from_carrier
+        for band, message in (
+            (("--carrier-ghz", "73"), "--carrier-ghz and --bandwidth-ghz must be given together"),
+            (("--carrier-ghz", "73", "--bandwidth-ghz", "-1"), "need --carrier-ghz > 0 and --bandwidth-ghz >= 0, got 73.0 and -1.0"),
+            (("--carrier-ghz", "nan", "--bandwidth-ghz", "2.5"), "need --carrier-ghz > 0 and --bandwidth-ghz >= 0, got nan and 2.5"),
+            (("--carrier-ghz", "73", "--bandwidth-ghz", "nan"), "need --carrier-ghz > 0 and --bandwidth-ghz >= 0, got 73.0 and nan"),
+            (("--carrier-ghz", "inf", "--bandwidth-ghz", "2.5"), "carrier frequency must be positive, got inf"),
+        ):
+            for command in ("design", "bounds"):
+                assert run_cli(command, "--antennas", "16", *band) == 2
+                assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_band_overdetermined(self):
         assert run_cli(
@@ -268,12 +282,15 @@ class TestPatternCommand:
         for row in shared:
             assert fine_map[row[0]] == row
 
-    def test_focus_required_and_unique(self):
+    def test_focus_required_and_unique(self, capsys):
         assert run_cli("pattern", "--antennas", "16", "--xi", "1.0") == 2
         assert run_cli(
             "pattern", "--antennas", "16", "--psi0", "0", "--theta0-deg", "0",
             "--xi", "1.0",
         ) == 2
+        capsys.readouterr()
+        assert run_cli("pattern", "--antennas", "16", "--psi0", "2", "--xi", "1.0") == 2
+        assert capsys.readouterr() == ("", "error: focus angle psi0 must lie in [-1, 1], got 2.0\n")
 
     @pytest.mark.parametrize("theta", ["150", "-91", "90.0000001", "inf", "nan"])
     def test_focus_angle_outside_the_visible_range_exits_2(self, capsys, theta):
@@ -287,12 +304,15 @@ class TestPatternCommand:
         for edge in ("90", "-90"):
             assert run_cli("pattern", "--antennas", "8", f"--theta0-deg={edge}", "--xi", "1", "--psi-step", "0.5") == 0
 
-    def test_frequencies_required(self):
+    def test_frequencies_required(self, capsys):
         assert run_cli("pattern", "--antennas", "16", "--psi0", "0.5") == 2
         assert run_cli(
             "pattern", "--antennas", "16", "--psi0", "0.5",
             "--freq-ghz", "73",  # missing --carrier-ghz
         ) == 2
+        capsys.readouterr()
+        assert run_cli("pattern", "--antennas", "16", "--psi0", "0.5", "--xi", "1", "--freq-ghz", "73", "--carrier-ghz", "73") == 2
+        assert capsys.readouterr() == ("", "error: give either --xi or --freq-ghz, not both\n")
 
     @pytest.mark.parametrize(
         "options",
@@ -481,10 +501,13 @@ class TestSweepCommands:
         _, rows = read_csv(out)
         assert rows == [["20.0", "23", "inf"]]
 
-    def test_bad_grid_exits_2(self):
+    def test_bad_grid_exits_2(self, capsys):
         assert run_cli("sweep-b", "--antennas", "16") == 2
         assert run_cli("sweep-b", "--antennas", "16", "--b-list", "abc") == 2
         assert run_cli("sweep-n", "--b-list", "0.03", "--n-min", "1") == 2
+        capsys.readouterr()
+        assert run_cli("sweep-b", "--antennas", "16", "--b-min", "0", "--b-max", "0.1", "--b-points", "1") == 2
+        assert capsys.readouterr() == ("", "error: --b-points must be >= 2, got 1\n")
 
     @pytest.mark.parametrize("b_min, b_max", [("0", "inf"), ("inf", "inf"), ("0", "nan")])
     def test_non_finite_b_bound_exits_2(self, capsys, b_min, b_max):
@@ -617,6 +640,23 @@ def test_psi_max_out_of_range_exits_2(capsys, argv, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: psi_m must lie in (0, 1]")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--antennas", "16", "--fractional-bandwidth", "0.03"],
+        ["sweep-n", "--b-list", "0.03", "--n-min", "4", "--n-max", "8"],
+    ],
+    ids=["design", "sweep-n"],
+)
+def test_unwritable_out_exits_2_with_one_line(capsys, tmp_path, argv):
+    # design printed its success summary before the write failed: two lines
+    assert run_cli(*argv, "--out", str(tmp_path / "missing" / "out.txt")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output")
     assert captured.err.count("\n") == 1
 
 

@@ -150,6 +150,9 @@ class TestDesignWithSquint:
         for n, b in ((8, 0.0179), (16, 0.0342), (32, 0.0342), (64, 0.0179)):
             book = design_with_squint(n, BandSpec(b), 1.0).codebook
             assert book.coverage_gaps() == []
+        # a narrower target range: the beams outside it are skipped
+        narrow = dataclasses.replace(design_with_squint(16, BAND, 1.0).codebook, psi_m=0.05)
+        assert narrow.coverage_gaps() == []
 
     def test_outermost_overshoot_allowed(self):
         book = design_with_squint(16, BAND, 1.0).codebook

@@ -189,12 +189,12 @@ def test_band_min_is_the_one_focus_oracle(seed):
     rng = np.random.default_rng([seed, 27])
     n, band = int(rng.choice([3, 8, 16, 17])), BandSpec(float(rng.uniform(0.05, 1.99)))
     psi, foci = -rng.uniform(0.0, 1.0, (40, 1)), rng.uniform(-1.5, 1.5, 7)
-    got = array_model._band_min(psi, foci, band.xi_min, band.xi_max, n)
+    got = array_model._band_min(psi, foci, band, n)
     want = np.stack([dense_worst_gain(psi[:, 0], [f], band, n) for f in foci], axis=1)
     assert got.shape == (40, 7)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert (got == 0.0).any() and (got > 0.0).any()
-    one = array_model._band_min(float(psi[3, 0]), float(foci[2]), band.xi_min, band.xi_max, n)
+    one = array_model._band_min(float(psi[3, 0]), float(foci[2]), band, n)
     assert isinstance(one, float) and one == got[3, 2]
 
 
@@ -219,7 +219,7 @@ class TestBandEdgeScreen:
         # dense bits; the pairs across a null alone take 0 exactly
         foci, band = self.case(n, b, [n, 7])
         rows, beams = np.divmod(np.arange(self.GRID.size * foci.size), foci.size)
-        mins = array_model._band_min(self.GRID[rows], foci[beams], band.xi_min, band.xi_max, n)
+        mins = array_model._band_min(self.GRID[rows], foci[beams], band, n)
         got = np.full(self.GRID.size, -np.inf)
         np.maximum.at(got, rows, mins)
         want = dense_worst_gain(self.GRID, foci, band, n)
@@ -253,13 +253,13 @@ def test_screen_leaves_out_only_angles_above_the_bar(monkeypatch, n):
             edges = np.concatenate([(foci + s * h) / xi for s in (-1.0, 1.0) for xi in (band.xi_min, band.xi_max)])
             grid = np.concatenate([np.linspace(-1.0, 1.0, 2001), foci, edges])
             grid = np.concatenate([grid, np.nextafter(grid, -2.0), np.nextafter(grid, 2.0)])
-            reach = array_model._nearest_reach(grid, foci, band.xi_min, band.xi_max)
+            reach = array_model._nearest_reach(grid, foci, band)
             out = reach < h
             assert np.all(worst_subcarrier_gain(grid[out], foci, band, n) > bar), (case, b, bar)
             assert 0.0 < bar < root_n or not out.any()
             with monkeypatch.context() as patch:
                 patch.setattr(array_model, "_GAIN_CHUNK", 160)
-                blocks = array_model._nearest_reach(grid, foci[::-1], band.xi_min, band.xi_max)
+                blocks = array_model._nearest_reach(grid, foci[::-1], band)
             assert np.array_equal(blocks.view(np.int64), reach.view(np.int64))
             if bar == bars[0]:
                 left_out, total = left_out + np.count_nonzero(out), total + grid.size

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamsquint.array_model import gain_kernel_magnitude
+from beamsquint.array_model import ArrayGeometry, fine_beam_weights, gain_kernel_magnitude
 from beamsquint.squint import (
     BandSpec,
     CoverageInterval,
@@ -62,6 +62,14 @@ class TestBandSpec:
             BandSpec(-0.1)
         with pytest.raises(ValueError):
             BandSpec(2.0)
+        for carrier, bandwidth, message in (
+            (0.0, 1e9, "carrier frequency must be positive, got 0.0"),
+            (math.nan, 1e9, "carrier frequency must be positive, got nan"),
+            (73e9, -1.0, "bandwidth must be non-negative, got -1.0"),
+            (73e9, math.inf, "bandwidth must be non-negative, got inf"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                BandSpec.from_carrier(carrier, bandwidth)
 
 
 class TestGainThreshold:
@@ -148,6 +156,28 @@ class TestSquintedCoverage:
             assert rev.lo == -fwd.hi
             assert rev.hi == -fwd.lo
 
+    def test_bits_of_the_sign_case_formula(self):
+        # reference: each edge divided by the band-edge ratio that its side of
+        # broadside selects, a straddling beam's both by 1 + b/2
+        def sign_cases(psi0, b, n):
+            width = 1.772 / n
+            left, right = psi0 - 0.5 * width, psi0 + 0.5 * width
+            if left > 0.0 and right > 0.0:
+                return left / (1.0 - 0.5 * b), right / (1.0 + 0.5 * b)
+            if left < 0.0 and right < 0.0:
+                return left / (1.0 + 0.5 * b), right / (1.0 - 0.5 * b)
+            return left / (1.0 + 0.5 * b), right / (1.0 + 0.5 * b)
+
+        rng = np.random.default_rng(33)
+        for _ in range(2000):
+            n = int(rng.integers(2, 4097))
+            width = 1.772 / n
+            # foci with an edge at exactly 0.0, at broadside, and anywhere
+            for psi0 in (0.5 * width, -0.5 * width, 0.0, float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-width, width))):
+                for b in (0.0, float(rng.uniform(0.0, 1e-6)), float(rng.uniform(0.0, 1.9))):
+                    cov = squinted_coverage(psi0, BandSpec(b), n)
+                    assert (cov.lo.hex(), cov.hi.hex()) == tuple(x.hex() for x in sign_cases(psi0, b, n)), (psi0, b, n)
+
 
 class TestEffectiveBeamwidth:
     def test_frozen_values(self):
@@ -179,6 +209,18 @@ class TestFocusFromLeftEdge:
     def test_rejects_negative_edge(self):
         with pytest.raises(ValueError):
             focus_from_left_edge(-0.1, BAND, 16)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_focus_rejected(bad):
+    for focus in (
+        lambda: squinted_coverage(bad, BAND, 16),
+        lambda: effective_beamwidth(bad, BAND, 16),
+        lambda: numeric_coverage(bad, BAND, 16),
+        lambda: fine_beam_weights(ArrayGeometry(16), bad),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"psi0 must be finite, got {bad!r}")):
+            focus()
 
 
 @settings(max_examples=300, derandomize=True)
