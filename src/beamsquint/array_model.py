@@ -335,9 +335,15 @@ def _raise_to_window_mins(angles, offsets, band, n, lo, hi, beams, best):
     for a in range(0, len(angles), block):
         start = np.maximum(lo, a)
         length = np.maximum(np.minimum(hi, a + block) - start, 0)
-        rows = np.repeat(start - a - np.cumsum(length) + length, length) + np.arange(length.sum())
+        rows = _runs(start - a, length)
         mins = _band_min(angles[a : a + block][rows], offsets[np.repeat(beams, length)], band, n)
         np.maximum.at(best[a : a + block], rows, mins)
+
+
+def _runs(start, length):
+    """The runs ``start[i] + arange(length[i])``, concatenated."""
+    import numpy as np
+    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
 
 
 def _band_min(psi, psi0, band, n):
@@ -362,19 +368,31 @@ def _band_min(psi, psi0, band, n):
     return float(mins[0]) if lo.ndim == 0 else mins.reshape(lo.shape)
 
 
-def _nearest_reach(psi, psi0s, band):
-    """Per angle of the 1-D ``psi``, the larger band-edge offset ``max(|psi*xi_min
-    - p|, |psi*xi_max - p|)`` over the ``BandSpec``'s two edges of the focus ``p``
-    nearest at the carrier, in any order of foci, by the float expressions of
-    :func:`_band_min`, so exactly the two offsets at which it evaluates that pair."""
+def _cell_screen(grid, psi0s, band, cutoff):
+    """``flatnonzero(reach >= R)`` on the ascending 1-D ``grid``, from offsets at
+    O(foci) angles: the reach ``max(|psi*xi_min - p|, |psi*xi_max - p|)`` of the
+    focus ``p`` nearest at the carrier (as in :func:`_band_min`), ``R = cutoff(a)``,
+    ``a`` an angle of largest reach. Each focus owns a run of the grid, its cell.
+    Rounded products by xi > 0, differences, min and max are monotone, so p's
+    offsets both exceed -R from one index A on, one reaches R from one index B on,
+    and reach < R just on [A, B): in a cell it falls, then rises, so it peaks at a
+    cell end. A and B start from max((p - R)/xi) and min((p + R)/xi), then settle."""
     import numpy as np
-    foci = np.sort(psi0s)
-    mid, reach = 0.5 * (foci[1:] + foci[:-1]), np.empty(len(psi))
-    for a in range(0, len(psi), _GAIN_CHUNK):  # in blocks: no other temporary as large as psi
-        part = psi[a : a + _GAIN_CHUNK]
-        p = foci[np.searchsorted(mid, part)]
-        reach[a : a + _GAIN_CHUNK] = np.maximum(np.abs(part * band.xi_min - p), np.abs(part * band.xi_max - p))
-    return reach
+    foci, size = np.sort(psi0s), len(grid)
+    stops = np.searchsorted(grid, 0.5 * (foci[1:] + foci[:-1]), side="right")
+    starts, stops = np.concatenate(([0], stops)), np.concatenate((stops, [size]))
+    ends = np.stack([starts, stops - 1], axis=1)[starts < stops]  # each cell's first and last index
+    at, p = grid[ends], foci[starts < stops, None]
+    level = cutoff(float(at.reshape(-1)[np.argmax(np.maximum(np.abs(at * band.xi_min - p), np.abs(at * band.xi_max - p)))]))
+    below, above = (np.divide.outer(foci + s * level, [band.xi_min, band.xi_max]) for s in (-1.0, 1.0))
+    cut, sign = np.searchsorted(grid, [below.max(axis=1), above.min(axis=1)]), np.array([[-1.0], [1.0]])
+    def past(psi):  # per row of cut, whether psi is past A (both offsets above -R) or B (one at R or beyond)
+        return (np.maximum(sign * (psi * band.xi_min - foci), sign * (psi * band.xi_max - foci)) >= level) != (sign < 0)
+    while (step := (~past(grid[np.minimum(cut, size - 1)]) & (cut < size)) * 1 - (past(grid[np.maximum(cut - 1, 0)]) & (cut > 0))).any():
+        cut += step  # one index toward the first angle past A and B
+    a, b = np.clip(cut, starts, stops)  # per cell, [a, b) is left out; B before A leaves out none
+    keep = np.concatenate(([0], np.maximum(a, b)))  # the kept runs [0, a_0), [b_0, a_1), ..., [b_last, size)
+    return _runs(keep, np.concatenate((a, [size])) - keep)
 
 
 def equivalent_aoa(theta_c: float, xi: float) -> float:
@@ -388,9 +406,7 @@ def equivalent_aoa(theta_c: float, xi: float) -> float:
     _check_xi(xi)
     s = xi * math.sin(theta_c)
     if abs(s) > 1.0:
-        raise ValueError(
-            f"equivalent AoA undefined: xi*sin(theta_c) = {s:.6f} is outside [-1, 1]"
-        )
+        raise ValueError(f"equivalent AoA undefined: xi*sin(theta_c) = {s:.6f} is outside [-1, 1]")
     return math.asin(s)
 
 

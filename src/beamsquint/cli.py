@@ -46,22 +46,20 @@ def _band_from_args(args, required: bool = True) -> BandSpec | None:
     has_fc = getattr(args, "carrier_ghz", None) is not None
     has_bw = getattr(args, "bandwidth_ghz", None) is not None
     if has_b and (has_fc or has_bw):
-        raise ValueError(
-            "give either --fractional-bandwidth or --carrier-ghz with --bandwidth-ghz, not both"
-        )
-    if has_b:
+        raise ValueError("give either --fractional-bandwidth or --carrier-ghz with --bandwidth-ghz, not both")
+    if has_b:  # NaN and inf fail the range too
+        if not 0 <= args.fractional_bandwidth < 2:
+            raise ValueError(f"--fractional-bandwidth must satisfy 0 <= b < 2, got {args.fractional_bandwidth}")
         return BandSpec(args.fractional_bandwidth)
     if has_fc != has_bw:
         raise ValueError("--carrier-ghz and --bandwidth-ghz must be given together")
     if has_fc:
-        # in GHz, before BandSpec.from_carrier quotes Hz; NaN fails both comparisons
-        if not (args.carrier_ghz > 0 and args.bandwidth_ghz >= 0):
-            raise ValueError(f"need --carrier-ghz > 0 and --bandwidth-ghz >= 0, got {args.carrier_ghz} and {args.bandwidth_ghz}")
+        # in GHz, before BandSpec.from_carrier quotes Hz; NaN fails every comparison, and GHz that overflow in Hz are infinite
+        if not (0 < args.carrier_ghz * 1e9 < math.inf and 0 <= args.bandwidth_ghz * 1e9 < math.inf):
+            raise ValueError(f"need finite --carrier-ghz > 0 and --bandwidth-ghz >= 0, got {args.carrier_ghz} and {args.bandwidth_ghz}")
         return BandSpec.from_carrier(args.carrier_ghz * 1e9, args.bandwidth_ghz * 1e9)
     if required:
-        raise ValueError(
-            "band is required: either --fractional-bandwidth or --carrier-ghz with --bandwidth-ghz"
-        )
+        raise ValueError("band is required: either --fractional-bandwidth or --carrier-ghz with --bandwidth-ghz")
     return None
 
 
@@ -91,8 +89,8 @@ def _cmd_pattern(args) -> int:
         psi0 = args.psi0 if args.psi0 is not None else psi_from_theta(math.radians(args.theta0_deg))
     except ValueError:  # the library's message gives the angle in radians
         raise ValueError(f"--theta0-deg must lie in [-90, 90], got {args.theta0_deg!r}") from None
-    if abs(psi0) > 1.0:
-        raise ValueError(f"focus angle psi0 must lie in [-1, 1], got {psi0!r}")
+    if not abs(psi0) <= 1.0:  # also rejects NaN
+        raise ValueError(f"--psi0 must lie in [-1, 1], got {psi0!r}")
 
     if args.xi is not None and args.freq_ghz is not None:
         raise ValueError("give either --xi or --freq-ghz, not both")
@@ -166,9 +164,7 @@ def _cmd_verify(args) -> int:
 
     if args.threshold_db is not None:
         book = Codebook(book.foci, book.psi_m, book.band, book.n_antennas, GainThreshold.from_db(args.threshold_db))
-    report = verify_codebook(
-        book, psi_step=args.psi_step, xi_points=args.xi_points, slack_db=args.slack_db
-    )
+    report = verify_codebook(book, psi_step=args.psi_step, xi_points=args.xi_points, slack_db=args.slack_db)
     _emit(report.to_json(), args.out)
     print(
         f"verification {'pass' if report.passed else 'FAIL'}: "
@@ -274,10 +270,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="beamsquint",
-        description="Design and certify ULA analog-beamforming codebooks under wideband beam squint.",
-    )
+    parser = _Parser(prog="beamsquint", description="Design and certify ULA analog-beamforming codebooks under wideband beam squint.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pattern", help="dump gain patterns for a fine beam at several frequencies")

@@ -166,9 +166,7 @@ class Codebook:
             if not _is_number(data[key]):
                 raise CodebookFormatError(f"{key} must be a finite number, got {data[key]!r}")
         if data["spacing_ratio"] != 0.5:
-            raise CodebookFormatError(
-                f"spacing_ratio must be 0.5 (half-wavelength), got {data['spacing_ratio']!r}"
-            )
+            raise CodebookFormatError(f"spacing_ratio must be 0.5 (half-wavelength), got {data['spacing_ratio']!r}")
         raw_beams = data["beams"]
         if not isinstance(raw_beams, list):
             raise CodebookFormatError("beams must be a list")
@@ -199,9 +197,7 @@ class Codebook:
             if not all(_is_number(p) for p in phases):
                 raise CodebookFormatError(f"beam {pos} phases_rad must be numbers")
             if max(abs(float(p) - e) for p, e in zip(phases, _fine_phases(geom, psi0))) > 1e-9:
-                raise CodebookFormatError(
-                    f"beam {pos} phases_rad are not the fine-beam phases for psi0={psi0!r}"
-                )
+                raise CodebookFormatError(f"beam {pos} phases_rad are not the fine-beam phases for psi0={psi0!r}")
             cov = entry["coverage"]
             if not isinstance(cov, dict) or "lo" not in cov or "hi" not in cov:
                 raise CodebookFormatError(f"beam {pos} coverage must carry 'lo' and 'hi'")

@@ -220,9 +220,7 @@ def focus_from_left_edge(psi_cl: float, band: BandSpec, n_antennas: int) -> floa
     Valid for psi_cl >= 0 (tile the left half by mirroring).
     """
     if not (math.isfinite(psi_cl) and psi_cl >= 0.0):
-        raise ValueError(
-            f"psi_cl must be >= 0 (mirror by negation for the left half), got {psi_cl!r}"
-        )
+        raise ValueError(f"psi_cl must be >= 0 (mirror by negation for the left half), got {psi_cl!r}")
     return band.xi_min * psi_cl + 0.5 * half_power_beamwidth(n_antennas)
 
 
@@ -274,21 +272,21 @@ def numeric_coverage(
     failing = below | (count != count[peak])
     # the coverage ends where the gaps on either side begin, or at the window
     # ends; a refinement round takes at most 4 angles, both ends of two edges
-    gaps = _failure_gaps(grid, failing, lambda psi_c: _band_min(psi_c, psi0, band, n) - floor)
+    gaps = _failure_gaps(grid, np.flatnonzero(failing), lambda psi_c: _band_min(psi_c, psi0, band, n) - floor)
     return CoverageInterval(gaps[0].hi if failing[0] else float(grid[0]), gaps[-1].lo if failing[-1] else float(grid[-1]))
 
 
 def _failure_gaps(grid, failing, margin) -> list[CoverageInterval]:
-    """Merge failing grid points into intervals, refining all their edges
-    in one batch; an edge at a grid end pairs with itself and stays."""
+    """Merge the failing grid points, ``failing`` their ascending indices, into
+    intervals, refining all their edges in one batch; an edge at a grid end
+    pairs with itself and stays."""
     import numpy as np
-    if not failing.any():
+    if not len(failing):
         return []
     last = len(grid) - 1
-    # a run starts where the mask turns on and ends one point before it turns off
-    padded = np.concatenate(([False], failing, [False]))
-    flips = np.flatnonzero(padded[1:] != padded[:-1])  # on, off, on, off, ...
-    starts, ends = flips[::2], flips[1::2] - 1
+    # a run ends where the next failing index is not the next grid index
+    breaks = np.flatnonzero(np.diff(failing) != 1)
+    starts, ends = failing[np.concatenate(([0], breaks + 1))], failing[np.concatenate((breaks, [-1]))]
     lows = [(grid[max(i - 1, 0)], grid[i]) for i in starts]
     edges = _refine_edges(margin, lows + [(grid[min(j + 1, last)], grid[j]) for j in ends])
     return [CoverageInterval(lo, hi) for lo, hi in zip(edges[: len(starts)], edges[len(starts) :])]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .array_model import _Record, _band_min, _nearest_reach, _public, gain_kernel_magnitude, worst_subcarrier_gain
+from .array_model import _Record, _band_min, _cell_screen, _public, gain_kernel_magnitude, worst_subcarrier_gain
 from .codebook import Codebook, _foci, max_antennas, max_fractional_bandwidth, min_size_no_squint
 from .squint import _MAX_GRID_POINTS, BandSpec, CoverageInterval, _failure_gaps, _main_lobe_reach
 
@@ -62,16 +62,15 @@ def verify_codebook(
     """Certify minimum gain across the band over [-psi_m, psi_m].
 
     For each carrier angle on the grid: max over beams of the min over the
-    continuous band ``[xi_min, xi_max]`` of ``|g(xi*psi - psi0)|``, which is
-    0 for a beam whose band sweeps it across a null and otherwise its
-    smaller band-edge value (:func:`worst_subcarrier_gain` on
-    ``codebook.band``, which also gives the refinement margin), taken only
+    continuous band ``[xi_min, xi_max]`` of ``|g(xi*psi - psi0)|``
+    (:func:`worst_subcarrier_gain`, also the refinement margin), taken only
     where the focus nearest at the carrier reaches, at a band edge, at least
-    ``squint._main_lobe_reach(bar)`` (``array_model._nearest_reach``), ``bar``
-    being the larger of the pass level and the best where that reach is
-    largest. At any other angle that beam's band min exceeds ``bar``, so the
-    best > bar >= the worst best and the angle passes: no bit of the report
-    moves. Failures are data, not exceptions; gap edges are refined to 1e-9.
+    ``squint._main_lobe_reach(bar)``, ``bar`` being the larger of the pass
+    level and the best at an angle of largest reach. ``array_model._cell_screen``
+    finds those angles per beam in closed form, without a pass over the grid;
+    at any other angle that beam's band min exceeds ``bar``, so the best > bar
+    >= the worst best: no bit of the report moves. Failures are data, not
+    exceptions; gap edges are refined to 1e-9.
     ``slack_db`` absorbs the 1.772/N beamwidth approximation when certifying
     constant-width designs (use 0 for exact-width designs). ``xi_points``, an
     integer count, sets only the subcarrier grid on which ``worst_xi`` is
@@ -93,24 +92,21 @@ def verify_codebook(
 
     steps = int(round(2.0 * psi_m / psi_step))
     grid = np.linspace(-psi_m, psi_m, steps + 1)
-    reach = _nearest_reach(grid, psi0s, band)
-    bar = max(float(_band_min(grid[np.argmax(reach)], psi0s, band, n).max()), pass_level)
-    cand = np.flatnonzero(reach >= _main_lobe_reach(bar, n))
-    best = reach  # in reach's memory: +inf off the candidates
-    best[:] = math.inf
-    best[cand] = worst_subcarrier_gain(grid[cand], psi0s, band, n)
+    # bar: the pass level, or the best at the angle of largest reach where higher
+    cand = _cell_screen(grid, psi0s, band, lambda psi: _main_lobe_reach(max(float(_band_min(psi, psi0s, band, n).max()), pass_level), n))
+    best = worst_subcarrier_gain(grid[cand], psi0s, band, n)
 
-    worst_idx = int(np.argmin(best))
-    worst_psi = float(grid[worst_idx])
+    worst = int(np.argmin(best))
+    worst_psi = float(grid[cand[worst]])
     # argmax takes the first of the beams whose band min at the worst angle is best
     winner = psi0s[int(np.argmax(_band_min(worst_psi, psi0s, band, n)))]
     worst_xi = float(xis[int(np.argmin(gain_kernel_magnitude(worst_psi * xis - winner, n)))])
 
-    gaps = _failure_gaps(grid, best < pass_level, lambda psi: worst_subcarrier_gain(psi, psi0s, band, n) - pass_level)
+    gaps = _failure_gaps(grid, cand[best < pass_level], lambda psi: worst_subcarrier_gain(psi, psi0s, band, n) - pass_level)
 
     return CoverageReport(
         passed=not gaps,
-        worst_gain_db=_to_db(float(best[worst_idx]) / math.sqrt(n)),
+        worst_gain_db=_to_db(float(best[worst]) / math.sqrt(n)),
         worst_psi=worst_psi,
         worst_xi=worst_xi,
         gaps=tuple(gaps),

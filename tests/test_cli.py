@@ -81,15 +81,23 @@ class TestDesignCommand:
     def test_band_required(self, capsys):
         assert run_cli("design", "--antennas", "16") == 2
         capsys.readouterr()
-        # a carrier without a bandwidth, and GHz flags out of range: the error
-        # quotes the flags in GHz (the library's Hz message read -1000000000.0);
-        # an infinite carrier still reaches BandSpec.from_carrier
+        # a carrier without a bandwidth, and band flags out of range: the error
+        # names the flags and quotes GHz (the library's Hz message read
+        # -1000000000.0, and an infinite carrier or a b of -1 named the
+        # library's value or field, not the flag)
+        need = "need finite --carrier-ghz > 0 and --bandwidth-ghz >= 0, got"
         for band, message in (
             (("--carrier-ghz", "73"), "--carrier-ghz and --bandwidth-ghz must be given together"),
-            (("--carrier-ghz", "73", "--bandwidth-ghz", "-1"), "need --carrier-ghz > 0 and --bandwidth-ghz >= 0, got 73.0 and -1.0"),
-            (("--carrier-ghz", "nan", "--bandwidth-ghz", "2.5"), "need --carrier-ghz > 0 and --bandwidth-ghz >= 0, got nan and 2.5"),
-            (("--carrier-ghz", "73", "--bandwidth-ghz", "nan"), "need --carrier-ghz > 0 and --bandwidth-ghz >= 0, got 73.0 and nan"),
-            (("--carrier-ghz", "inf", "--bandwidth-ghz", "2.5"), "carrier frequency must be positive, got inf"),
+            (("--carrier-ghz", "73", "--bandwidth-ghz", "-1"), f"{need} 73.0 and -1.0"),
+            (("--carrier-ghz", "nan", "--bandwidth-ghz", "2.5"), f"{need} nan and 2.5"),
+            (("--carrier-ghz", "73", "--bandwidth-ghz", "nan"), f"{need} 73.0 and nan"),
+            (("--carrier-ghz", "inf", "--bandwidth-ghz", "2.5"), f"{need} inf and 2.5"),
+            (("--carrier-ghz", "73", "--bandwidth-ghz", "inf"), f"{need} 73.0 and inf"),
+            (("--carrier-ghz", "1e300", "--bandwidth-ghz", "2.5"), f"{need} 1e+300 and 2.5"),  # infinite in Hz
+            (("--fractional-bandwidth", "-1"), "--fractional-bandwidth must satisfy 0 <= b < 2, got -1.0"),
+            (("--fractional-bandwidth", "2"), "--fractional-bandwidth must satisfy 0 <= b < 2, got 2.0"),
+            (("--fractional-bandwidth", "inf"), "--fractional-bandwidth must satisfy 0 <= b < 2, got inf"),
+            (("--fractional-bandwidth", "nan"), "--fractional-bandwidth must satisfy 0 <= b < 2, got nan"),
         ):
             for command in ("design", "bounds"):
                 assert run_cli(command, "--antennas", "16", *band) == 2
@@ -290,7 +298,7 @@ class TestPatternCommand:
         ) == 2
         capsys.readouterr()
         assert run_cli("pattern", "--antennas", "16", "--psi0", "2", "--xi", "1.0") == 2
-        assert capsys.readouterr() == ("", "error: focus angle psi0 must lie in [-1, 1], got 2.0\n")
+        assert capsys.readouterr() == ("", "error: --psi0 must lie in [-1, 1], got 2.0\n")
 
     @pytest.mark.parametrize("theta", ["150", "-91", "90.0000001", "inf", "nan"])
     def test_focus_angle_outside_the_visible_range_exits_2(self, capsys, theta):
@@ -318,9 +326,10 @@ class TestPatternCommand:
         "options",
         # a step above 1 leaves fewer than 3 points on [-1, 1], one below
         # 2/(2**22 - 1) more than the grid-size cap; a carrier of 0 would
-        # divide by zero
+        # divide by zero; a focus outside [-1, 1] read "focus angle psi0"
         [["--xi", "1", "--psi-step", step] for step in ("inf", "nan", "1.5", "3", "1e-300", "5e-324")]
-        + [["--freq-ghz", "73", "--carrier-ghz", fc] for fc in ("0", "-73", "nan")],
+        + [["--freq-ghz", "73", "--carrier-ghz", fc] for fc in ("0", "-73", "nan")]
+        + [["--xi", "1", "--psi0", psi0] for psi0 in ("2", "-1.5", "inf", "nan")],
         ids=lambda options: "=".join(options[-2:]),
     )
     def test_out_of_range_option_exits_2(self, capsys, options):

@@ -1,8 +1,9 @@
 """Engine pins of the window cascade, the lobe rule's pair batches and
 verify's kernel-free screen: ``worst_subcarrier_gain``'s rounds of
 ``array_model._raise_to_window_mins`` and their kernel blocks, the
-(angle, beam) pairs of ``array_model._band_min``, the reach of
-``array_model._nearest_reach`` against ``squint._main_lobe_reach``, and the
+(angle, beam) pairs of ``array_model._band_min``, the candidates of
+``array_model._cell_screen`` against the per-angle reach and
+``squint._main_lobe_reach``, and the
 calls that ``verify_codebook`` makes into them, with ``_GAIN_CHUNK`` patched
 to other block sizes. The contract these engines serve, bits equal to the
 dense oracle and reports equal to the dense certifier, is pinned in
@@ -17,7 +18,7 @@ import pytest
 
 from beamsquint import array_model, verification
 from beamsquint.array_model import gain_kernel_magnitude, worst_subcarrier_gain
-from beamsquint.codebook import design_no_squint, max_fractional_bandwidth
+from beamsquint.codebook import design_no_squint, design_with_squint, max_fractional_bandwidth
 from beamsquint.squint import BandSpec, GainThreshold, _main_lobe_reach
 from beamsquint.verification import _failure_gaps, verify_codebook
 
@@ -229,41 +230,113 @@ class TestBandEdgeScreen:
         assert crosses.any() == (b is None)
 
 
-@pytest.mark.parametrize("n", [2, 3, 17, 64])
-def test_screen_leaves_out_only_angles_above_the_bar(monkeypatch, n):
-    # verify's screen leaves out an angle when the focus nearest at the carrier
-    # reaches less than _main_lobe_reach(bar) at both band edges; every such
-    # angle's best (the cascade's) must beat the bar. Seeded codebooks with
-    # foci out to +-1.6, b from 0 to 1.999, and one beam; the grid holds each
-    # focus and the floats next to it (where the two band-edge offsets mirror
-    # each other on the flat peak), and for each bar the angles whose offset
-    # at a band edge is the reach itself, and the floats next to those. Bars:
-    # the pass level, below the sidelobe level, at the capped lobe's edge and
-    # below it, 0, and at or above sqrt(N), where nothing is left out. In
-    # blocks of 160 angles, with the foci reversed, the reach has the same bits.
-    rng, left_out, total = np.random.default_rng([n, 30]), 0, 0
-    root_n = math.sqrt(n)
-    bars = [GainThreshold().absolute(n) * 10 ** (-0.2 / 20), 0.05 * root_n, gain_kernel_magnitude(1.999 / n, n), 1e-9 * root_n, 1e-300, 0.0, root_n, 2 * root_n]
-    for case in range(24):
-        b = float(rng.choice([0.0, 1.999, rng.uniform(0.0, 0.5 / n), rng.uniform(0.0, 1.999)]))
-        foci = np.sort(rng.uniform(-1.6, 1.6, 1 if case % 6 == 0 else int(rng.integers(2, 2 * n + 3))))
-        band = BandSpec(b)
-        for bar in bars + [float(rng.uniform(0.0, root_n))]:
-            h = _main_lobe_reach(bar, n)
-            edges = np.concatenate([(foci + s * h) / xi for s in (-1.0, 1.0) for xi in (band.xi_min, band.xi_max)])
-            grid = np.concatenate([np.linspace(-1.0, 1.0, 2001), foci, edges])
-            grid = np.concatenate([grid, np.nextafter(grid, -2.0), np.nextafter(grid, 2.0)])
-            reach = array_model._nearest_reach(grid, foci, band)
-            out = reach < h
-            assert np.all(worst_subcarrier_gain(grid[out], foci, band, n) > bar), (case, b, bar)
-            assert 0.0 < bar < root_n or not out.any()
-            with monkeypatch.context() as patch:
-                patch.setattr(array_model, "_GAIN_CHUNK", 160)
-                blocks = array_model._nearest_reach(grid, foci[::-1], band)
-            assert np.array_equal(blocks.view(np.int64), reach.view(np.int64))
-            if bar == bars[0]:
-                left_out, total = left_out + np.count_nonzero(out), total + grid.size
-    assert left_out > total / 6  # at the pass level the screen leaves out a good share
+def nearest_reach(psi, psi0s, band):
+    """The reference screen, per angle of the 1-D ``psi``: the focus ``p``
+    nearest at the carrier (one ``searchsorted`` on the sorted foci's
+    midpoints, any order of foci) and its larger band-edge offset
+    ``max(|psi*xi_min - p|, |psi*xi_max - p|)`` by ``_band_min``'s float
+    expressions: verify's per-angle screen before it went per beam."""
+    foci = np.sort(psi0s)
+    p = foci[np.searchsorted(0.5 * (foci[1:] + foci[:-1]), psi)]
+    return np.maximum(np.abs(psi * band.xi_min - p), np.abs(psi * band.xi_max - p))
+
+
+class RecordingGrid(np.ndarray):
+    """A grid that records the size of every index array it is read at."""
+
+    reads: list = []
+
+    def __getitem__(self, key):
+        if not isinstance(key, (int, np.integer, slice)):
+            RecordingGrid.reads.append(np.size(key))
+        return super().__getitem__(key)
+
+
+class TestCellScreen:
+    """``array_model._cell_screen`` against the per-angle reference: the same
+    candidates, index for index, and the cutoff taken at an angle of largest
+    reach, from band-edge offsets at O(foci) angles."""
+
+    def screen(self, grid, foci, band, cut):
+        """The screen's candidates and the angles that it gave the cutoff."""
+        asked = []
+        got = array_model._cell_screen(grid, foci, band, lambda psi: asked.append(psi) or cut(psi))
+        assert got.dtype.kind == "i" and len(asked) == 1
+        return got, asked[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_candidates_are_the_reference_screens(self, n, seed):
+        # seeded codebooks: one focus, duplicate and unsorted foci, foci out
+        # to +-1.6; b from 0 to 1.999; psi_m below 1; steps from 1e-5 up to
+        # psi_m (most cells of 0 or 1 grid points when foci outnumber angles).
+        # Cutoffs: the main-lobe reach of the pass level, of a random level
+        # and of 0 (R = 0: every angle is kept), 1.999/N, and 3 (none kept)
+        rng = np.random.default_rng([n, seed, 34])
+        kept = total = 0
+        for case in range(12):
+            b = float(rng.choice([0.0, 1.999, rng.uniform(0.0, 0.5 / n), rng.uniform(0.0, 1.999)]))
+            foci = rng.uniform(-1.6, 1.6, 1 if case % 6 == 0 else int(rng.integers(2, 2 * n + 3)))
+            if case % 3 == 1:
+                foci = rng.permutation(np.concatenate([foci, foci[: len(foci) // 2 + 1]]))
+            psi_m = float(rng.choice([1.0, rng.uniform(0.3, 1.0)]))
+            step = float(rng.choice([1e-5, psi_m, 0.5 * psi_m, 10 ** rng.uniform(-4, -1)])) if case % 4 else psi_m
+            grid, band = np.linspace(-psi_m, psi_m, int(round(2.0 * psi_m / step)) + 1), BandSpec(b)
+            reach = nearest_reach(grid, foci, band)
+            levels = [GainThreshold().absolute(n) * 10 ** (-0.2 / 20), float(rng.uniform(0.0, math.sqrt(n))), 0.0]
+            for cut in [_main_lobe_reach(level, n) for level in levels] + [1.999 / n, 3.0]:
+                got, at = self.screen(grid, foci, band, lambda psi: cut)
+                assert np.array_equal(got, np.flatnonzero(reach >= cut)), (case, b, step, cut)
+                assert reach[np.searchsorted(grid, at)] == reach.max() and at in grid
+                kept, total = kept + len(got), total + len(grid)
+            assert len(self.screen(grid, foci, band, lambda psi: 0.0)[0]) == len(grid)
+        assert 0 < kept < total
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    def test_cuts_settle_on_the_floats_next_to_them(self, n):
+        # a grid of the foci, their midpoints (where a cell ends), the angles
+        # at which each offset meets +-R, and the floats on either side of
+        # each: the closed forms round to either side of the cut, which the
+        # screen settles exactly. Every angle that it leaves out has a best
+        # above the bar of R, whatever its foci
+        rng = np.random.default_rng([n, 30])
+        root_n = math.sqrt(n)
+        bars = [GainThreshold().absolute(n) * 10 ** (-0.2 / 20), 0.05 * root_n, gain_kernel_magnitude(1.999 / n, n), 1e-9 * root_n, 1e-300, 0.0, root_n]
+        for case in range(12):
+            b = float(rng.choice([0.0, 1.999, rng.uniform(0.0, 0.5 / n), rng.uniform(0.0, 1.999)]))
+            foci, band = rng.uniform(-1.6, 1.6, 1 if case % 6 == 0 else int(rng.integers(2, 2 * n + 3))), BandSpec(b)
+            for bar in bars + [float(rng.uniform(0.0, root_n))]:
+                h = _main_lobe_reach(bar, n)
+                edges = np.concatenate([(foci + s * h) / xi for s in (-1.0, 1.0) for xi in (band.xi_min, band.xi_max)])
+                mid = 0.5 * (np.sort(foci)[1:] + np.sort(foci)[:-1])
+                grid = np.concatenate([np.linspace(-1.0, 1.0, 201), foci, mid, edges])
+                grid = np.sort(np.concatenate([grid, np.nextafter(grid, -2.0), np.nextafter(grid, 2.0)]))
+                got, at = self.screen(grid, foci, band, lambda psi: h)
+                reach = nearest_reach(grid, foci, band)
+                assert np.array_equal(got, np.flatnonzero(reach >= h)), (case, b, bar)
+                assert reach[np.searchsorted(grid, at)] == reach.max()
+                out = np.ones(len(grid), bool)
+                out[got] = False
+                assert np.all(worst_subcarrier_gain(grid[out], foci, band, n) > bar), (case, b, bar)
+                assert 0.0 < bar < root_n or not out.any()
+
+    def test_verify_reads_no_more_angles_on_a_finer_grid(self, monkeypatch):
+        # the N=64, b = 0.0179 design (117 beams): a tenfold grid adds no angle
+        # at which the screen reads a band-edge offset, which stays a few per beam
+        reads, screen = {}, verification._cell_screen
+
+        def recording(grid, *args):
+            RecordingGrid.reads = []
+            got = screen(grid.view(RecordingGrid), *args)
+            reads[len(grid)] = sum(RecordingGrid.reads)
+            return got.view(np.ndarray)
+
+        monkeypatch.setattr(verification, "_cell_screen", recording)
+        book = design_with_squint(64, BandSpec(0.0179), 1.0).codebook
+        for step in (1e-4, 1e-5):
+            assert verify_codebook(book, psi_step=step).passed
+        assert list(reads) == [20001, 200001]
+        assert reads[200001] <= reads[20001] <= 10 * book.size
 
 
 class TestRefinementCalls:
