@@ -349,7 +349,8 @@ def _runs(start, length):
 def _band_min(psi, psi0, band, n):
     """The min over the ``BandSpec``'s continuous band ``[xi_min, xi_max]`` of
     ``|g(xi*psi - psi0)|``, element-wise over broadcast ``psi`` and ``psi0``, from
-    one kernel call on the two band-edge offsets. Scalars in, float out.
+    one kernel call on the two band-edge offsets. Scalars in, float out; a float
+    pair (np.float64 too) takes :func:`_kernel_factor_at` and builds no array.
 
     The lobe rule: a pair whose two band-edge offsets have a null ``2j/N``
     (j not a multiple of N) in ``(lo, hi]`` between them crosses it inside
@@ -359,8 +360,12 @@ def _band_min(psi, psi0, band, n):
     computes a few ulps below both edges (bands of about 1e-6 or less), the
     edge min stays the exact-arithmetic one, above that sampled value.
     """
+    lo, hi = psi * band.xi_min - psi0, psi * band.xi_max - psi0
+    if isinstance(lo, float) and abs(lo) + abs(hi) < 2.0**52 / n:  # the array path's float operations; under 2**53 the int floors subtract as its float floors do
+        same = math.floor((0.5 * n) * lo) - math.floor(0.5 * lo) == math.floor((0.5 * n) * hi) - math.floor(0.5 * hi)
+        return min(abs(_kernel_factor_at(lo, n)), abs(_kernel_factor_at(hi, n))) if same else 0.0
     import numpy as np
-    lo, hi = np.asarray(psi * band.xi_min - psi0, dtype=float), np.asarray(psi * band.xi_max - psi0, dtype=float)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x = np.concatenate((lo.reshape(-1), hi.reshape(-1)))
     g, m = gain_kernel_magnitude(x, n), lo.size
     lobe = np.floor((0.5 * n) * x) - np.floor(0.5 * x)  # nulls up to x, less the peaks 2k

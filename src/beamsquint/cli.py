@@ -57,6 +57,8 @@ def _band_from_args(args, required: bool = True) -> BandSpec | None:
         # in GHz, before BandSpec.from_carrier quotes Hz; NaN fails every comparison, and GHz that overflow in Hz are infinite
         if not (0 < args.carrier_ghz * 1e9 < math.inf and 0 <= args.bandwidth_ghz * 1e9 < math.inf):
             raise ValueError(f"need finite --carrier-ghz > 0 and --bandwidth-ghz >= 0, got {args.carrier_ghz} and {args.bandwidth_ghz}")
+        if not args.bandwidth_ghz * 1e9 / (args.carrier_ghz * 1e9) < 2:  # the b that BandSpec.from_carrier computes, in Hz
+            raise ValueError(f"--bandwidth-ghz over --carrier-ghz must be below 2, got {args.bandwidth_ghz} over {args.carrier_ghz}")
         return BandSpec.from_carrier(args.carrier_ghz * 1e9, args.bandwidth_ghz * 1e9)
     if required:
         raise ValueError("band is required: either --fractional-bandwidth or --carrier-ghz with --bandwidth-ghz")

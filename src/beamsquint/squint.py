@@ -11,7 +11,6 @@ which is 0 where the band sweeps the beam across a null.
 from __future__ import annotations
 
 import math
-import sys
 
 from .array_model import _GAIN_CHUNK, _Record, _band_min, _check_n, _kernel_factor_at, _public, gain_kernel_magnitude  # noqa: F401 (perfbench's tracer test calls it here)
 
@@ -27,7 +26,7 @@ HALF_POWER_CONSTANT = 1.772
 _MAX_GRID_POINTS = 2**22
 
 # Relative tolerance and iteration cap of the Brent root finder.
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_RTOL = 4.0 * 2.0**-52  # four float64 epsilons
 _BRENT_MAXITER = 100
 
 
@@ -164,12 +163,11 @@ def exact_half_power_beamwidth(n_antennas: int, threshold: GainThreshold = _DEFA
     Reconciles the 1.772/N approximation: for the default threshold the two
     agree within 1% for all N >= 8.
     """
-    import numpy as np
     n = _check_n(n_antennas)
     target = threshold.absolute(n)
     # gap(0) = (1-ratio)*sqrt(N) >= 0 and gap(2/N), at the first null, = -target < 0;
     # at ratio 1 only the peak attains the maximum, and a root at gap(0) = 0 is 0
-    return 2.0 * _refine_edges(lambda x: np.array([abs(_kernel_factor_at(v, n)) for v in x.tolist()]) - target, [(0.0, 2.0 / n)], xtol=1e-12)[0]
+    return 2.0 * _refine_edges(lambda x: [abs(_kernel_factor_at(v, n)) - target for v in x], [(0.0, 2.0 / n)], xtol=1e-12)[0]
 
 
 def _main_lobe_reach(level: float, n: int) -> float:
@@ -242,8 +240,8 @@ def numeric_coverage(
 
     Each angle's min is ``array_model._band_min``: 0 where its band sweeps
     ``x`` across a null, else its smaller band-edge value. The scan takes one
-    kernel call per block of angles and every refinement round one more, at
-    two kernel values per angle.
+    kernel call per block of angles, at two kernel values per angle; the
+    refinement takes each angle's two values one float at a time, no array.
     """
     import numpy as np
     n = _check_n(n_antennas)
@@ -272,7 +270,7 @@ def numeric_coverage(
     failing = below | (count != count[peak])
     # the coverage ends where the gaps on either side begin, or at the window
     # ends; a refinement round takes at most 4 angles, both ends of two edges
-    gaps = _failure_gaps(grid, np.flatnonzero(failing), lambda psi_c: _band_min(psi_c, psi0, band, n) - floor)
+    gaps = _failure_gaps(grid, np.flatnonzero(failing), lambda angles: [_band_min(p, psi0, band, n) - floor for p in angles])
     return CoverageInterval(gaps[0].hi if failing[0] else float(grid[0]), gaps[-1].lo if failing[-1] else float(grid[-1]))
 
 
@@ -281,12 +279,9 @@ def _failure_gaps(grid, failing, margin) -> list[CoverageInterval]:
     intervals, refining all their edges in one batch; an edge at a grid end
     pairs with itself and stays."""
     import numpy as np
-    if not len(failing):
-        return []
     last = len(grid) - 1
-    # a run ends where the next failing index is not the next grid index
-    breaks = np.flatnonzero(np.diff(failing) != 1)
-    starts, ends = failing[np.concatenate(([0], breaks + 1))], failing[np.concatenate((breaks, [-1]))]
+    step = np.diff(np.concatenate(([-2], failing, [last + 2]))) != 1  # a run starts after a step and ends before one
+    starts, ends = failing[step[:-1]], failing[step[1:]]
     lows = [(grid[max(i - 1, 0)], grid[i]) for i in starts]
     edges = _refine_edges(margin, lows + [(grid[min(j + 1, last)], grid[j]) for j in ends])
     return [CoverageInterval(lo, hi) for lo, hi in zip(edges[: len(starts)], edges[len(starts) :])]
@@ -294,14 +289,13 @@ def _failure_gaps(grid, failing, margin) -> list[CoverageInterval]:
 
 def _refine_edges(margin, pairs, xtol: float = 1e-9) -> list[float]:
     """Root of the threshold crossing in each (passing, failing) pair of
-    angles; a pair ``(x, x)`` returns x. ``margin`` maps an array of angles
-    to an array. Every edge runs :func:`_brent`, in lockstep: one ``margin``
-    call for both ends of all pairs (x, y != x), then one per round for the
-    edges still refining."""
-    import numpy as np
+    angles, a Python float; a pair ``(x, x)`` returns x. ``margin`` maps a list
+    of Python floats to one, and no round builds an array. Every edge runs
+    :func:`_brent`, in lockstep: one ``margin`` call for both ends of all
+    pairs (x, y != x), then one per round for the edges still refining."""
     ends = [(float(a), float(b)) for a, b in pairs]  # Brent's scalar steps run on Python floats
     moving = [x for a, b in ends if a != b for x in (a, b)]  # a pair (x, x) is not evaluated: it returns x
-    first = iter(margin(np.array(moving)).tolist() if moving else ())
+    first = iter(margin(moving) if moving else ())
     values = [(next(first), next(first)) if a != b else (0.0, 0.0) for a, b in ends]
     # no sign change (flat numerics right at the threshold): keep the passing point
     roots = [b if fa != 0.0 and fb == 0.0 else a for (a, b), (fa, fb) in zip(ends, values)]
@@ -315,7 +309,7 @@ def _refine_edges(margin, pairs, xtol: float = 1e-9) -> list[float]:
                 still.append((k, steps))
             except StopIteration as done:  # a bracket narrower than xtol returns at once
                 roots[k] = done.value
-        asking, replies = still, margin(np.array(angles)).tolist() if still else []
+        asking, replies = still, margin(angles) if still else []
     return roots
 
 

@@ -102,7 +102,7 @@ def verify_codebook(
     winner = psi0s[int(np.argmax(_band_min(worst_psi, psi0s, band, n)))]
     worst_xi = float(xis[int(np.argmin(gain_kernel_magnitude(worst_psi * xis - winner, n)))])
 
-    gaps = _failure_gaps(grid, cand[best < pass_level], lambda psi: worst_subcarrier_gain(psi, psi0s, band, n) - pass_level)
+    gaps = _failure_gaps(grid, cand[best < pass_level], lambda psi: (worst_subcarrier_gain(np.array(psi), psi0s, band, n) - pass_level).tolist())
 
     return CoverageReport(
         passed=not gaps,

@@ -58,8 +58,10 @@ def sampled_worst_gain(psi, psi0s, xis, n):
 
 
 def refined_edge(margin, inside, outside):
-    """The refiner's root of ``margin`` between a passing and a failing angle."""
-    (root,) = _refine_edges(margin, [(inside, outside)])
+    """The refiner's root of ``margin``, an array of angles to an array,
+    between a passing and a failing angle. The refiner's margin takes and
+    gives lists of Python floats."""
+    (root,) = _refine_edges(lambda angles: margin(np.array(angles)).tolist(), [(inside, outside)])
     return root
 
 
@@ -123,8 +125,8 @@ def reference_numeric_coverage(
     # the maximal run of passing points that contains the peak
     left, right = next((i, j) for i, j in _runs(q >= floor) if i <= peak <= j)
 
-    def margin(psi_c: np.ndarray) -> np.ndarray:
-        return dense_worst_gain(psi_c, psi0s, band, n) - floor
+    def margin(psi_c: list[float]) -> list[float]:
+        return (dense_worst_gain(psi_c, psi0s, band, n) - floor).tolist()
 
     # both edges refined together; a window end pairs with itself and stays
     pairs = [(grid[left], grid[max(left - 1, 0)]), (grid[right], grid[min(right + 1, len(grid) - 1)])]
@@ -166,8 +168,8 @@ def reference_verify_codebook(
     winner = gain_kernel_magnitude(worst_psi * xis - psi0s[int(np.argmax(mins))], n)
     worst_xi = float(xis[int(np.argmin(winner))])
 
-    def margin(psi: np.ndarray) -> np.ndarray:
-        return dense_worst_gain(psi, psi0s, band, n) - pass_level
+    def margin(psi: list[float]) -> list[float]:
+        return (dense_worst_gain(psi, psi0s, band, n) - pass_level).tolist()
 
     runs, last = _runs(best < pass_level), len(grid) - 1
     lows = [(grid[max(i - 1, 0)], grid[i]) for i, _ in runs]

@@ -94,6 +94,11 @@ class TestDesignCommand:
             (("--carrier-ghz", "inf", "--bandwidth-ghz", "2.5"), f"{need} inf and 2.5"),
             (("--carrier-ghz", "73", "--bandwidth-ghz", "inf"), f"{need} 73.0 and inf"),
             (("--carrier-ghz", "1e300", "--bandwidth-ghz", "2.5"), f"{need} 1e+300 and 2.5"),  # infinite in Hz
+            # a ratio of 2 or more, in Hz as BandSpec.from_carrier divides (the library's
+            # message named fractional_bandwidth; the second ratio is 1.00001e+20 in Hz)
+            (("--carrier-ghz", "1", "--bandwidth-ghz", "5"), "--bandwidth-ghz over --carrier-ghz must be below 2, got 5.0 over 1.0"),
+            (("--carrier-ghz", "1e-320", "--bandwidth-ghz", "1e-300"), "--bandwidth-ghz over --carrier-ghz must be below 2, got 1e-300 over 1e-320"),
+            (("--carrier-ghz", "1", "--bandwidth-ghz", "2"), "--bandwidth-ghz over --carrier-ghz must be below 2, got 2.0 over 1.0"),
             (("--fractional-bandwidth", "-1"), "--fractional-bandwidth must satisfy 0 <= b < 2, got -1.0"),
             (("--fractional-bandwidth", "2"), "--fractional-bandwidth must satisfy 0 <= b < 2, got 2.0"),
             (("--fractional-bandwidth", "inf"), "--fractional-bandwidth must satisfy 0 <= b < 2, got inf"),

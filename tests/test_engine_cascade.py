@@ -199,6 +199,33 @@ def test_band_min_is_the_one_focus_oracle(seed):
     assert isinstance(one, float) and one == got[3, 2]
 
 
+@pytest.mark.parametrize("b", [0.0, 1e-9, None, 1.9], ids=str)
+def test_one_float_pair_is_the_array_path_bit_for_bit(monkeypatch, b):
+    # a pair of floats takes the kernel one float at a time, without
+    # gain_kernel_magnitude, by the array path's float operations: random
+    # pairs, carrier offsets at the lobe images 2k and 2k +- 1e-12 (and
+    # +-5e-13, inside the singularity's tolerance), pairs across a null,
+    # python floats and np.float64 alike
+    blocks = record_kernel_blocks(monkeypatch)
+    rng = np.random.default_rng([27, 0 if b is None else int(b * 1e9) + 1])
+    images = np.add.outer(2.0 * np.arange(-2, 3), [0.0, 1e-12, -1e-12, 5e-13, -5e-13]).reshape(-1)
+    zeros = 0
+    for n in (2, 3, 4, 5, 8, 16, 17, 64, 255, 1024, 4096):
+        band = BandSpec(float(rng.uniform(0.0, 0.3)) if b is None else b)
+        psi = np.concatenate([rng.uniform(-1.0, 1.0, 60), np.zeros(images.size)])
+        foci = np.concatenate([rng.uniform(-1.5, 1.5, 60), -images])  # at psi = 0 every band-edge offset is an image
+        want = array_model._band_min(psi, foci, band, n)
+        blocks.clear()
+        for pairs in (zip(psi.tolist(), foci.tolist()), zip(psi, foci)):  # python floats, then np.float64
+            got = [array_model._band_min(p, f, band, n) for p, f in pairs]
+            assert {type(v) for v in got} == {float}
+            assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64)), n
+        assert blocks == []
+        zeros += np.count_nonzero(want == 0.0)
+    if b != 1e-9:  # a band of 1e-9 rarely spans a null
+        assert (zeros > 0) == (b != 0.0)
+
+
 class TestBandEdgeScreen:
     """The lobe rule against the dense continuous-band oracle, compared as
     int64 bits. Wide bands carry the edges across nulls; foci out to +-1.5

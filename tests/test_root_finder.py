@@ -39,8 +39,14 @@ def _subcarrier_margin(n, psi0, band):
 
 def refine(margin, inside, outside, xtol=1e-9):
     """One edge through the batched refiner, for a margin of one angle."""
-    (root,) = _refine_edges(np.vectorize(margin, otypes=[float]), [(inside, outside)], xtol)
+    (root,) = _refine_edges(lambda angles: [float(margin(p)) for p in angles], [(inside, outside)], xtol)
     return root
+
+
+def listed(margin):
+    """An array margin under the refiner's contract: a list of Python floats
+    in, a list of Python floats out."""
+    return lambda angles: margin(np.array(angles)).tolist()
 
 
 def _random_brackets(count, seed=11):
@@ -62,7 +68,7 @@ def test_exact_half_power_width_is_the_array_kernel_root(monkeypatch):
     # without scipy: twice the root that the refiner finds on the array
     # kernel, bit for bit, for N = 2..129 at every threshold; the width takes
     # the kernel one float at a time and makes no array-kernel call
-    expected = {(n, r): 2.0 * _refine_edges(_kernel_gap(n, r * math.sqrt(n)), [(0.0, 2.0 / n)], 1e-12)[0] for n in range(2, 130) for r in THRESHOLDS}
+    expected = {(n, r): 2.0 * _refine_edges(listed(_kernel_gap(n, r * math.sqrt(n))), [(0.0, 2.0 / n)], 1e-12)[0] for n in range(2, 130) for r in THRESHOLDS}
     calls = []
     for module in (array_model, squint):
         monkeypatch.setattr(module, "gain_kernel_magnitude", lambda *args: calls.append(args), raising=False)
@@ -150,14 +156,14 @@ class TestBatchedRefiner:
         margin = _batch_margin()
         pairs = _mixed_batch(margin)
         calls = []
-        roots = _refine_edges(lambda p: calls.append(len(p)) or margin(p), pairs, xtol)
+        roots = _refine_edges(lambda p: calls.append(len(p)) or listed(margin)(p), pairs, xtol)
         assert len(roots) == len(pairs)
         assert calls[0] == 2 * (len(pairs) - 1)  # both ends of every pair but (0.5, 0.5), once
         rounds = []
         for (inside, outside), root in zip(pairs, roots):
             alone = []
             assert [root] == _refine_edges(
-                lambda p: alone.append(len(p)) or margin(p), [(inside, outside)], xtol
+                lambda p: alone.append(len(p)) or listed(margin)(p), [(inside, outside)], xtol
             )
             rounds.append(len(alone))
             f_in, f_out = margin([inside, outside])
@@ -170,7 +176,7 @@ class TestBatchedRefiner:
 
     def test_narrow_bracket_returns_without_a_round(self):
         calls = []
-        margin = lambda p: calls.append(len(p)) or 3.0 - np.asarray(p)  # noqa: E731
+        margin = lambda p: calls.append(len(p)) or [3.0 - x for x in p]  # noqa: E731
         assert _refine_edges(margin, [(3.0 - 2e-13, 3.0 + 2e-13)]) == [3.0 + 2e-13]
         assert calls == [2]
 
@@ -220,11 +226,21 @@ class TestFloatPath:
         brentq = pytest.importorskip("scipy.optimize").brentq
         assert _drive(0.0, 1.0, self.tiny)[1] == brentq(self.tiny, 0.0, 1.0, xtol=1e-9)
 
-    def test_refine_edges_returns_python_floats(self):
-        margin = _batch_margin()
-        roots = _refine_edges(margin, _mixed_batch(margin, seed=1))
+    def test_margins_take_and_give_python_floats(self):
+        # most of the batch's ends are numpy floats; the margin still sees lists of
+        # Python floats in every round, and every root is a Python float
+        margin, seen = _batch_margin(), []
+        pairs = _mixed_batch(margin, seed=1)
+        assert np.float64 in {type(x) for pair in pairs for x in pair}
+
+        def typed(angles):
+            seen.append((type(angles), frozenset(map(type, angles))))
+            return listed(margin)(angles)
+
+        roots = _refine_edges(typed, pairs)
+        assert len(seen) > 1 and set(seen) == {(list, frozenset({float}))}
         assert {type(root) for root in roots} == {float}
-        tiny = lambda p: self.tiny(np.asarray(p))  # noqa: E731
+        tiny = lambda p: [self.tiny(x) for x in p]  # noqa: E731
         assert _refine_edges(tiny, [(0.0, 1.0), (0.5, 0.5), (2.0, 3.0)]) == [_drive(0.0, 1.0, self.tiny)[1], 0.5, 2.0]
 
 
