@@ -232,14 +232,13 @@ def _kernel_factor(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _kernel_factor_at(x: float, n: int) -> float:
-    """:func:`_kernel_factor` of one float, by the same float operations
-    (and numpy's sin, which may round unlike math.sin)."""
-    import numpy as np
+    """:func:`_kernel_factor` of one float, by its float operations, with math.sin
+    for numpy's sin; the sin of an infinite angle is NaN, as numpy's is."""
     half = 0.5 * math.pi * x
-    den = float(np.sin(half))
+    den = math.sin(half) if math.isfinite(half) else math.nan
     if abs(den) < _SINGULARITY_TOL:
         return (1.0 - 2.0 * (float(round(0.5 * x)) * (n - 1) % 2.0)) * math.sqrt(n)
-    return float(np.sin(n * half)) / den / math.sqrt(n)
+    return math.sin(n * half) / den / math.sqrt(n) if math.isfinite(n * half) else math.nan
 
 
 def gain_kernel(x, n_antennas: int):
@@ -374,14 +373,15 @@ def _band_min(psi, psi0, band, n):
 
 
 def _cell_screen(grid, psi0s, band, cutoff):
-    """``flatnonzero(reach >= R)`` on the ascending 1-D ``grid``, from offsets at
-    O(foci) angles: the reach ``max(|psi*xi_min - p|, |psi*xi_max - p|)`` of the
-    focus ``p`` nearest at the carrier (as in :func:`_band_min`), ``R = cutoff(a)``,
-    ``a`` an angle of largest reach. Each focus owns a run of the grid, its cell.
-    Rounded products by xi > 0, differences, min and max are monotone, so p's
-    offsets both exceed -R from one index A on, one reaches R from one index B on,
-    and reach < R just on [A, B): in a cell it falls, then rises, so it peaks at a
-    cell end. A and B start from max((p - R)/xi) and min((p + R)/xi), then settle."""
+    """At least ``flatnonzero(reach >= R)`` on the ascending 1-D ``grid``, from offsets
+    at O(foci) angles: the reach ``max(|psi*xi_min - p|, |psi*xi_max - p|)`` of the focus
+    ``p`` nearest at the carrier (as in :func:`_band_min`), ``R = cutoff(a)``, ``a`` an
+    angle of largest reach. Each focus owns a run of the grid, its cell. Rounded products
+    by xi > 0 and differences are monotone: in a cell reach falls, then rises (it peaks at
+    a cell end), below R on the angles above both (p - R)/xi and below both (p + R)/xi.
+    The cuts take R less 1e-12*(1 + |p|), beyond the rounding of a cut and of the offsets
+    next to it (a few ulps of |p| + 2): every angle left out has reach < R, and every
+    extra angle kept has reach within that margin of R."""
     import numpy as np
     foci, size = np.sort(psi0s), len(grid)
     stops = np.searchsorted(grid, 0.5 * (foci[1:] + foci[:-1]), side="right")
@@ -389,12 +389,9 @@ def _cell_screen(grid, psi0s, band, cutoff):
     ends = np.stack([starts, stops - 1], axis=1)[starts < stops]  # each cell's first and last index
     at, p = grid[ends], foci[starts < stops, None]
     level = cutoff(float(at.reshape(-1)[np.argmax(np.maximum(np.abs(at * band.xi_min - p), np.abs(at * band.xi_max - p)))]))
+    level = level - 1e-12 * (1.0 + np.abs(foci))  # per focus, the stated margin under R
     below, above = (np.divide.outer(foci + s * level, [band.xi_min, band.xi_max]) for s in (-1.0, 1.0))
-    cut, sign = np.searchsorted(grid, [below.max(axis=1), above.min(axis=1)]), np.array([[-1.0], [1.0]])
-    def past(psi):  # per row of cut, whether psi is past A (both offsets above -R) or B (one at R or beyond)
-        return (np.maximum(sign * (psi * band.xi_min - foci), sign * (psi * band.xi_max - foci)) >= level) != (sign < 0)
-    while (step := (~past(grid[np.minimum(cut, size - 1)]) & (cut < size)) * 1 - (past(grid[np.maximum(cut - 1, 0)]) & (cut > 0))).any():
-        cut += step  # one index toward the first angle past A and B
+    cut = [np.searchsorted(grid, below.max(axis=1), side="right"), np.searchsorted(grid, above.min(axis=1), side="left")]
     a, b = np.clip(cut, starts, stops)  # per cell, [a, b) is left out; B before A leaves out none
     keep = np.concatenate(([0], np.maximum(a, b)))  # the kept runs [0, a_0), [b_0, a_1), ..., [b_last, size)
     return _runs(keep, np.concatenate((a, [size])) - keep)

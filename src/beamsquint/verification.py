@@ -63,13 +63,13 @@ def verify_codebook(
 
     For each carrier angle on the grid: max over beams of the min over the
     continuous band ``[xi_min, xi_max]`` of ``|g(xi*psi - psi0)|``
-    (:func:`worst_subcarrier_gain`, also the refinement margin), taken only
-    where the focus nearest at the carrier reaches, at a band edge, at least
+    (:func:`worst_subcarrier_gain`, also the refinement margin), taken where
+    the focus nearest at the carrier reaches, at a band edge, at least
     ``squint._main_lobe_reach(bar)``, ``bar`` being the larger of the pass
     level and the best at an angle of largest reach. ``array_model._cell_screen``
-    finds those angles per beam in closed form, without a pass over the grid;
-    at any other angle that beam's band min exceeds ``bar``, so the best > bar
-    >= the worst best: no bit of the report moves. Failures are data, not
+    keeps those angles per beam from closed-form cuts less a stated margin; at
+    an angle that it leaves out that beam's band min exceeds ``bar``, so the best
+    > bar >= the worst best: no bit of the report moves. Failures are data, not
     exceptions; gap edges are refined to 1e-9.
     ``slack_db`` absorbs the 1.772/N beamwidth approximation when certifying
     constant-width designs (use 0 for exact-width designs). ``xi_points``, an

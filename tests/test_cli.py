@@ -255,6 +255,12 @@ class TestVerifyCommand:
         assert err.startswith("error: slack_db must be finite")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("db", ["7000", "1e300"])
+    def test_threshold_whose_amplitude_underflows_exits_2_in_db(self, codebook_path, capsys, db):
+        # 10^(-dB/20) rounds to 0 from about 6,472 dB: the error names the dB
+        assert run_cli("verify", "--codebook", str(codebook_path), "--threshold-db", db) == 2
+        assert capsys.readouterr() == ("", f"error: threshold dB must be finite, >= 0 and leave 10^(-dB/20) above 0, got {float(db)!r}\n")
+
 
 class TestPatternCommand:
     def test_fig2_reproduction(self, tmp_path):

@@ -262,10 +262,11 @@ def nearest_reach(psi, psi0s, band):
     nearest at the carrier (one ``searchsorted`` on the sorted foci's
     midpoints, any order of foci) and its larger band-edge offset
     ``max(|psi*xi_min - p|, |psi*xi_max - p|)`` by ``_band_min``'s float
-    expressions: verify's per-angle screen before it went per beam."""
+    expressions: verify's per-angle screen before it went per beam. Returns
+    the reach and ``p``."""
     foci = np.sort(psi0s)
     p = foci[np.searchsorted(0.5 * (foci[1:] + foci[:-1]), psi)]
-    return np.maximum(np.abs(psi * band.xi_min - p), np.abs(psi * band.xi_max - p))
+    return np.maximum(np.abs(psi * band.xi_min - p), np.abs(psi * band.xi_max - p)), p
 
 
 class RecordingGrid(np.ndarray):
@@ -279,10 +280,24 @@ class RecordingGrid(np.ndarray):
         return super().__getitem__(key)
 
 
+def assert_reference_and_margin(got, reach, p, cut):
+    """The screen keeps every angle of reach >= ``cut``, and any other angle
+    that it keeps has a reach within the stated margin, 1e-12*(1 + |p|), of
+    ``cut`` (and the few ulps of ``|p| + 2`` that the margin covers)."""
+    kept = np.zeros(len(reach), bool)
+    kept[got] = True
+    assert np.all(got[1:] > got[:-1]) and kept[reach >= cut].all()
+    extra = kept & (reach < cut)
+    slack = 1e-12 * (1.0 + np.abs(p[extra])) + 8 * np.finfo(float).eps * (2.0 + np.abs(p[extra]))
+    assert np.all(reach[extra] >= cut - slack), (cut, reach[extra].min(initial=cut))
+    return np.count_nonzero(extra)
+
+
 class TestCellScreen:
-    """``array_model._cell_screen`` against the per-angle reference: the same
-    candidates, index for index, and the cutoff taken at an angle of largest
-    reach, from band-edge offsets at O(foci) angles."""
+    """``array_model._cell_screen`` against the per-angle reference: every
+    candidate of the reference and only extras within the stated margin, and
+    the cutoff taken at an angle of largest reach, from band-edge offsets at
+    O(foci) angles."""
 
     def screen(self, grid, foci, band, cut):
         """The screen's candidates and the angles that it gave the cutoff."""
@@ -298,7 +313,9 @@ class TestCellScreen:
         # to +-1.6; b from 0 to 1.999; psi_m below 1; steps from 1e-5 up to
         # psi_m (most cells of 0 or 1 grid points when foci outnumber angles).
         # Cutoffs: the main-lobe reach of the pass level, of a random level
-        # and of 0 (R = 0: every angle is kept), 1.999/N, and 3 (none kept)
+        # and of 0 (R = 0: every angle is kept), 1.999/N, and 3 (none of
+        # reach >= R). The candidates hold the reference's, and the extras
+        # are within the margin
         rng = np.random.default_rng([n, seed, 34])
         kept = total = 0
         for case in range(12):
@@ -309,43 +326,71 @@ class TestCellScreen:
             psi_m = float(rng.choice([1.0, rng.uniform(0.3, 1.0)]))
             step = float(rng.choice([1e-5, psi_m, 0.5 * psi_m, 10 ** rng.uniform(-4, -1)])) if case % 4 else psi_m
             grid, band = np.linspace(-psi_m, psi_m, int(round(2.0 * psi_m / step)) + 1), BandSpec(b)
-            reach = nearest_reach(grid, foci, band)
+            reach, p = nearest_reach(grid, foci, band)
             levels = [GainThreshold().absolute(n) * 10 ** (-0.2 / 20), float(rng.uniform(0.0, math.sqrt(n))), 0.0]
             for cut in [_main_lobe_reach(level, n) for level in levels] + [1.999 / n, 3.0]:
                 got, at = self.screen(grid, foci, band, lambda psi: cut)
-                assert np.array_equal(got, np.flatnonzero(reach >= cut)), (case, b, step, cut)
+                assert_reference_and_margin(got, reach, p, cut)
                 assert reach[np.searchsorted(grid, at)] == reach.max() and at in grid
                 kept, total = kept + len(got), total + len(grid)
             assert len(self.screen(grid, foci, band, lambda psi: 0.0)[0]) == len(grid)
         assert 0 < kept < total
 
     @pytest.mark.parametrize("n", [2, 3, 17, 64])
-    def test_cuts_settle_on_the_floats_next_to_them(self, n):
+    def test_angles_left_out_beat_the_bar(self, n):
         # a grid of the foci, their midpoints (where a cell ends), the angles
-        # at which each offset meets +-R, and the floats on either side of
-        # each: the closed forms round to either side of the cut, which the
-        # screen settles exactly. Every angle that it leaves out has a best
-        # above the bar of R, whatever its foci
+        # at which each offset meets +-R and +-(R less three margins), and the
+        # floats on either side of each: the closed forms round to either side
+        # of the cut, and the margin keeps the angles next to it, but not
+        # those three margins inside. Every angle that the screen leaves out
+        # has a best above the bar of R, whatever its foci
         rng = np.random.default_rng([n, 30])
         root_n = math.sqrt(n)
         bars = [GainThreshold().absolute(n) * 10 ** (-0.2 / 20), 0.05 * root_n, gain_kernel_magnitude(1.999 / n, n), 1e-9 * root_n, 1e-300, 0.0, root_n]
+        extras = 0
         for case in range(12):
             b = float(rng.choice([0.0, 1.999, rng.uniform(0.0, 0.5 / n), rng.uniform(0.0, 1.999)]))
             foci, band = rng.uniform(-1.6, 1.6, 1 if case % 6 == 0 else int(rng.integers(2, 2 * n + 3))), BandSpec(b)
             for bar in bars + [float(rng.uniform(0.0, root_n))]:
                 h = _main_lobe_reach(bar, n)
-                edges = np.concatenate([(foci + s * h) / xi for s in (-1.0, 1.0) for xi in (band.xi_min, band.xi_max)])
+                inside = h - 3e-12 * (1.0 + np.abs(foci))
+                edges = np.concatenate([(foci + s * r) / xi for s in (-1.0, 1.0) for r in (h, inside) for xi in (band.xi_min, band.xi_max)])
                 mid = 0.5 * (np.sort(foci)[1:] + np.sort(foci)[:-1])
                 grid = np.concatenate([np.linspace(-1.0, 1.0, 201), foci, mid, edges])
                 grid = np.sort(np.concatenate([grid, np.nextafter(grid, -2.0), np.nextafter(grid, 2.0)]))
                 got, at = self.screen(grid, foci, band, lambda psi: h)
-                reach = nearest_reach(grid, foci, band)
-                assert np.array_equal(got, np.flatnonzero(reach >= h)), (case, b, bar)
+                reach, p = nearest_reach(grid, foci, band)
+                extras += assert_reference_and_margin(got, reach, p, h)
                 assert reach[np.searchsorted(grid, at)] == reach.max()
                 out = np.ones(len(grid), bool)
                 out[got] = False
                 assert np.all(worst_subcarrier_gain(grid[out], foci, band, n) > bar), (case, b, bar)
                 assert 0.0 < bar < root_n or not out.any()
+        assert extras > 0  # the floats next to a cut fall inside the margin
+
+    def test_workload_verifies_keep_exactly_the_reference_screens(self, monkeypatch):
+        # the benchmark's 17 verifies (certify's 11 paper designs, audit's 6
+        # narrowband codebooks under squint): no grid angle falls inside the
+        # margin, so the candidates are the reference's, index for index
+        calls, screen = [], verification._cell_screen
+
+        def recording(grid, psi0s, band, cutoff):
+            cut = []
+            got = screen(grid, psi0s, band, lambda psi: cut.append(cutoff(psi)) or cut[0])
+            calls.append((got, nearest_reach(grid, psi0s, band)[0] >= cut[0]))
+            return got
+
+        monkeypatch.setattr(verification, "_cell_screen", recording)
+        for n in (8, 16, 32, 64):
+            for b in (0.0, 0.0179, 0.0342):
+                if b < max_fractional_bandwidth(n, 1.0):
+                    verify_codebook(design_with_squint(n, BandSpec(b), 1.0).codebook)
+        for n in (16, 32, 64):
+            for b in (0.0179, 0.0342):
+                verify_codebook(dataclasses.replace(design_no_squint(n, 1.0), band=BandSpec(b)))
+        assert len(calls) == 17
+        for got, want in calls:
+            assert np.array_equal(got, np.flatnonzero(want))
 
     def test_verify_reads_no_more_angles_on_a_finer_grid(self, monkeypatch):
         # the N=64, b = 0.0179 design (117 beams): a tenfold grid adds no angle

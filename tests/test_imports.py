@@ -102,6 +102,7 @@ def test_design_library_leaves_numpy_unloaded():
         "design_no_squint(64, 0.5).to_json(); max_antennas(BandSpec(0.0179), 1.0)\n"
         "sweep_size_vs_b([8, 16], [0.0, 0.05]); sweep_size_vs_n([0.0179], range(4, 65))\n"
         "effective_beamwidth(0.3, BandSpec(0.0342), 16); psi_from_theta(0.4)\n"
+        "assert 0 < exact_half_power_beamwidth(64) < exact_half_power_beamwidth(16, GainThreshold(0.3)) < 1\n"
         "print('numpy' in sys.modules, file=sys.stderr)"
     )
     assert _run(code) == "False"

@@ -94,6 +94,14 @@ class TestGainThreshold:
         with pytest.raises(ValueError, match="threshold dB"):
             GainThreshold.from_db(db)
 
+    def test_from_db_rejects_an_amplitude_of_zero_in_db(self):
+        # 10^(-dB/20) underflows to 0 just above 6472.144906775596 dB, which
+        # leaves the least subnormal amplitude
+        assert GainThreshold.from_db(6472.144906775596).ratio_to_max == 5e-324
+        for db in (6472.144906775597, 7000.0, 1e300):
+            with pytest.raises(ValueError, match="^" + re.escape(f"threshold dB must be finite, >= 0 and leave 10^(-dB/20) above 0, got {db!r}") + "$"):
+                GainThreshold.from_db(db)
+
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
             GainThreshold(0.0)
