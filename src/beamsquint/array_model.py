@@ -15,8 +15,7 @@ TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
-# |sin(pi x / 2)| below this is treated as a removable singularity of the
-# closed-form kernel (the points x = 2k, where naive division is unstable).
+# |sin(pi*r/2)| below this is the kernel's one removable singularity, r = 0.
 _SINGULARITY_TOL = 1e-12
 
 # Values per chunk (kernel values, band-edge values of a pair batch, or phases),
@@ -208,12 +207,14 @@ def array_gain_sum(weights: np.ndarray, geom: ArrayGeometry, psi, xi: float = 1.
 
 
 def _kernel_factor(x: np.ndarray, n: int) -> np.ndarray:
-    """The real factor ``sin(N*pi*x/2) / (sqrt(N)*sin(pi*x/2))`` of the
-    kernel, as a fresh array for an ndarray ``x`` of at least one
-    dimension; the removable singularities at ``x = 2k`` return their
-    limit instead of dividing by ~0."""
+    """The real factor ``sin(N*pi*r/2) / (sqrt(N)*sin(pi*r/2))`` of the
+    kernel at ``r = x - 2*rint(x/2)``, x modulo its period 2 in [-1, 1], as
+    a fresh array for an ndarray ``x`` of at least one dimension; the one
+    removable singularity, r = 0, returns its limit sqrt(N)."""
     import numpy as np
-    half = 0.5 * math.pi * x
+    half = 0.5 * x
+    half -= np.rint(half)  # r/2, in place and exact (Sterbenz's lemma); x/2 where |x| <= 1
+    half *= math.pi
     ratio = n * half
     np.sin(ratio, out=ratio)
     den = np.sin(half, out=half)
@@ -225,38 +226,36 @@ def _kernel_factor(x: np.ndarray, n: int) -> np.ndarray:
     sqrt_n = math.sqrt(n)
     ratio /= sqrt_n
     if any_near:
-        # limit of sin(N pi x/2)/sin(pi x/2) at x = 2k is N*(-1)^(k(N-1))
-        k = np.rint(0.5 * x[near])
-        ratio[near] = (1.0 - 2.0 * np.mod(k * (n - 1), 2.0)) * sqrt_n
+        ratio[near] = sqrt_n
     return ratio
 
 
 def _kernel_factor_at(x: float, n: int) -> float:
-    """:func:`_kernel_factor` of one float, by its float operations, with math.sin
-    for numpy's sin; the sin of an infinite angle is NaN, as numpy's is."""
-    half = 0.5 * math.pi * x
-    den = math.sin(half) if math.isfinite(half) else math.nan
+    """:func:`_kernel_factor` of one float, by its float operations, with math.remainder
+    for the reduction and math.sin for numpy's sin; infinite x gives NaN, as numpy's."""
+    half = math.pi * math.remainder(0.5 * x, 1.0) if math.isfinite(x) else math.nan
+    den = math.sin(half)
     if abs(den) < _SINGULARITY_TOL:
-        return (1.0 - 2.0 * (float(round(0.5 * x)) * (n - 1) % 2.0)) * math.sqrt(n)
-    return math.sin(n * half) / den / math.sqrt(n) if math.isfinite(n * half) else math.nan
+        return math.sqrt(n)
+    return math.sin(n * half) / den / math.sqrt(n)
 
 
 def gain_kernel(x, n_antennas: int):
     """Closed-form fine-beam gain ``g(x)`` for half-wavelength spacing.
 
-    ``g(x) = sin(N*pi*x/2) / (sqrt(N)*sin(pi*x/2)) * exp(j*(N-1)*pi*x/2)``,
-    evaluated so that the removable singularities at ``x = 2k`` return the
-    analytic limit (magnitude sqrt(N)) instead of dividing by ~0. The fine
+    ``g(x) = sin(N*pi*r/2) / (sqrt(N)*sin(pi*r/2)) * exp(j*(N-1)*pi*r/2)``,
+    g's period 2 taken once: ``r = x - 2*rint(x/2)``, exact, in [-1, 1]. At
+    every lobe peak x = 2k, r = 0 and g is exactly ``sqrt(N) + 0j``. The fine
     beam focused on ``psi0`` has gain ``g(xi*psi_c - psi0)``.
 
     Accepts a scalar or an ndarray; returns complex of matching shape.
     """
     import numpy as np
     n = _check_n(n_antennas)
-    if np.ndim(x) == 0:  # one value, without the array set-up
-        return complex(_kernel_factor_at(float(x), n) * np.exp(1j * (n - 1) * (0.5 * math.pi * float(x))))
-    arr = np.asarray(x, dtype=float)
-    return _kernel_factor(arr, n) * np.exp(1j * (n - 1) * (0.5 * math.pi * arr))
+    one = np.ndim(x) == 0  # one value takes the one-float factor, without the array set-up
+    x = float(x) if one else np.asarray(x, dtype=float)
+    phase = np.exp(1j * (n - 1) * (0.5 * math.pi * (x - 2.0 * np.rint(0.5 * x))))
+    return complex(_kernel_factor_at(x, n) * phase) if one else _kernel_factor(x, n) * phase
 
 
 def gain_kernel_magnitude(x, n_antennas: int):
@@ -303,9 +302,9 @@ def worst_subcarrier_gain(psi, psi0s, band, n_antennas: int):
     # Windows are padded by 1e-12, far above the rounding of their edges, all
     # in [-4, 4], so they overlap at h = 1; phases and foci taken modulo 2
     # are exact. The floor's relative 1e-9 on E(h) covers the rest at a
-    # window's edge: x and the kernel's sin(pi*x/2) are off by a few ulps of
-    # |x| <= reach, which at h >= 1/N from 2k moves |g| by a relative few ulps
-    # times reach*N, under 2e-10 while reach*N <= 1e5; beyond, h starts at 1.
+    # window's edge: x is off by a few ulps of |x| <= reach (the kernel takes
+    # it modulo 2 exactly), which at h >= 1/N from 2k moves |g| by a relative
+    # few ulps times reach*N, under 2e-10 while reach*N <= 1e5; beyond, h starts at 1.
     top = max(-flat.min(initial=0.0), flat.max(initial=0.0))
     h = 1.0 / n if n * (top + np.abs(offsets).max(initial=0.0)) <= 1e5 else 1.0
     order = slice(None) if (phase[1:] >= phase[:-1]).all() else np.argsort(phase, kind="stable")

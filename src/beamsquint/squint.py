@@ -98,8 +98,8 @@ class GainThreshold(_Record):
     def from_db(cls, db_below_max: float) -> "GainThreshold":
         """Threshold ``db_below_max`` decibels under the peak (amplitude
         10^(-dB/20)); 3.0 means the exact half-power ratio 1/sqrt(2)."""
-        if not (math.isfinite(db_below_max) and db_below_max >= 0 and 10.0 ** (-db_below_max / 20.0) > 0.0):
-            raise ValueError(f"threshold dB must be finite, >= 0 and leave 10^(-dB/20) above 0, got {db_below_max!r}")
+        if not (math.isfinite(db_below_max) and db_below_max >= 0 and 10.0 ** (-db_below_max / 20.0) >= 2.0**-1022):
+            raise ValueError(f"threshold dB must be finite, >= 0 and at most about 6153, where 10^(-dB/20) is a normal float, got {db_below_max!r}")
         if db_below_max == 3.0:
             return cls()
         return cls(10.0 ** (-db_below_max / 20.0))

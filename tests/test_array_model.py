@@ -160,11 +160,13 @@ class TestGainKernel:
         assert abs(mag - math.sqrt(8)) / math.sqrt(8) < 0.002
 
     def test_grating_lobe_limit(self):
-        # x = 2k is a removable singularity; the limit has magnitude sqrt(N)
+        # x = 2k reduces to r = 0 exactly: the peak sqrt(N) with phase 0
         for n in (4, 16, 5):
-            for x in (2.0, -2.0, 4.0):
+            for x in (2.0, -2.0, 4.0, -0.0):
                 g = gain_kernel(x, n)
-                assert abs(abs(g) - math.sqrt(n)) < 1e-9
+                assert g == complex(math.sqrt(n), 0.0)
+                assert type(g) is complex
+            assert np.array_equal(gain_kernel(np.array([2.0, -2.0, 4.0]), n), np.full(3, complex(math.sqrt(n), 0.0)))
 
     def test_near_singularity_stable(self):
         g = gain_kernel(2.0 + 1e-14, 16)
@@ -185,15 +187,16 @@ class TestGainKernel:
 
     @pytest.mark.parametrize("n", [4, 5, 12, 17])
     def test_grating_lobe_sign_matches_sum(self, n):
-        # x = xi*psi_c - psi0 at and next to +-2 and +-4. The points up to
-        # 3e-13 away take the limit, whose sign (-1)^(k(N-1)) the phase must
-        # undo; the others divide, no nearer than 1e-6, where the rounding
-        # of pi*x/2 that the division amplifies stays below the tolerance
+        # x = xi*psi_c - psi0 at and next to +-2 and +-4. The kernel takes
+        # x modulo 2 exactly, so r = x - 2k keeps its full precision next to
+        # the lobe and the division amplifies no rounding of pi*x/2: 1e-12
+        # from the lobe is as accurate as 1e-3. The points up to 3e-13 away
+        # take the limit sqrt(N)
         geom = ArrayGeometry(n, 0.5)
         for psi0, edge in ((-1.0, 1.0), (1.0, -1.0)):
             w = fine_beam_weights(geom, psi0)
             for xi in (1.0, 3.0):
-                for delta in (0.0, 1e-14, 1e-13, 1e-6, 1e-3):
+                for delta in (0.0, 1e-14, 1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3):
                     psi_c = edge - math.copysign(delta, edge)
                     closed = gain_kernel(xi * psi_c - psi0, n)
                     total = array_gain_sum(w, geom, psi_c, xi)
@@ -225,32 +228,45 @@ def reference_kernel_magnitude(x, n):
     return num
 
 
+def reduced(x):
+    """x modulo 2 into [-1, 1] by IEEE remainder, which is exact: the kernel's
+    period, taken here without the package's own expression."""
+    return np.vectorize(lambda v: math.remainder(v, 2.0), otypes=[float])(x)
+
+
 class TestKernelBits:
+    """The kernel at x is the verbatim reference at x reduced modulo 2, bit for
+    bit, and so the reference at x itself on the main period |x| <= 1."""
+
     LOBES = 2.0 * np.arange(-2, 3)
     SPECIAL = np.concatenate([LOBES, LOBES + 1e-14, LOBES - 1e-14])
+
+    @staticmethod
+    def assert_pinned(got, x, n):
+        want = reference_kernel_magnitude(reduced(x), n)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+        main = np.abs(x) <= 1.0
+        assert np.array_equal(np.asarray(got)[main].view(np.int64), np.asarray(reference_kernel_magnitude(x, n))[main].view(np.int64))
 
     @pytest.mark.parametrize("n", list(range(2, 71)) + [128, 512])
     def test_magnitude_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
         x = np.concatenate([rng.uniform(-4.2, 4.2, 2000), self.SPECIAL])
-        got = gain_kernel_magnitude(x, n)
-        want = reference_kernel_magnitude(x, n)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        self.assert_pinned(gain_kernel_magnitude(x, n), x, n)
 
     def test_scalar_in_float_out(self):
         for n in (2, 7, 16, 512):
             for x in list(self.SPECIAL) + [0.3, -1.1]:
                 got = gain_kernel_magnitude(float(x), n)
                 assert type(got) is float
-                assert got == reference_kernel_magnitude(float(x), n)
+                self.assert_pinned(got, float(x), n)
 
     def test_block_shape_kept(self):
         x = np.random.default_rng(3).uniform(-4.2, 4.2, (4, 22, 65))
         x[1, 2, :15] = self.SPECIAL
         got = gain_kernel_magnitude(x, 32)
         assert got.shape == (4, 22, 65)
-        want = reference_kernel_magnitude(x, 32)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        self.assert_pinned(got, x, 32)
 
 
 def _bits(z: complex) -> tuple[str, str]:

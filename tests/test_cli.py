@@ -255,11 +255,13 @@ class TestVerifyCommand:
         assert err.startswith("error: slack_db must be finite")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("db", ["7000", "1e300"])
-    def test_threshold_whose_amplitude_underflows_exits_2_in_db(self, codebook_path, capsys, db):
-        # 10^(-dB/20) rounds to 0 from about 6,472 dB: the error names the dB
+    @pytest.mark.parametrize("db", ["6153.2", "6400", "7000", "1e300"])
+    def test_threshold_whose_amplitude_is_subnormal_exits_2_in_db(self, codebook_path, capsys, db):
+        # 10^(-dB/20) is subnormal from about 6,153 dB and 0 from about 6,472
+        # dB: the error names the dB, where 6400 wrote threshold_db -6400.00009669896
         assert run_cli("verify", "--codebook", str(codebook_path), "--threshold-db", db) == 2
-        assert capsys.readouterr() == ("", f"error: threshold dB must be finite, >= 0 and leave 10^(-dB/20) above 0, got {float(db)!r}\n")
+        message = f"threshold dB must be finite, >= 0 and at most about 6153, where 10^(-dB/20) is a normal float, got {float(db)!r}"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestPatternCommand:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -94,12 +95,18 @@ class TestGainThreshold:
         with pytest.raises(ValueError, match="threshold dB"):
             GainThreshold.from_db(db)
 
-    def test_from_db_rejects_an_amplitude_of_zero_in_db(self):
-        # 10^(-dB/20) underflows to 0 just above 6472.144906775596 dB, which
-        # leaves the least subnormal amplitude
-        assert GainThreshold.from_db(6472.144906775596).ratio_to_max == 5e-324
-        for db in (6472.144906775597, 7000.0, 1e300):
-            with pytest.raises(ValueError, match="^" + re.escape(f"threshold dB must be finite, >= 0 and leave 10^(-dB/20) above 0, got {db!r}") + "$"):
+    def test_from_db_rejects_a_subnormal_amplitude_in_db(self):
+        # 10^(-dB/20) falls below the least normal float 2^-1022 just above
+        # 6153.053 dB; a subnormal amplitude keeps too few bits to give its
+        # dB back (6400 read 6400.00009669896), and from about 6472 dB it is 0
+        least = GainThreshold.from_db(6153.053111371774)
+        assert least.ratio_to_max == 2.2250738585074786e-308 >= sys.float_info.min
+        assert least.db_below_max == 6153.053111371774
+        for db in (6153.0, 6000.0, 100.0):
+            assert GainThreshold.from_db(db).db_below_max == pytest.approx(db, rel=1e-15)
+        for db in (6153.053111371775, 6153.2, 6400.0, 6472.144906775596, 6472.144906775597, 7000.0, 1e300):
+            message = f"threshold dB must be finite, >= 0 and at most about 6153, where 10^(-dB/20) is a normal float, got {db!r}"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 GainThreshold.from_db(db)
 
     def test_invalid_ratio(self):
