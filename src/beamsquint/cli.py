@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import sys
 
 from .array_model import _GAIN_CHUNK, ArrayGeometry, array_gain_sum, fine_beam_weights, psi_from_theta
-from .codebook import Codebook, CodebookFormatError, design_with_squint, max_antennas, max_fractional_bandwidth
+from .codebook import Codebook, CodebookFormatError, design_with_squint, max_antennas, max_fractional_bandwidth, min_size_no_squint
 from .squint import _MAX_GRID_POINTS, BandSpec, GainThreshold
 from .verification import _to_db, sweep_size_vs_b, sweep_size_vs_n, verify_codebook
 
@@ -134,19 +135,17 @@ def _cmd_pattern(args) -> int:
 
 def _cmd_design(args) -> int:
     band = _band_from_args(args)
+    if (least := min_size_no_squint(args.antennas, args.psi_max)) > _MAX_GRID_POINTS:  # squint only adds beams: before any focus is built
+        raise ValueError(f"a design holds at most {_MAX_GRID_POINTS} beams, got at least {least} for N={args.antennas}")
     outcome = design_with_squint(args.antennas, band, args.psi_max)
     if not outcome.feasible:
         print(f"codebook does not exist: {outcome.infeasibility.reason}", file=sys.stderr)
         return _EXIT_INFEASIBLE
     book = outcome.codebook
-
+    if book.size * book.n_antennas > _MAX_GRID_POINTS:  # before the JSON document is built
+        raise ValueError(f"a codebook's phase table holds at most {_MAX_GRID_POINTS} phases, got {book.size} beams x {book.n_antennas} antennas")
     _emit(book.to_json(), args.out)
-    print(
-        f"designed codebook: size={book.size} parity={book.parity} "
-        f"b={book.band.fractional_bandwidth:.6f} N={book.n_antennas} "
-        f"psi_m={book.psi_m:g}",
-        file=sys.stderr,
-    )
+    print(f"designed codebook: size={book.size} parity={book.parity} b={book.band.fractional_bandwidth:.6f} N={book.n_antennas} psi_m={book.psi_m:g}", file=sys.stderr)
     return _EXIT_OK
 
 
@@ -347,8 +346,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    run()
+    """Entry point of the console script and of ``python -m beamsquint``. Only it
+    freezes the collector: tests and library callers run ``main`` in a live interpreter."""
+    code = main()
+    gc.freeze()  # teardown's full collections then skip all the command loaded; reference counting still frees it
+    sys.exit(code)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -107,6 +108,14 @@ class TestDesignCommand:
             for command in ("design", "bounds"):
                 assert run_cli(command, "--antennas", "16", *band) == 2
                 assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_phase_table_is_capped(self, capsys):
+        # every other grid and table holds at most 2**22 points; at b = 0 that admits N up to 1,927
+        assert run_cli("design", "--antennas", "2048", "--fractional-bandwidth", "0", "--out", os.devnull) == 2
+        assert capsys.readouterr() == ("", f"error: a codebook's phase table holds at most {_MAX_GRID_POINTS} phases, got 2312 beams x 2048 antennas\n")
+        # refused before any of its 112,866,818 foci is built
+        assert run_cli("design", "--antennas", str(10**8), "--fractional-bandwidth", "0", "--out", os.devnull) == 2
+        assert capsys.readouterr() == ("", f"error: a design holds at most {_MAX_GRID_POINTS} beams, got at least 112866818 for N=100000000\n")
 
     def test_band_overdetermined(self):
         assert run_cli(
@@ -734,6 +743,25 @@ def test_help_still_prints_usage(capsys):
         build_parser().parse_args(["design", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: beamsquint design")
+
+
+@pytest.mark.parametrize("code", [0, 2, 3, 4])
+def test_run_freezes_the_collector_between_main_and_exit(monkeypatch, code):
+    # the process entry point: teardown's collections then skip what the command loaded
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli.sys, "exit", lambda status: calls.append(("exit", status)))
+    cli.run()
+    assert calls == ["main", "freeze", ("exit", code)]
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--antennas", "16"], ["design", "--antennas", "16", "--fractional-bandwidth", "0.2"], ["frobnicate"]])
+def test_main_leaves_the_collector_unfrozen(capsys, argv):
+    # tests, perfbench's in-process cli and library callers run main in a live interpreter
+    before = gc.get_freeze_count()
+    main(argv)
+    assert gc.get_freeze_count() == before
 
 
 # Option values for the cli.main fuzz: malformed tokens plus a few valid
