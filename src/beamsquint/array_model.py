@@ -279,15 +279,16 @@ def worst_subcarrier_gain(psi, psi0s, band, n_antennas: int):
     float out; ndarray in, ndarray of the same shape out. Every angle and
     focus must be finite, and there must be at least one focus.
 
-    A window cascade: round by round, h = 1/N, 2/N, 4/N, ..., 1, each beam
-    meets the angles whose ``x = psi - psi0`` at the carrier (xi = 1, inside
-    every band) lies within h of a lobe image 2k, in three windows on the
-    angles sorted by ``psi`` modulo 2.
+    Up to ``_GAIN_CHUNK // 2`` (angle, focus) pairs, one kernel chunk of band-edge
+    values, take every pair's min in one call. More take a window cascade: round
+    by round, h = 1/N, 2/N, 4/N, ..., 1, each beam meets the angles whose ``x =
+    psi - psi0`` at the carrier (xi = 1, inside every band) lies within h of a
+    lobe image 2k, in three windows on the angles sorted by ``psi`` modulo 2.
     Outside them ``|g(x)| <= 1/(sqrt(N)*|sin(pi*x/2)|) <= E(h) =
     1/(sqrt(N)*sin(pi*h/2))``, which bounds the beam's min over the band; so
     an angle whose best beats E(h) is final, and only the others go on. At
     h = 1 every beam is in a window. The kernel is element-wise and max/min
-    are exact, so no bit moves.
+    are exact, so both paths give the same bits.
     """
     import numpy as np
     n = _check_n(n_antennas)
@@ -298,6 +299,9 @@ def worst_subcarrier_gain(psi, psi0s, band, n_antennas: int):
             raise ValueError(f"{name} must be finite, got {float(values[~np.isfinite(values)][0])!r}")
     if not offsets.size:  # the best of no beams would be -inf
         raise ValueError("psi0s must hold at least one focus, got none")
+    if flat.size * offsets.size <= _GAIN_CHUNK // 2:  # one chunk of band-edge values: every pair at once
+        best = _band_min(flat[:, None], offsets[None, :], band, n).max(axis=1)
+        return float(best[0]) if angles.ndim == 0 else best.reshape(angles.shape)
     phase = flat - 2.0 * np.rint(0.5 * flat)  # x + psi0 at the carrier, modulo 2 into [-1, 1]
     # Windows are padded by 1e-12, far above the rounding of their edges, all
     # in [-4, 4], so they overlap at h = 1; phases and foci taken modulo 2

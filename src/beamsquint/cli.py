@@ -133,10 +133,16 @@ def _cmd_pattern(args) -> int:
 # ----------------------------------------------------------------- design
 
 
+def _check_beams(n: int, psi_m: float, what: str) -> None:
+    """Refuses, before any focus is built, an N whose tiling needs more than
+    _MAX_GRID_POINTS beams even without squint: squint only adds beams."""
+    if (least := min_size_no_squint(n, psi_m)) > _MAX_GRID_POINTS:
+        raise ValueError(f"{what} holds at most {_MAX_GRID_POINTS} beams, got at least {least} for N={n}")
+
+
 def _cmd_design(args) -> int:
     band = _band_from_args(args)
-    if (least := min_size_no_squint(args.antennas, args.psi_max)) > _MAX_GRID_POINTS:  # squint only adds beams: before any focus is built
-        raise ValueError(f"a design holds at most {_MAX_GRID_POINTS} beams, got at least {least} for N={args.antennas}")
+    _check_beams(args.antennas, args.psi_max, "a design")
     outcome = design_with_squint(args.antennas, band, args.psi_max)
     if not outcome.feasible:
         print(f"codebook does not exist: {outcome.infeasibility.reason}", file=sys.stderr)
@@ -167,12 +173,8 @@ def _cmd_verify(args) -> int:
         book = Codebook(book.foci, book.psi_m, book.band, book.n_antennas, GainThreshold.from_db(args.threshold_db))
     report = verify_codebook(book, psi_step=args.psi_step, xi_points=args.xi_points, slack_db=args.slack_db)
     _emit(report.to_json(), args.out)
-    print(
-        f"verification {'pass' if report.passed else 'FAIL'}: "
-        f"worst_gain_db={report.worst_gain_db:.4f} at psi={report.worst_psi:g} "
-        f"xi={report.worst_xi:g}, gaps={len(report.gaps)}",
-        file=sys.stderr,
-    )
+    verdict = "pass" if report.passed else "FAIL"
+    print(f"verification {verdict}: worst_gain_db={report.worst_gain_db:.4f} at psi={report.worst_psi:g} xi={report.worst_xi:g}, gaps={len(report.gaps)}", file=sys.stderr)
     return _EXIT_OK if report.passed else _EXIT_VERIFY_FAIL
 
 
@@ -215,6 +217,8 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 def _cmd_sweep_b(args) -> int:
     grid = _b_grid_from_args(args)
+    if any(0 < b < 2 for b in grid):  # a b = 0 point builds no foci, and BandSpec refuses b >= 2
+        _check_beams(max(args.antennas), args.psi_max, "a sweep point at b > 0")
     table = sweep_size_vs_b(args.antennas, grid, args.psi_max)
     _emit(table.to_csv() if args.format == "csv" else json.dumps(table.to_dict(), indent=2) + "\n", args.out)
     return _EXIT_OK
@@ -226,6 +230,8 @@ def _cmd_sweep_n(args) -> int:
         raise ValueError("need 2 <= --n-min <= --n-max and --n-step >= 1")
     _check_table(len(b_values), (args.n_max - args.n_min) // args.n_step + 1)
     n_values = list(range(args.n_min, args.n_max + 1, args.n_step))
+    if any(0 < b < 2 for b in b_values):  # a b = 0 point builds no foci, and BandSpec refuses b >= 2
+        _check_beams(n_values[-1], args.psi_max, "a sweep point at b > 0")
     table = sweep_size_vs_n(b_values, n_values, args.psi_max)
     _emit(table.to_csv() if args.format == "csv" else json.dumps(table.to_dict(), indent=2) + "\n", args.out)
     return _EXIT_OK

@@ -53,12 +53,7 @@ class CoverageReport(_Record):
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def verify_codebook(
-    codebook: Codebook,
-    psi_step: float = 1e-4,
-    xi_points: int = 65,
-    slack_db: float = 0.2,
-) -> CoverageReport:
+def verify_codebook(codebook: Codebook, psi_step: float = 1e-4, xi_points: int = 65, slack_db: float = 0.2) -> CoverageReport:
     """Certify minimum gain across the band over [-psi_m, psi_m].
 
     For each carrier angle on the grid: max over beams of the min over the
@@ -177,9 +172,7 @@ def _size(n: int, band: BandSpec, psi_m: float) -> int | None:
     return None if foci is None else len(foci)
 
 
-def sweep_size_vs_b(
-    n_antennas_list: list[int], b_grid: list[float], psi_m: float = 1.0
-) -> SweepTable:
+def sweep_size_vs_b(n_antennas_list: list[int], b_grid: list[float], psi_m: float = 1.0) -> SweepTable:
     """Minimum codebook size as the fractional bandwidth grows, one series
     per array size; the bound column is the per-N vertical asymptote."""
     if not n_antennas_list or not len(b_grid):
@@ -192,9 +185,7 @@ def sweep_size_vs_b(
     return SweepTable("fractional_bandwidth", tuple(series))
 
 
-def sweep_size_vs_n(
-    b_list: list[float], n_range: list[int], psi_m: float = 1.0
-) -> SweepTable:
+def sweep_size_vs_n(b_list: list[float], n_range: list[int], psi_m: float = 1.0) -> SweepTable:
     """Minimum codebook size as the array grows, one series per fractional
     bandwidth; the bound column is floor(1.772/(psi_m*b))."""
     if not len(b_list) or not len(n_range):

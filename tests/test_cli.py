@@ -588,8 +588,69 @@ class TestSweepCommands:
         ],
     )
     def test_table_cap_counts_series_times_values(self, monkeypatch, argv, code):
+        # the patched cap also bounds a b > 0 point's beams; at psi_m = 0.25
+        # N = 16 needs 5, so only the table cap decides
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 6)
-        assert run_cli(*argv, "--format", "json") == code
+        assert run_cli(*argv, "--psi-max", "0.25", "--format", "json") == code
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep-n", "--b-list", "0 1e-9", "--n-min", str(10**8), "--n-max", str(10**8)),
+            ("sweep-b", "--antennas", "16", str(10**8), "--b-list", "0,1e-9"),
+        ],
+        ids=["sweep-n", "sweep-b"],
+    )
+    def test_point_beyond_the_beam_cap_exits_2_before_any_focus_is_built(self, capsys, argv):
+        # N = 10**8 needs 112,866,818 beams even without squint (gigabytes of
+        # foci at b = 1e-9); it is refused as design refuses it, in well
+        # under a megabyte, while at b = 0 the same N builds no foci and
+        # prints its size
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        assert capsys.readouterr() == ("", f"error: a sweep point at b > 0 holds at most {_MAX_GRID_POINTS} beams, got at least 112866818 for N=100000000\n")
+        assert run_cli(*[arg.replace("0 1e-9", "0").replace("0,1e-9", "0") for arg in argv]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] in ("100000000.0,112866818,inf", "0.0,112866818,1.772e-08")
+        # a b of 2 or more is no point: the band's own message, as at the parent
+        assert run_cli(*[arg.replace("0 1e-9", "5").replace("0,1e-9", "5") for arg in argv]) == 2
+        assert capsys.readouterr() == ("", "error: fractional_bandwidth must satisfy 0 <= b < 2, got 5.0\n")
+
+    def test_beam_cap_is_designs(self, capsys):
+        # design's precheck: at psi_m = 1, N = 3,716,153 needs exactly 2**22
+        # beams without squint and passes (b = 0.1 is then infeasible, no
+        # focus built); one antenna more is refused by design and both sweeps
+        assert run_cli("sweep-b", "--antennas", "3716153", "--b-list", "0.1") == 0
+        assert capsys.readouterr().out.startswith("axis,value_or_status,bound\n0.1,INFEASIBLE,")
+        tail = f"holds at most {_MAX_GRID_POINTS} beams, got at least {_MAX_GRID_POINTS + 1} for N=3716154\n"
+        for argv, what in (
+            (("design", "--antennas", "3716154", "--fractional-bandwidth", "0.1"), "a design"),
+            (("sweep-b", "--antennas", "3716154", "--b-list", "0.1"), "a sweep point at b > 0"),
+            (("sweep-n", "--b-list", "0.1", "--n-min", "3716153", "--n-max", "3716154"), "a sweep point at b > 0"),
+        ):
+            assert run_cli(*argv) == 2
+            assert capsys.readouterr() == ("", f"error: {what} {tail}")
+
+    @pytest.mark.parametrize(
+        "argv, size, sha256",
+        [
+            (("sweep-b", "--antennas", "8", "16", "32", "64", "128", "--b-min", "0", "--b-max", "0.2", "--b-points", "200"),
+             36759, "6cfcc7589a94a3d5e7da70c82a3a02de164ab41968cb9ba9e4bb88fc97bc7ad6"),
+            (("sweep-n", "--b-list", "0,0.0179,0.0342,0.0714,0.12", "--n-min", "4", "--n-max", "512"),
+             50070, "e64cfec79c03dad11519cb9898629f4c3b89b02d22743fc8150eea2f1a0fa212"),
+        ],
+        ids=["sweep-b", "sweep-n"],
+    )
+    def test_golden_sweeps_keep_their_bytes(self, capsys, argv, size, sha256):
+        # the benchmark's two golden sweeps (perfbench/reference/cli_golden.json)
+        assert run_cli(*argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (size, sha256)
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,6 @@
-"""Engine pins of the window cascade, the lobe rule's pair batches and
-verify's kernel-free screen: ``worst_subcarrier_gain``'s rounds of
+"""Engine pins of the few-pair path and the window cascade, the lobe
+rule's pair batches and verify's kernel-free screen: ``worst_subcarrier_gain``'s
+one-call path and rounds of
 ``array_model._raise_to_window_mins`` and their kernel blocks, the
 (angle, beam) pairs of ``array_model._band_min``, the candidates of
 ``array_model._cell_screen`` against the per-angle reach and
@@ -87,7 +88,10 @@ class TestWorstSubcarrierGain:
         # unsorted angles with repeats, out to several kernel periods; at
         # N = 4096 the rounding bound reach*N exceeds 1e5, so the one round
         # is h = 1, every beam on every angle. With every phase modulo 2, each
-        # round has three windows per beam, about the images 2k, |k| <= 1
+        # round has three windows per beam, about the images 2k, |k| <= 1.
+        # A chunk below two values per pair of the smallest case (600 angles,
+        # 5 beams at N = 2) sends every case to the cascade
+        monkeypatch.setattr(array_model, "_GAIN_CHUNK", 1 << 12)
         rounds = []  # whether each round's windows hold every (angle, beam) pair
         windows = []  # windows per beam, each round
         primitive = array_model._raise_to_window_mins
@@ -528,8 +532,13 @@ class TestWindowedSweepIsExact:
         calls = _record_rounds(monkeypatch)
         verification.worst_subcarrier_gain(np.linspace(-1.0, 1.0, 20001), book16.foci, BAND, 16)
         assert calls == [[20001]]
-        # verify's screen sends the cascade one candidate: every other
-        # angle's nearest beam clears the bar
+        # verify's screen sends one candidate: every other angle's nearest
+        # beam clears the bar. Its 22 pairs take the few-pair path, no round
+        calls.clear()
+        assert verify_codebook(book16).passed
+        assert calls == [[]]
+        # one angle's pairs above half a chunk: the candidate runs the cascade
+        monkeypatch.setattr(array_model, "_GAIN_CHUNK", 2 * book16.size - 1)
         calls.clear()
         assert verify_codebook(book16).passed
         assert calls == [[1]]
@@ -543,9 +552,11 @@ class TestWindowedSweepIsExact:
         # whose best is still at or under E(h) shrink with every doubling of
         # h, and the last round (h = 1, every beam) takes the 2 left. Each
         # refinement round's angles sit at a threshold crossing, above E(1/N),
-        # so they are final after the cascade's first round
+        # so they are final after the cascade's first round. One angle's pairs
+        # exceed half a chunk, so every call, however few its angles, runs the cascade
         calls = _record_rounds(monkeypatch)
         book = dataclasses.replace(design_no_squint(64, 1.0), band=BAND)
+        monkeypatch.setattr(array_model, "_GAIN_CHUNK", 2 * book.size - 1)
         verification.worst_subcarrier_gain(np.linspace(-1.0, 1.0, 20001), book.foci, BAND, 64)
         assert calls == [[20001, 9824, 2622, 694, 166, 32, 2]]
         # verify's screen keeps 11,418 candidates, every angle that the first
@@ -558,3 +569,58 @@ class TestWindowedSweepIsExact:
         assert all(len(rounds) == 1 for rounds in refinement)
         assert len(report.gaps) == 60
         assert report == reference_verify_codebook(book)
+
+
+class TestFewPairPath:
+    """At most ``_GAIN_CHUNK // 2`` (angle, beam) pairs, one kernel chunk of
+    band-edge values, ``worst_subcarrier_gain`` takes every pair's
+    ``_band_min`` in one call and runs no round of the window cascade; one
+    pair more runs the cascade. The bits are the same either way."""
+
+    N, BAND = 16, BandSpec(0.2)  # xi in [0.9, 1.1], where some pairs cross a null
+
+    def _run(self, monkeypatch, angles, beams):
+        rng = np.random.default_rng([angles, beams])
+        psi, foci = rng.uniform(-1.0, 1.0, angles), rng.uniform(-1.0, 1.0, beams)
+        calls = _record_rounds(monkeypatch)
+        blocks = record_kernel_blocks(monkeypatch)
+        got = verification.worst_subcarrier_gain(psi, foci, self.BAND, self.N)
+        assert np.array_equal(got.view(np.int64), dense_worst_gain(psi, foci, self.BAND, self.N).view(np.int64))
+        (rounds,) = calls
+        return rounds, blocks
+
+    def test_one_chunk_of_pairs_takes_one_kernel_block(self, monkeypatch):
+        pairs = array_model._GAIN_CHUNK // 2
+        rounds, blocks = self._run(monkeypatch, pairs // 16, 16)
+        assert rounds == []
+        assert blocks == [(2 * pairs,)]
+
+    def test_one_pair_more_runs_the_cascade(self, monkeypatch):
+        pairs = array_model._GAIN_CHUNK // 2 + 1  # 8,193 = 2,731 angles x 3 beams
+        rounds, blocks = self._run(monkeypatch, pairs // 3, 3)
+        assert rounds[0] == pairs // 3
+        assert all(len(shape) == 1 and shape[0] <= array_model._GAIN_CHUNK for shape in blocks)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_both_paths_give_the_same_bits(self, monkeypatch, seed):
+        # seeded arrays, bands out to b = 1.9 and angles out to several
+        # kernel periods; a chunk of exactly two values per pair forces the
+        # few-pair path, two values less forces the cascade. A 2-D input
+        # keeps its shape, and one angle comes back as a float
+        rng = np.random.default_rng([seed, 40])
+        n, band = int(rng.choice([2, 3, 8, 16, 17, 64])), BandSpec(float(rng.choice([0.0, rng.uniform(0.0, 1.9)])))
+        psi = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 40)), 3))
+        foci = rng.uniform(-1.6, 1.6, int(rng.integers(1, 2 * n + 2)))
+        calls = _record_rounds(monkeypatch)
+        results = []
+        for angles in (psi, float(psi[0, 0])):
+            for extra in (0, 2):
+                with monkeypatch.context() as patch:
+                    patch.setattr(array_model, "_GAIN_CHUNK", 2 * np.size(angles) * foci.size - extra)
+                    results.append(verification.worst_subcarrier_gain(angles, foci, band, n))
+        few, cascade, one_few, one_cascade = results
+        assert [rounds == [] for rounds in calls] == [True, False, True, False]
+        assert few.shape == cascade.shape == psi.shape
+        assert np.array_equal(few.view(np.int64), cascade.view(np.int64))
+        assert np.array_equal(few.view(np.int64), dense_worst_gain(psi, foci, band, n).view(np.int64))
+        assert type(one_few) is type(one_cascade) is float and one_few == one_cascade == few[0, 0]
